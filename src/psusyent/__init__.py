@@ -29,6 +29,7 @@ from .coherent import (
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
+    weight_terms,
 )
 from .entanglement import (
     ABTerms,
@@ -37,6 +38,7 @@ from .entanglement import (
     concurrence_closed_form,
     concurrence_optimal,
     concurrence_pure,
+    concurrence_routes,
     concurrence_schmidt_oracle,
     concurrence_wootters,
     density_from_amplitudes,
@@ -87,6 +89,7 @@ __all__ = [
     "concurrence_closed_form",
     "concurrence_optimal",
     "concurrence_pure",
+    "concurrence_routes",
     "concurrence_schmidt_oracle",
     "concurrence_wootters",
     "default_n_max",
@@ -104,4 +107,5 @@ __all__ = [
     "run_all",
     "split_index",
     "verify_eigenstate",
+    "weight_terms",
 ]

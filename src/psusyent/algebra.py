@@ -222,10 +222,11 @@ def _check_tail(z: complex, n_max: int, tail_tol: float | None) -> None:
         return
     tail = coherent_tail(abs(z), n_max)
     if tail >= tail_tol:
+        needed = required_n_max(abs(z), tail_tol)
         raise TruncationError(
             f"truncation n_max={n_max} leaves tail {tail:.3e} >= {tail_tol:.1e} "
-            f"at |z|={abs(z):.4g}; need n_max >= {required_n_max(abs(z), tail_tol)}",
-            required_n_max=required_n_max(abs(z), tail_tol),
+            f"at |z|={abs(z):.4g}; need n_max >= {needed}",
+            required_n_max=needed,
         )
 
 

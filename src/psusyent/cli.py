@@ -1,6 +1,6 @@
 """Command-line front end: verification, single-state inspection, grid sweeps.
 
-Exit codes: 0 success, 1 check or I/O failure, 2 usage error.
+Exit codes: 0 success, 1 check, I/O or truncation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from .coherent import (
     build_state,
 )
 from .entanglement import (
+    ROUTE_CLOSED_FORM,
     concurrence_closed_form,
     concurrence_optimal,
-    concurrence_pure,
-    concurrence_schmidt_oracle,
-    concurrence_wootters,
-    density_from_amplitudes,
+    concurrence_routes,
     entanglement_of_formation,
 )
-from .errors import NoRealSolutionError
+from .errors import NoRealSolutionError, TruncationError
 from .model import build_annihilator, verify_eigenstate
 from .verify import run_all
 
@@ -71,17 +69,11 @@ def _cmd_state(args: argparse.Namespace) -> int:
         state = build_state(args.p, z, profile)
         a_op = build_annihilator(args.p, state.n_max)
         residual = verify_eigenstate(a_op, state.full_vector, z)
-        routes = {
-            "closed-form": concurrence_closed_form(args.p, z, profile).value,
-            "pure-amplitude": concurrence_pure(state.qubit_amps),
-            "wootters-4x4": concurrence_wootters(
-                density_from_amplitudes(state.qubit_amps)
-            ).value,
-            "schmidt-oracle": concurrence_schmidt_oracle(state),
-        }
+        routes = concurrence_routes(state)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a truncation failure is a numerical limit, not a malformed request
+        return 1 if isinstance(exc, TruncationError) else 2
 
     record = {
         "p": args.p,
@@ -92,7 +84,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
             for name, amp in zip(("a00", "a01", "a10", "a11"), state.qubit_amps)
         },
         "concurrence": routes,
-        "eof": entanglement_of_formation(routes["closed-form"]),
+        "eof": entanglement_of_formation(routes[ROUTE_CLOSED_FORM]),
         "eigenstate_residual": residual,
     }
     json.dump(record, sys.stdout, indent=2)
@@ -100,27 +92,33 @@ def _cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_value(p: int, z_abs: float, kind: str, m: int) -> float:
+def _grid_point(
+    p: int, z_abs: float, kind: str, profile: AlphaProfile | None
+) -> tuple[float, float]:
+    """(concurrence, EoF) of one grid row; nan where the z-exact rule is undefined."""
     if kind == KIND_OPTIMAL:
-        return concurrence_optimal(p, z_abs)
-    # z-dependent-exact: emit the family's value where its rule is defined
-    if not 1 <= m <= p - 1:
-        return math.nan
+        value = concurrence_optimal(p, z_abs)
+        return value, entanglement_of_formation(value)
+    if profile is None:
+        return math.nan, math.nan
     try:
-        profile = AlphaProfile.z_dependent_exact(p, m, 1.0)
-        return concurrence_closed_form(p, z_abs, profile).value
+        result = concurrence_closed_form(p, z_abs, profile)
     except NoRealSolutionError:
-        return math.nan
+        return math.nan, math.nan
+    return result.value, result.eof
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     n_steps = int(math.floor((args.z_max - args.z_min) / args.z_step + 1e-9)) + 1
     lines = [CSV_HEADER]
     for p in range(args.p_min, args.p_max + 1):
+        # the z-dependent-exact family exists only for 1 <= m <= p-1
+        profile = None
+        if args.profile_kind == KIND_Z_EXACT and 1 <= args.m <= p - 1:
+            profile = AlphaProfile.z_dependent_exact(p, args.m, 1.0)
         for i in range(n_steps):
             z_abs = args.z_min + i * args.z_step
-            value = _grid_value(p, z_abs, args.profile_kind, args.m)
-            eof = entanglement_of_formation(value) if not math.isnan(value) else math.nan
+            value, eof = _grid_point(p, z_abs, args.profile_kind, profile)
             lines.append(
                 f"{p},{_fmt(z_abs)},{_fmt(value)},{_fmt(1.0 - value)},{_fmt(eof)}"
             )

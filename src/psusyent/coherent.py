@@ -14,6 +14,7 @@ identically, which is what makes the two-qubit reduction exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
     "QubitBases",
     "beta_coefficients",
     "normalization_q",
+    "weight_terms",
     "build_state",
     "qubit_bases",
     "qubit_amplitudes",
@@ -52,12 +54,12 @@ _JSON_FIELDS = {
 
 
 def _optimal_alphas(p: int, alpha_p: float) -> np.ndarray:
-    """alpha_0 = alpha_p/p and alpha_k = p! alpha_p / (p (p-k)! sqrt(k!))."""
-    alphas = np.empty(p + 1)
-    alphas[0] = alpha_p / p
-    fp = float_factorial(p)
-    for k in range(1, p):
-        alphas[k] = fp * alpha_p / (p * float_factorial(p - k) * math.sqrt(float_factorial(k)))
+    """alpha_0 = alpha_p/p and alpha_k = p! alpha_p / (p (p-k)! sqrt(k!)).
+
+    For 0 < k < p that is (alpha_p/p) sqrt(c_{p-k}), with c_n the weight
+    coefficient of :func:`weight_terms`.
+    """
+    alphas = (alpha_p / p) * np.sqrt([1.0, *_weight_coefficients(p)[:0:-1], 0.0])
     alphas[p] = alpha_p
     return alphas
 
@@ -73,8 +75,8 @@ class AlphaProfile:
       alpha_k = p! alpha_p / (p (p-k)! sqrt(k!)), which maximizes the
       z-independent part of the concurrence.
     * ``z-dependent-exact``: as optimal-constant except at index p - m,
-      where alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1)
-      + (p!)^2 |z|^(2m) / (p^2 (m!)^2 (p-m)!)].  The positive root is
+      where alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1) + w_m / p^2]
+      with w_m the weight term m of :func:`weight_terms`.  The positive root is
       taken; concurrence depends only on the square.  The rule has no real
       solution when the bracket is negative (possible for p <= 3 at small
       |z|) or at z = 0.
@@ -143,10 +145,7 @@ class AlphaProfile:
             raise NoRealSolutionError(
                 f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
             )
-        fp = float_factorial(p)
-        bracket = (fp / p**2 - 1.0) + fp**2 * z_abs ** (2 * m) / (
-            p**2 * float_factorial(m) ** 2 * float_factorial(p - m)
-        )
+        bracket = (float_factorial(p) / p**2 - 1.0) + weight_terms(p, z_abs)[m] / p**2
         if bracket < 0.0:
             raise NoRealSolutionError(
                 f"no real alpha_{p - m} for p={p}, m={m}, |z|={z_abs:.4g}: "
@@ -199,35 +198,54 @@ class AlphaProfile:
         return cls(p=p, kind=kind, alpha_p=float(alpha_p), m=m)
 
 
-def _check_order(p: int, profile: AlphaProfile) -> None:
-    if p != profile.p:
-        raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
+@functools.lru_cache(maxsize=None)
+def _weight_coefficients(p: int) -> tuple[float, ...]:
+    # exact integer true division: correctly rounded, and no float (p!)^2,
+    # which overflows from p = 99 on
+    fp_sq = math.factorial(p) ** 2
+    return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
+
+
+def weight_terms(p: int, z_abs: float) -> list[float]:
+    """Terms w_n = c_n |z|^(2n), n = 0..p-1, of the weight series.
+
+    c_n = (p!)^2 / ((n!)^2 (p-n)!); the full series, with its n = p term
+    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.
+    """
+    return [c * z_abs ** (2 * n) for n, c in enumerate(_weight_coefficients(p))]
 
 
 def bosonic_weight_sum(p: int, z_abs: float) -> float:
-    """sum_{n=0..p-1} (p!)^2 |z|^(2n) / ((n!)^2 (p-n)!), always >= p!."""
-    fp = float_factorial(p)
-    total = 0.0
-    for n in range(p):
-        total += fp**2 * z_abs ** (2 * n) / (
-            float_factorial(n) ** 2 * float_factorial(p - n)
-        )
-    return total
+    """Sum of the weight series of :func:`weight_terms`, always >= p!."""
+    return sum(weight_terms(p, z_abs))
 
 
-def branch_weights(p: int, z_abs: float, alphas: np.ndarray) -> tuple[float, float, float]:
-    """The three positive weights whose sum is exp(-|z|^2)/Q^2.
+def _resolve(
+    p: int, z_abs: float, profile: AlphaProfile
+) -> tuple[np.ndarray, tuple[float, float, float], float]:
+    """Alphas, branch weights (A^2, B^2, defect) and D = A^2 + B^2 + defect at |z|.
 
-    Returns (A^2, B^2, defect) with
-    A^2 = sum alpha_{p-n}^2 |z|^(2n),
-    B^2 = (alpha_p/p)^2 * bosonic_weight_sum, and
-    defect = (alpha_0 - alpha_p/p)^2 |z|^(2p).
+    A^2 = sum_{n<p} alpha_{p-n}^2 |z|^(2n), B^2 = (alpha_p/p)^2 * bosonic_weight_sum
+    and defect = (alpha_0 - alpha_p/p)^2 |z|^(2p); D = exp(-|z|^2)/Q^2 must be
+    positive for the state to be normalizable.
     """
+    if p != profile.p:
+        raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
+    alphas = profile.coefficients(z_abs)
     z2n = z_abs ** (2 * np.arange(p, dtype=float))
     a_sq = float(np.sum(alphas[p - np.arange(p)] ** 2 * z2n))
     b_sq = (alphas[p] / p) ** 2 * bosonic_weight_sum(p, z_abs)
     defect = (alphas[0] - alphas[p] / p) ** 2 * z_abs ** (2 * p)
-    return a_sq, b_sq, defect
+    denom = a_sq + b_sq + defect
+    if denom <= 0.0:
+        raise DegenerateProfileError(
+            f"normalization denominator vanishes at |z|={z_abs:.4g} for this profile"
+        )
+    return alphas, (a_sq, b_sq, defect), denom
+
+
+def _q_norm(z_abs: float, denom: float) -> float:
+    return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
 
 
 def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
@@ -236,14 +254,7 @@ def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
     Q = exp(-|z|^2/2) / sqrt(A^2 + B^2 + defect); raises when the
     denominator vanishes (e.g. alpha_p = 0 at z = 0).
     """
-    _check_order(p, profile)
-    alphas = profile.coefficients(z_abs)
-    denom = sum(branch_weights(p, z_abs, alphas))
-    if denom <= 0.0:
-        raise DegenerateProfileError(
-            f"normalization denominator vanishes at |z|={z_abs:.4g} for this profile"
-        )
-    return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
+    return _q_norm(z_abs, _resolve(p, z_abs, profile)[2])
 
 
 def beta_coefficients(
@@ -259,12 +270,11 @@ def beta_coefficients(
                  + z^n/sqrt(n!) beta_{0,0},
     the first term vanishing for n < p (reciprocal factorial convention).
     """
-    _check_order(p, profile)
     if n_cut < p:
         raise ValueError(f"n_cut={n_cut} must be at least p={p}")
     z = complex(z)
-    alphas = profile.coefficients(abs(z))
-    q = normalization_q(p, abs(z), profile)
+    alphas, _, denom = _resolve(p, abs(z), profile)
+    q = _q_norm(abs(z), denom)
 
     coh = coherent_vector(z, n_cut + 1)
     beta = np.zeros((p + 1, n_cut + 1), dtype=complex)
@@ -302,12 +312,11 @@ def build_state(
     tail bound is enforced unless ``tail_tol`` is None (useful only for
     convergence studies).
     """
-    _check_order(p, profile)
     z = complex(z)
     if n_max is None:
         n_max = default_n_max(z, p)
-    alphas = profile.coefficients(abs(z))
-    q = normalization_q(p, abs(z), profile)
+    alphas, weights, denom = _resolve(p, abs(z), profile)
+    q = _q_norm(abs(z), denom)
 
     coh = coherent_vector(z, n_max, tail_tol=tail_tol)
     dcoh = derivative_coherent_vector(z, p, n_max)
@@ -317,7 +326,7 @@ def build_state(
         columns[:, k] = alphas[k] * z ** (p - k) * coh
     full = q * columns.reshape(-1)
     full.setflags(write=False)
-    amps = qubit_amplitudes(p, z, profile)
+    amps = _amplitudes(p, z, alphas, weights, denom)
     return PsusyCoherentState(int(p), z, profile, q, int(n_max), full, amps)
 
 
@@ -334,17 +343,15 @@ def qubit_amplitudes(
     exponentials).  a00 keeps the sign of alpha_p so that the amplitudes
     reconstruct the tensor state exactly; its magnitude is B/sqrt(D).
     """
-    _check_order(p, profile)
     z = complex(z)
-    alphas = profile.coefficients(abs(z))
-    weights = branch_weights(p, abs(z), alphas)
-    denom = sum(weights)
-    if denom <= 0.0:
-        raise DegenerateProfileError(
-            f"normalization denominator vanishes at |z|={abs(z):.4g} for this profile"
-        )
+    return _amplitudes(p, z, *_resolve(p, abs(z), profile))
+
+
+def _amplitudes(
+    p: int, z: complex, alphas: np.ndarray, weights: tuple[float, float, float], denom: float
+) -> tuple[complex, complex, complex, complex]:
     inv = 1.0 / math.sqrt(denom)
-    a00 = complex((alphas[p] / p) * math.sqrt(bosonic_weight_sum(p, abs(z))) * inv)
+    a00 = complex(math.copysign(math.sqrt(weights[1]), alphas[p]) * inv)
     a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
     a11 = complex(math.sqrt(weights[0]) * inv)
     return (a00, 0j, complex(a10), a11)
@@ -371,15 +378,14 @@ def qubit_bases(
     sum_{k>=1} alpha_k z^(p-k) |k>_f.  Needs some alpha_{k>=1} nonzero at
     this z, otherwise the state is a product with |0>_f and f1 is undefined.
     """
-    _check_order(p, profile)
     z = complex(z)
     if n_max is None:
         n_max = default_n_max(z, p)
-    alphas = profile.coefficients(abs(z))
+    # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
+    alphas, (f1_norm_sq, _, _), _ = _resolve(p, abs(z), profile)
 
     f1_raw = np.zeros(p + 1, dtype=complex)
     f1_raw[1:] = alphas[1:] * z ** (p - np.arange(1, p + 1))
-    f1_norm_sq = float(np.sum(alphas[1:] ** 2 * abs(z) ** (2 * (p - np.arange(1, p + 1)))))
     if f1_norm_sq <= 0.0:
         raise DegenerateProfileError(
             "all of alpha_1..alpha_p vanish at this z: the state is a product "

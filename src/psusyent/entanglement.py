@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import float_factorial
-from .coherent import AlphaProfile, PsusyCoherentState, branch_weights
+from .coherent import AlphaProfile, PsusyCoherentState, _resolve, weight_terms
 from .errors import TruncationError
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "concurrence_pure",
     "concurrence_wootters",
     "concurrence_schmidt_oracle",
+    "concurrence_routes",
     "density_from_amplitudes",
     "one_minus_c_squared",
     "concurrence_optimal",
@@ -81,15 +82,9 @@ def _clip_unit(value: float, what: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _check_order(p: int, profile: AlphaProfile) -> None:
-    if p != profile.p:
-        raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
-
-
 def ab_terms(p: int, z_abs: float, profile: AlphaProfile) -> ABTerms:
     """A = sqrt(sum alpha_{p-n}^2 |z|^(2n)), B = |alpha_p|/p * sqrt(weight sum)."""
-    _check_order(p, profile)
-    a_sq, b_sq, _ = branch_weights(p, float(z_abs), profile.coefficients(float(z_abs)))
+    _, (a_sq, b_sq, _), _ = _resolve(p, float(z_abs), profile)
     return ABTerms(math.sqrt(a_sq), math.sqrt(b_sq))
 
 
@@ -103,16 +98,12 @@ def concurrence_closed_form(
 ) -> ConcurrenceResult:
     """C = 2AB / (A^2 + B^2 + (alpha_0 - alpha_p/p)^2 |z|^(2p)).
 
-    Zero exactly when alpha_p = 0 (then B = 0 and the state is a product).
+    Zero exactly when alpha_p = 0 (then B = 0 and the state is a product);
+    raises DegenerateProfileError where the denominator vanishes, at
+    alpha_p = 0 and z = 0, where no normalizable state exists.
     """
-    _check_order(p, profile)
-    z_abs = abs(complex(z))
-    alphas = profile.coefficients(z_abs)
-    if alphas[p] == 0.0:
-        return _result(0.0, ROUTE_CLOSED_FORM)
-    a_sq, b_sq, defect = branch_weights(p, z_abs, alphas)
-    value = 2.0 * math.sqrt(a_sq) * math.sqrt(b_sq) / (a_sq + b_sq + defect)
-    return _result(value, ROUTE_CLOSED_FORM)
+    _, (a_sq, b_sq, _), denom = _resolve(p, abs(complex(z)), profile)
+    return _result(2.0 * math.sqrt(a_sq) * math.sqrt(b_sq) / denom, ROUTE_CLOSED_FORM)
 
 
 def concurrence_pure(amps) -> float:
@@ -193,37 +184,43 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
     return _clip_unit(2.0 * math.sqrt(pairwise), "concurrence")
 
 
+def concurrence_routes(state: PsusyCoherentState) -> dict[str, float]:
+    """Concurrence of ``state`` by all four routes, keyed by route name."""
+    amps = state.qubit_amps
+    return {
+        ROUTE_CLOSED_FORM: concurrence_closed_form(state.p, state.z, state.profile).value,
+        ROUTE_PURE: concurrence_pure(amps),
+        ROUTE_WOOTTERS: concurrence_wootters(density_from_amplitudes(amps)).value,
+        ROUTE_SCHMIDT: concurrence_schmidt_oracle(state),
+    }
+
+
 def one_minus_c_squared(p: int, z_abs: float, profile: AlphaProfile) -> float:
     """((A^2 - B^2) / (A^2 + B^2))^2, defined on profiles with alpha_0 = alpha_p/p.
 
     This is the quantity whose minimization drives the choice of the
     optimal-constant family; the precondition is enforced, not substituted.
     """
-    _check_order(p, profile)
-    alphas = profile.coefficients(float(z_abs))
+    alphas, (a_sq, b_sq, _), _ = _resolve(p, float(z_abs), profile)
     if abs(alphas[0] - alphas[p] / p) > 1e-12 * max(1.0, abs(alphas[p])):
         raise ValueError(
             f"profile must satisfy alpha_0 = alpha_p/p, got alpha_0={alphas[0]!r}, "
             f"alpha_p/p={alphas[p] / p!r}"
         )
-    a_sq, b_sq, _ = branch_weights(p, float(z_abs), alphas)
     return ((a_sq - b_sq) / (a_sq + b_sq)) ** 2
 
 
 def concurrence_optimal(p: int, z_abs: float) -> float:
     """Concurrence of the optimal-constant family, directly in closed form.
 
-    C = sqrt(1 - (p!/p^2 - 1)^2 / ((p!/p^2 + 1)
-            + 2 sum_{n=1..p-1} (p!)^2 |z|^(2n) / (p^2 (n!)^2 (p-n)!))^2),
-    identically 1 for p = 1 and increasing in |z| toward 1 for p >= 2.
+    C = sqrt(1 - (p!/p^2 - 1)^2 / (p!/p^2 + 1 + 2 sum_{n=1..p-1} w_n / p^2)^2)
+    with w_n the weight terms of :func:`weight_terms`; identically 1 for
+    p = 1 and increasing in |z| toward 1 for p >= 2.
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
     fp = float_factorial(p)
-    series = sum(
-        fp**2 * float(z_abs) ** (2 * n) / (p**2 * float_factorial(n) ** 2 * float_factorial(p - n))
-        for n in range(1, p)
-    )
+    series = sum(t / p**2 for t in weight_terms(p, float(z_abs))[1:])
     ratio = (fp / p**2 - 1.0) / (fp / p**2 + 1.0 + 2.0 * series)
     return math.sqrt(max(0.0, 1.0 - ratio * ratio))
 
@@ -233,10 +230,9 @@ def exact_maximal_profile(
 ) -> AlphaProfile:
     """The z-dependent profile that makes the concurrence exactly 1 at z.
 
-    All coefficients follow the optimal-constant rule except index p - m,
-    fixed by alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1)
-    + (p!)^2 |z|^(2m) / (p^2 (m!)^2 (p-m)!)].  Raises NoRealSolutionError
-    when the bracket is negative (small |z| with p <= 3) or z = 0.
+    The rule is the ``z-dependent-exact`` kind of :class:`AlphaProfile`.
+    Raises NoRealSolutionError when its bracket is negative (small |z| with
+    p <= 3) or z = 0.
     """
     profile = AlphaProfile.z_dependent_exact(p, m, alpha_p)
     profile.coefficients(abs(complex(z)))  # validate solvability at this z

@@ -82,13 +82,14 @@ def build_hamiltonian(omega: float, p: int, n_max: int) -> PsusyHamiltonian:
 def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
     """Sorted (energy, multiplicity) pairs of the Hamiltonian spectrum.
 
+    H is diagonal in the Fock basis, so its spectrum is its sorted diagonal.
     Eigenvalues closer than 1e-9 * omega are grouped into one level.  Away
     from the truncation boundary the multiplicities are n+1 for the levels
     n = 0..p-1 and p+1 from level p on.
     """
     if h.n_max < 2 * h.p + 2:
         raise ValueError("degeneracy profile needs n_max >= 2p + 2")
-    evals = np.sort(np.linalg.eigvalsh(h.matrix))
+    evals = np.sort(h.matrix.diagonal().real)
     gap = 1e-9 * h.omega
     profile: list[tuple[float, int]] = []
     group_start = 0

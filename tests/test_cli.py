@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from psusyent import verify
 from psusyent.cli import main
 
 
@@ -27,6 +28,25 @@ def test_verify_rejects_p_max_zero():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--p-max", "0"])
     assert err.value.code == 2
+
+
+def test_verify_honours_p_max_8(capsys):
+    rc = main(["verify", "--p-max", "8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    line = next(line for line in out.splitlines() if "coherent-identities" in line)
+    assert "checks=120 " in line  # 5 z samples x 8 orders x 3 identities
+
+
+def test_verify_counts_nan_residual_as_failed(monkeypatch):
+    def suite_nan(p_max, rng):
+        yield 0.0
+        yield math.nan
+
+    monkeypatch.setattr(verify, "SUITES", (suite_nan,))
+    (report,) = verify.run_all(1, 1e-8)
+    assert (report.name, report.passed, report.failed) == ("nan", 1, 1)
+    assert not report.ok
 
 
 def test_verify_fails_below_numerical_floor(capsys):
@@ -95,6 +115,13 @@ def test_state_degenerate_profile_exits_2(tmp_path, capsys):
     rc = main(["state", "--p", "1", "--profile", profile])
     assert rc == 2
     assert "zero" in capsys.readouterr().err
+
+
+def test_state_truncation_exits_1(tmp_path, capsys):
+    profile = _write_profile(tmp_path, {"p": 2, "kind": "optimal-constant", "alpha_p": 1.0})
+    rc = main(["state", "--p", "2", "--z-re", "6", "--profile", profile])
+    assert rc == 1
+    assert "need n_max >= 124" in capsys.readouterr().err
 
 
 def test_state_missing_file_exits_1(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from psusyent import (
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
+    weight_terms,
 )
 
 from conftest import random_explicit_profile, random_z
@@ -103,6 +105,22 @@ def test_profile_json_rejects_unknown_and_missing_fields():
         AlphaProfile.from_dict({"p": 1, "kind": "explicit", "alphas": [1, "x"]})
     with pytest.raises(ValueError):
         AlphaProfile.from_dict([1, 2, 3])
+
+
+# ---------------------------------------------------------------- weight series
+
+
+@pytest.mark.parametrize("z_abs", [0.0, 0.3, 1.0, 2.5, 6.0])
+def test_weight_terms_match_exact_arithmetic(z_abs):
+    z2 = Fraction(z_abs) ** 2
+    for p in range(1, 13):
+        terms = weight_terms(p, z_abs)
+        assert len(terms) == p
+        for n, term in enumerate(terms):
+            exact = Fraction(
+                math.factorial(p) ** 2, math.factorial(n) ** 2 * math.factorial(p - n)
+            ) * z2**n
+            assert abs(Fraction(term) - exact) <= Fraction(1e-15) * exact
 
 
 # ---------------------------------------------------------------- normalization
@@ -239,6 +257,22 @@ def test_build_state_truncation_enforced():
 def test_build_state_order_mismatch():
     with pytest.raises(ValueError):
         build_state(2, 0.5, AlphaProfile.explicit([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.z_dependent_exact(3, 2)]
+)
+def test_build_state_resolves_profile_once(monkeypatch, profile):
+    calls = []
+    original = AlphaProfile.coefficients
+
+    def counting(self, z_abs):
+        calls.append(z_abs)
+        return original(self, z_abs)
+
+    monkeypatch.setattr(AlphaProfile, "coefficients", counting)
+    build_state(3, 1.5 - 0.5j, profile)
+    assert calls == [abs(1.5 - 0.5j)]
 
 
 # ---------------------------------------------------------------- qubit bases

@@ -13,6 +13,7 @@ from psusyent import (
     concurrence_closed_form,
     concurrence_optimal,
     concurrence_pure,
+    concurrence_routes,
     concurrence_schmidt_oracle,
     concurrence_wootters,
     density_from_amplitudes,
@@ -20,6 +21,7 @@ from psusyent import (
     exact_maximal_profile,
     one_minus_c_squared,
 )
+from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
 
 from conftest import random_explicit_profile, random_z
 
@@ -158,6 +160,15 @@ def test_four_routes_agree(rng):
         assert max(values) - min(values) < 1e-8
 
 
+def test_concurrence_routes_keys_in_route_order():
+    profile = AlphaProfile.optimal_constant(2)
+    state = build_state(2, 1.2 + 0.4j, profile)
+    routes = concurrence_routes(state)
+    assert list(routes) == [ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_WOOTTERS, ROUTE_SCHMIDT]
+    assert routes[ROUTE_CLOSED_FORM] == concurrence_closed_form(2, 1.2 + 0.4j, profile).value
+    assert max(routes.values()) - min(routes.values()) < 1e-8
+
+
 # ---------------------------------------------------------------- maximality analysis
 
 
@@ -215,6 +226,15 @@ def test_concurrence_optimal_matches_closed_form():
         for z_abs in (0.0, 0.8, 2.2):
             closed = concurrence_closed_form(p, z_abs, profile).value
             assert abs(concurrence_optimal(p, z_abs) - closed) < 1e-12
+
+
+@pytest.mark.parametrize("z_abs", [0.0, 0.3, 1.0, 2.0])
+def test_concurrence_optimal_and_closed_form_at_large_p(z_abs):
+    # (p!)^2 overflows a float from p = 99 on; the weight series must not form it
+    optimal = concurrence_optimal(100, z_abs)
+    closed = concurrence_closed_form(100, z_abs, AlphaProfile.optimal_constant(100)).value
+    assert 0.0 <= optimal <= 1.0 and 0.0 <= closed <= 1.0
+    assert abs(optimal - closed) < 1e-12
 
 
 def test_concurrence_optimal_nondecreasing_in_z():
