@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ __all__ = [
 
 #: Default bound on the dropped Poisson tail sum_{n >= n_max} |z|^{2n} / n!.
 DEFAULT_TAIL_TOL = 1e-14
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def float_factorial(n: int) -> float:
@@ -199,6 +202,9 @@ def coherent_tail(z_abs: float, n_max: int) -> float:
     log_term = n_max * math.log(lam) - math.lgamma(n_max + 1)
     if log_term < -700.0:
         return 0.0
+    if log_term > _LOG_FLOAT_MAX:
+        # the leading term alone is beyond the float range
+        return math.inf
     term = math.exp(log_term)
     total = 0.0
     n = n_max
@@ -210,11 +216,23 @@ def coherent_tail(z_abs: float, n_max: int) -> float:
 
 
 def required_n_max(z_abs: float, tail_tol: float) -> int:
-    """Smallest truncation whose dropped tail is below ``tail_tol``."""
-    n = 2
-    while coherent_tail(z_abs, n) >= tail_tol:
-        n += 1
-    return n
+    """Smallest truncation whose dropped tail is below ``tail_tol``.
+
+    The tail falls monotonically in n_max, so the crossing is bracketed by
+    doubling and then bisected: O(log n_max) tail evaluations.
+    """
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
+    lo, hi = 1, 2  # the answer lies in (lo, hi]; n_max is at least 2
+    while coherent_tail(z_abs, hi) >= tail_tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coherent_tail(z_abs, mid) >= tail_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _check_tail(z: complex, n_max: int, tail_tol: float | None) -> None:

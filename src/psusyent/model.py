@@ -40,17 +40,26 @@ def split_index(i: int, p: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PsusyHamiltonian:
-    """omega * (a†a + 1/2) ⊗ I - omega * I ⊗ J3, diagonal in the Fock basis."""
+    """omega * (a†a + 1/2) ⊗ I - omega * I ⊗ J3, diagonal in the Fock basis.
+
+    Only the diagonal is stored: ``energies[n_b * (p + 1) + n_f]`` is
+    omega * (n_b + 1/2 - p/2 + n_f).
+    """
 
     omega: float
     p: int
     n_max: int
-    matrix: np.ndarray
+    energies: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense operator, built on demand as a test oracle."""
+        return np.diag(self.energies.astype(complex))
 
 
 @dataclass(frozen=True)
 class AnnihilatorA:
-    """a ⊗ I + (a†)^(p-1)/p! ⊗ (b†)^p.
+    """a ⊗ I + (a†)^(p-1)/p! ⊗ (b†)^p, applied without forming a matrix.
 
     The second term has a single parafermionic matrix element p! sending
     |n_f = p> to |n_f = 0> while raising the boson number by p - 1, which is
@@ -59,24 +68,54 @@ class AnnihilatorA:
 
     p: int
     n_max: int
-    matrix: np.ndarray
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """A|psi> in O(n_max * (p + 1)) time and memory.
+
+        Terms raised past the boson cutoff are dropped, exactly as in the
+        truncated dense matrix.
+        """
+        p, n_max = self.p, self.n_max
+        x = np.asarray(psi).reshape(n_max, p + 1)
+        out = np.zeros(x.shape, dtype=np.result_type(x, float))
+        # a ⊗ I: level n + 1 -> n with weight sqrt(n + 1), in every column.
+        out[:-1] = np.sqrt(np.arange(1.0, n_max))[:, None] * x[1:]
+        # (a†)^(p-1) ⊗ |0><p|: level n -> n + p - 1 with weight
+        # sqrt((n + p - 1)!/n!); the p! of (b†)^p cancels the 1/p!.
+        kept = n_max - p + 1
+        n = np.arange(kept, dtype=float)
+        raise_w = np.prod(np.sqrt(n[:, None] + np.arange(1, p)), axis=1)
+        out[p - 1 :, 0] += raise_w * x[:kept, p]
+        return out.reshape(-1)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense operator, built on demand as a test oracle."""
+        boson = build_boson(self.n_max)
+        pf = build_parafermi(self.p)
+        a_dag_pow = np.linalg.matrix_power(boson.a_dag, self.p - 1)
+        b_dag_pow = np.linalg.matrix_power(pf.b_dag, self.p)
+        return np.kron(boson.a, np.eye(self.p + 1)) + np.kron(
+            a_dag_pow / float_factorial(self.p), b_dag_pow
+        )
+
+
+def _check_dimensions(p: int, n_max: int) -> None:
+    if not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"parafermion order must be a positive integer, got {p!r}")
+    if not isinstance(n_max, (int, np.integer)) or n_max < p + 2:
+        raise ValueError(f"need an integer n_max >= p + 2, got n_max={n_max!r}, p={p}")
 
 
 def build_hamiltonian(omega: float, p: int, n_max: int) -> PsusyHamiltonian:
     """Oscillator-plus-spin Hamiltonian with eigenvalues omega*(n_b + 1/2 - m)."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if n_max < p + 2:
-        raise ValueError(f"need n_max >= p + 2, got n_max={n_max}, p={p}")
-    boson = build_boson(n_max)
-    pf = build_parafermi(p)
-    eye_b = np.eye(n_max, dtype=complex)
-    eye_f = np.eye(p + 1, dtype=complex)
-    h = omega * (
-        np.kron(boson.number_op + 0.5 * eye_b, eye_f) - np.kron(eye_b, pf.j3)
-    )
-    h.setflags(write=False)
-    return PsusyHamiltonian(float(omega), int(p), int(n_max), h)
+    _check_dimensions(p, n_max)
+    m = p / 2.0 - np.arange(p + 1, dtype=float)
+    energies = omega * np.subtract.outer(np.arange(n_max) + 0.5, m).reshape(-1)
+    energies.setflags(write=False)
+    return PsusyHamiltonian(float(omega), int(p), int(n_max), energies)
 
 
 def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
@@ -89,7 +128,7 @@ def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
     """
     if h.n_max < 2 * h.p + 2:
         raise ValueError("degeneracy profile needs n_max >= 2p + 2")
-    evals = np.sort(h.matrix.diagonal().real)
+    evals = np.sort(h.energies)
     gap = 1e-9 * h.omega
     profile: list[tuple[float, int]] = []
     group_start = 0
@@ -103,18 +142,8 @@ def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
 
 def build_annihilator(p: int, n_max: int) -> AnnihilatorA:
     """PSUSY annihilation operator on the truncated tensor space."""
-    if n_max < p + 2:
-        raise ValueError(f"need n_max >= p + 2, got n_max={n_max}, p={p}")
-    boson = build_boson(n_max)
-    pf = build_parafermi(p)
-    eye_f = np.eye(p + 1, dtype=complex)
-    a_dag_pow = np.linalg.matrix_power(boson.a_dag, p - 1)
-    b_dag_pow = np.linalg.matrix_power(pf.b_dag, p)
-    mat = np.kron(boson.a, eye_f) + np.kron(
-        a_dag_pow / float_factorial(p), b_dag_pow
-    )
-    mat.setflags(write=False)
-    return AnnihilatorA(int(p), int(n_max), mat)
+    _check_dimensions(p, n_max)
+    return AnnihilatorA(int(p), int(n_max))
 
 
 def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z: complex) -> float:
@@ -126,4 +155,4 @@ def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z: complex) -> floa
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized: ||state|| = {norm:.6g}")
-    return float(np.linalg.norm(a_op.matrix @ state - z * state))
+    return float(np.linalg.norm(a_op.apply(state) - z * state))

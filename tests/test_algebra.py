@@ -174,6 +174,30 @@ def test_required_n_max_is_minimal():
     assert coherent_tail(2.0, n) < 1e-14 <= coherent_tail(2.0, n - 1)
 
 
+def _linear_scan_n_max(z_abs, tail_tol):
+    n = 2
+    while coherent_tail(z_abs, n) >= tail_tol:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("z_abs", [0.5 * k for k in range(1, 13)])
+def test_required_n_max_matches_linear_scan(z_abs):
+    assert required_n_max(z_abs, 1e-14) == _linear_scan_n_max(z_abs, 1e-14)
+
+
+def test_required_n_max_at_large_z():
+    # the leading tail term exceeds the float range for n_max ~ 500 here
+    n = required_n_max(30.0, 1e-14)
+    assert coherent_tail(30.0, n) < 1e-14 <= coherent_tail(30.0, n - 1)
+    assert coherent_tail(30.0, 500) == math.inf
+
+
+def test_required_n_max_rejects_nonpositive_tolerance():
+    with pytest.raises(ValueError):
+        required_n_max(1.0, 0.0)
+
+
 def test_default_n_max_rule():
     assert default_n_max(0.0, 1) == 32
     assert default_n_max(3.0, 4) == math.ceil(9.0 + 30.0 + 4 + 20)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from psusyent import (
     AlphaProfile,
+    AnnihilatorA,
     build_annihilator,
     build_boson,
     build_hamiltonian,
@@ -106,6 +107,30 @@ def test_annihilator_p2_second_term():
     assert_allclose(bdag_sq, expected_bdag_sq, atol=1e-14)
     second = a_op.matrix - np.kron(boson.a, np.eye(3))
     assert_allclose(second, np.kron(boson.a_dag / 2.0, bdag_sq), atol=1e-14)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_annihilator_apply_matches_dense_oracle(p, rng):
+    for n_max in (p + 2, 20, 60):
+        a_op = build_annihilator(p, n_max)
+        dense = a_op.matrix
+        for _ in range(3):
+            v = rng.normal(size=n_max * (p + 1)) + 1j * rng.normal(size=n_max * (p + 1))
+            expected = dense @ v
+            error = np.linalg.norm(a_op.apply(v) - expected) / np.linalg.norm(expected)
+            assert error <= 1e-14, (p, n_max, error)
+
+
+def test_large_z_residual_builds_no_dense_matrix(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("dense annihilator built")
+
+    monkeypatch.setattr(AnnihilatorA, "matrix", property(no_dense))
+    z = 20.0 * np.exp(0.3j)
+    state = build_state(8, z, AlphaProfile.optimal_constant(8), tail_tol=None)
+    assert state.n_max == 628
+    a_op = build_annihilator(8, state.n_max)
+    assert verify_eigenstate(a_op, state.full_vector, z) <= 1e-8
 
 
 def test_eigenstate_at_z_zero():
