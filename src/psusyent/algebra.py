@@ -266,9 +266,7 @@ def coherent_vector(z: complex, n_max: int, tail_tol: float | None = None) -> np
     return amps
 
 
-def derivative_coherent_vector(
-    z: complex, p: int, n_max: int, tail_tol: float | None = None
-) -> np.ndarray:
+def derivative_coherent_vector(z: complex, p: int, n_max: int) -> np.ndarray:
     """p-th holomorphic derivative of the coherent vector.
 
     Amplitudes are sqrt(n!)/(n-p)! * z^(n-p) for n >= p and zero below;
@@ -279,7 +277,6 @@ def derivative_coherent_vector(
         raise ValueError(f"derivative order must be >= 0, got {p}")
     if n_max <= p:
         raise ValueError(f"n_max={n_max} must exceed derivative order p={p}")
-    _check_tail(z, n_max, tail_tol)
     base = coherent_vector(z, n_max - p)
     m = np.arange(n_max - p, dtype=float)
     rising = np.ones_like(m)

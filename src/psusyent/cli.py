@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .coherent import (
@@ -30,6 +31,9 @@ from .verify import run_all
 __all__ = ["main"]
 
 CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
+
+# argparse takes only -1 and -1.5 style tokens as negative values; also take -1e-3
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
 
 def _fmt(x: float) -> str:
@@ -132,6 +136,17 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for the numeric options: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psusyent",
@@ -144,20 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-verification suites")
     p_verify.add_argument("--p-max", type=int, default=4, help="largest order checked (1..8)")
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="residual threshold")
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-8, help="residual threshold")
 
     p_state = sub.add_parser("state", help="inspect a single coherent state as JSON")
     p_state.add_argument("--p", type=int, required=True, help="parafermion order")
-    p_state.add_argument("--z-re", type=float, default=0.0, help="Re z")
-    p_state.add_argument("--z-im", type=float, default=0.0, help="Im z")
+    p_state.add_argument("--z-re", type=_finite_float, default=0.0, help="Re z")
+    p_state.add_argument("--z-im", type=_finite_float, default=0.0, help="Im z")
     p_state.add_argument("--profile", required=True, help="path to a profile JSON file")
 
     p_grid = sub.add_parser("grid", help="emit a concurrence CSV over (p, |z|)")
     p_grid.add_argument("--p-min", type=int, default=1)
     p_grid.add_argument("--p-max", type=int, default=6)
-    p_grid.add_argument("--z-min", type=float, default=0.0)
-    p_grid.add_argument("--z-max", type=float, default=5.0)
-    p_grid.add_argument("--z-step", type=float, default=0.05)
+    p_grid.add_argument("--z-min", type=_finite_float, default=0.0)
+    p_grid.add_argument("--z-max", type=_finite_float, default=5.0)
+    p_grid.add_argument("--z-step", type=_finite_float, default=0.05)
     p_grid.add_argument(
         "--profile-kind",
         choices=(KIND_OPTIMAL, KIND_Z_EXACT),
@@ -168,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--m", type=int, default=1, help="exceptional index for z-dependent-exact"
     )
     p_grid.add_argument("--out", required=True, help="output CSV path")
+    for subparser in (p_verify, p_state, p_grid):
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -2,6 +2,9 @@
 
 Each suite is a generator of residuals; :func:`run_all` times it and
 counts a check as passed when its residual is at most the tolerance.
+The per-state residuals (:func:`eigenstate_residual`,
+:func:`consistency_residuals`, :func:`route_spread`) and the sampler
+:func:`random_states` are public so the tests check the same quantities.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from .coherent import AlphaProfile, beta_coefficients, bosonic_weight_sum, build
 from .entanglement import concurrence_routes, entanglement_of_formation
 from .model import build_annihilator, build_hamiltonian, degeneracy_profile, verify_eigenstate
 
-__all__ = ["RunReport", "run_all", "SUITES"]
+__all__ = [
+    "RunReport", "run_all", "SUITES",
+    "random_states", "eigenstate_residual", "consistency_residuals", "route_spread",
+]
 
 _Z_SAMPLES = (0.7, 1.0 + 0.5j, 2.0 - 1.0j, 0.0 + 2.4j, 3.0)
 
@@ -44,16 +50,52 @@ class RunReport:
         return self.failed == 0
 
 
-def _random_states(rng: np.random.Generator, count: int, p_max: int, z_max: float):
-    """Yield (p, z, profile, state) for ``count`` random explicit-profile states."""
+def random_states(rng: np.random.Generator, count: int, p_max: int, z_max: float):
+    """Yield ``count`` random explicit-profile states, p <= p_max and |z| <= z_max."""
     for _ in range(count):
         p = int(rng.integers(1, p_max + 1))
         z = rng.uniform(0, z_max) * np.exp(2j * np.pi * rng.uniform())
         alphas = rng.uniform(-2.0, 2.0, size=p + 1)
         # keep alpha_p away from zero so every branch of the state is populated
         alphas[p] = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-        profile = AlphaProfile.explicit(alphas)
-        yield p, z, profile, build_state(p, z, profile)
+        yield build_state(p, z, AlphaProfile.explicit(alphas))
+
+
+def eigenstate_residual(state) -> float:
+    """||A|Z> - z|Z>|| of ``state``."""
+    return verify_eigenstate(build_annihilator(state.p, state.n_max), state.full_vector, state.z)
+
+
+def consistency_residuals(state) -> tuple[float, float, float, float]:
+    """Unit norm, a01 = 0, and the distance of the full vector from its
+    beta-tower assembly and from its qubit-basis reconstruction."""
+    p, z, profile, n_max = state.p, state.z, state.profile, state.n_max
+    # beta_{k,n} is the amplitude of |n-k>_b |k>_f
+    beta = beta_coefficients(p, z, profile, n_max - 1)
+    from_beta = np.zeros((n_max, p + 1), dtype=complex)
+    for k in range(p + 1):
+        from_beta[: n_max - k, k] = beta[k, k:]
+
+    bases = qubit_bases(p, z, profile, n_max)
+    a00, a01, a10, a11 = state.qubit_amps
+    recon = (
+        a00 * np.kron(bases.b0, bases.f0)
+        + a01 * np.kron(bases.b0, bases.f1)
+        + a10 * np.kron(bases.b1, bases.f0)
+        + a11 * np.kron(bases.b1, bases.f1)
+    )
+    return (
+        abs(np.linalg.norm(state.full_vector) - 1.0),
+        abs(a01),
+        float(np.linalg.norm(from_beta.reshape(-1) - state.full_vector)),
+        float(np.linalg.norm(recon - state.full_vector)),
+    )
+
+
+def route_spread(state) -> float:
+    """Largest minus smallest concurrence over the four routes."""
+    values = concurrence_routes(state).values()
+    return max(values) - min(values)
 
 
 def suite_parafermi_algebra(p_max: int, rng):
@@ -99,37 +141,18 @@ def suite_spectrum_degeneracy(p_max: int, rng):
 
 
 def suite_eigenstate_property(p_max: int, rng):
-    for p, z, _, state in _random_states(rng, 20, p_max, 3.0):
-        yield verify_eigenstate(build_annihilator(p, state.n_max), state.full_vector, z)
+    for state in random_states(rng, 20, p_max, 3.0):
+        yield eigenstate_residual(state)
 
 
 def suite_state_consistency(p_max: int, rng):
-    for p, z, profile, state in _random_states(rng, 15, p_max, 2.5):
-        yield abs(np.linalg.norm(state.full_vector) - 1.0)
-        yield abs(state.qubit_amps[1])
-
-        # beta_{k,n} is the amplitude of |n-k>_b |k>_f
-        beta = beta_coefficients(p, z, profile, state.n_max - 1)
-        from_beta = np.zeros((state.n_max, p + 1), dtype=complex)
-        for k in range(p + 1):
-            from_beta[: state.n_max - k, k] = beta[k, k:]
-        yield float(np.linalg.norm(from_beta.reshape(-1) - state.full_vector))
-
-        bases = qubit_bases(p, z, profile, state.n_max)
-        a00, a01, a10, a11 = state.qubit_amps
-        recon = (
-            a00 * np.kron(bases.b0, bases.f0)
-            + a01 * np.kron(bases.b0, bases.f1)
-            + a10 * np.kron(bases.b1, bases.f0)
-            + a11 * np.kron(bases.b1, bases.f1)
-        )
-        yield float(np.linalg.norm(recon - state.full_vector))
+    for state in random_states(rng, 15, p_max, 2.5):
+        yield from consistency_residuals(state)
 
 
 def suite_concurrence_routes(p_max: int, rng):
-    for *_, state in _random_states(rng, 25, p_max, 3.0):
-        values = concurrence_routes(state).values()
-        yield max(values) - min(values)
+    for state in random_states(rng, 25, p_max, 3.0):
+        yield route_spread(state)
 
 
 def suite_eof_curve(p_max: int, rng):

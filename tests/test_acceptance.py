@@ -11,24 +11,24 @@ import numpy as np
 
 from psusyent import (
     AlphaProfile,
-    build_annihilator,
     build_hamiltonian,
-    build_parafermi,
     build_state,
-    check_algebra,
     coherent_vector,
     concurrence_closed_form,
     concurrence_optimal,
-    concurrence_pure,
+    concurrence_routes,
     concurrence_schmidt_oracle,
-    concurrence_wootters,
     degeneracy_profile,
-    density_from_amplitudes,
     entanglement_of_formation,
     exact_maximal_profile,
-    verify_eigenstate,
 )
 from psusyent.cli import main
+from psusyent.verify import (
+    eigenstate_residual,
+    random_states,
+    route_spread,
+    suite_parafermi_algebra,
+)
 
 from conftest import random_explicit_profile, random_z
 
@@ -40,9 +40,7 @@ def _report(number, ok, detail):
 
 def test_criterion_01_algebra_relations():
     t0 = time.perf_counter()
-    worst = 0.0
-    for p in range(1, 9):
-        worst = max(worst, check_algebra(build_parafermi(p)).max_residual)
+    worst = max(suite_parafermi_algebra(8, rng=None))
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -72,13 +70,7 @@ def test_criterion_02_spectrum_degeneracy():
 
 def test_criterion_03_eigenstate_property(rng):
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(30):
-        p = int(rng.integers(1, 5))
-        z = random_z(rng, 3.0)
-        state = build_state(p, z, random_explicit_profile(rng, p))
-        a_op = build_annihilator(p, state.n_max)
-        worst = max(worst, verify_eigenstate(a_op, state.full_vector, z))
+    worst = max(eigenstate_residual(state) for state in random_states(rng, 30, 4, 3.0))
     elapsed = time.perf_counter() - t0
     _report(
         3,
@@ -96,13 +88,7 @@ def test_criterion_04_bell_state_reproduction():
     for z in z_values:
         state = build_state(1, z, profile)
         worst_amp = max(worst_amp, float(np.max(np.abs(np.array(state.qubit_amps) - target))))
-        values = (
-            concurrence_closed_form(1, z, profile).value,
-            concurrence_pure(state.qubit_amps),
-            concurrence_wootters(density_from_amplitudes(state.qubit_amps)).value,
-            concurrence_schmidt_oracle(state),
-        )
-        worst_conc = max(worst_conc, max(abs(v - 1.0) for v in values))
+        worst_conc = max(worst_conc, *(abs(v - 1.0) for v in concurrence_routes(state).values()))
     _report(
         4,
         worst_amp <= 1e-10 and worst_conc <= 1e-10,
@@ -113,19 +99,7 @@ def test_criterion_04_bell_state_reproduction():
 
 def test_criterion_05_four_route_equivalence(rng):
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(250):
-        p = int(rng.integers(1, 6))
-        z = random_z(rng, 3.0)
-        profile = random_explicit_profile(rng, p)
-        state = build_state(p, z, profile)
-        values = (
-            concurrence_closed_form(p, z, profile).value,
-            concurrence_pure(state.qubit_amps),
-            concurrence_wootters(density_from_amplitudes(state.qubit_amps)).value,
-            concurrence_schmidt_oracle(state),
-        )
-        worst = max(worst, max(values) - min(values))
+    worst = max(route_spread(state) for state in random_states(rng, 250, 5, 3.0))
     elapsed = time.perf_counter() - t0
     _report(
         5,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -31,11 +32,13 @@ def test_verify_rejects_p_max_zero():
 
 
 def test_verify_honours_p_max_8(capsys):
-    rc = main(["verify", "--p-max", "8"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    line = next(line for line in out.splitlines() if "coherent-identities" in line)
-    assert "checks=120 " in line  # 5 z samples x 8 orders x 3 identities
+    # checks per suite in SUITES order; coherent-identities is 5 z samples x p_max x 3
+    for p_max, counts in ((1, (6, 6, 15, 2, 20, 60, 25, 3)), (8, (48, 6, 120, 16, 20, 60, 25, 3))):
+        rc = main(["verify", "--p-max", str(p_max)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        found = re.findall(r"checks=(\d+) +failed=(\d+) ", out)
+        assert [(int(c), int(f)) for c, f in found] == [(n, 0) for n in counts]
 
 
 def test_verify_counts_nan_residual_as_failed(monkeypatch):
@@ -129,6 +132,13 @@ def test_state_missing_file_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_state_accepts_exponent_form_negative(tmp_path, capsys):
+    profile = _write_profile(tmp_path, {"p": 1, "kind": "explicit", "alphas": [1.0, 1.0]})
+    rc = main(["state", "--p", "1", "--z-re", "-1e-3", "--profile", profile])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["z"] == [-0.001, 0.0]
+
+
 # ---------------------------------------------------------------- grid
 
 
@@ -187,9 +197,27 @@ def test_grid_unwritable_path_exits_1(capsys):
         ["grid", "--z-min", "-1", "--out", "x.csv"],
         ["grid", "--p-min", "0", "--out", "x.csv"],
         ["grid", "--p-min", "4", "--p-max", "2", "--out", "x.csv"],
+        ["grid", "--z-step", "nan", "--out", "x.csv"],
+        ["grid", "--z-max", "inf", "--out", "x.csv"],
+        ["grid", "--z-max", "nan", "--out", "x.csv"],
     ],
 )
 def test_grid_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--p", "1", "--z-re", "inf", "--profile", "x.json"],
+        ["state", "--p", "1", "--z-re", "nan", "--profile", "x.json"],
+        ["verify", "--tol", "nan"],
+    ],
+)
+def test_non_finite_number_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err.splitlines()[-1]

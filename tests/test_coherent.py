@@ -19,6 +19,7 @@ from psusyent import (
     qubit_bases,
     weight_terms,
 )
+from psusyent.verify import consistency_residuals, random_states
 
 from conftest import random_explicit_profile, random_z
 
@@ -141,10 +142,7 @@ def test_normalization_q_degenerate_at_zero():
 
 
 def test_states_built_with_q_have_unit_norm(rng):
-    for _ in range(25):
-        p = int(rng.integers(1, 7))
-        z = random_z(rng, 4.0)
-        state = build_state(p, z, random_explicit_profile(rng, p))
+    for state in random_states(rng, 25, 6, 4.0):
         assert abs(np.linalg.norm(state.full_vector) - 1.0) < 1e-10
 
 
@@ -176,20 +174,10 @@ def test_beta_requires_n_cut_at_least_p():
         beta_coefficients(3, 1.0, AlphaProfile.optimal_constant(3), 2)
 
 
-def _vector_from_beta(p, z, profile, n_max):
-    beta = beta_coefficients(p, z, profile, n_max - 1)
-    vec = np.zeros(n_max * (p + 1), dtype=complex)
-    for k in range(p + 1):
-        for n in range(k, n_max):
-            vec[(n - k) * (p + 1) + k] += beta[k, n]
-    return vec
-
-
 def test_beta_assembly_matches_closed_form():
-    profile = AlphaProfile.optimal_constant(2)
-    state = build_state(2, 1.3, profile)
-    assembled = _vector_from_beta(2, 1.3, profile, state.n_max)
-    assert np.linalg.norm(assembled - state.full_vector) < 1e-10
+    state = build_state(2, 1.3, AlphaProfile.optimal_constant(2))
+    _, _, beta_distance, _ = consistency_residuals(state)
+    assert beta_distance < 1e-10
 
 
 # ---------------------------------------------------------------- state and amplitudes
@@ -306,36 +294,14 @@ def test_qubit_bases_degenerate_without_upper_alphas():
 
 
 def test_amplitudes_reconstruct_full_vector():
-    profile = AlphaProfile.optimal_constant(2)
-    z = 0.8j
-    state = build_state(2, z, profile)
-    bases = qubit_bases(2, z, profile, n_max=state.n_max)
-    a00, a01, a10, a11 = state.qubit_amps
-    recon = (
-        a00 * np.kron(bases.b0, bases.f0)
-        + a01 * np.kron(bases.b0, bases.f1)
-        + a10 * np.kron(bases.b1, bases.f0)
-        + a11 * np.kron(bases.b1, bases.f1)
-    )
-    assert np.linalg.norm(recon - state.full_vector) < 1e-10
+    state = build_state(2, 0.8j, AlphaProfile.optimal_constant(2))
+    *_, recon_distance = consistency_residuals(state)
+    assert recon_distance < 1e-10
 
 
 def test_triple_equivalence_random(rng):
-    # beta assembly, closed form, and amplitude reconstruction agree pairwise
-    for _ in range(10):
-        p = int(rng.integers(1, 6))
-        z = random_z(rng, 3.0)
-        profile = random_explicit_profile(rng, p)
-        state = build_state(p, z, profile)
-        assembled = _vector_from_beta(p, z, profile, state.n_max)
-        bases = qubit_bases(p, z, profile, n_max=state.n_max)
-        a00, a01, a10, a11 = state.qubit_amps
-        recon = (
-            a00 * np.kron(bases.b0, bases.f0)
-            + a01 * np.kron(bases.b0, bases.f1)
-            + a10 * np.kron(bases.b1, bases.f0)
-            + a11 * np.kron(bases.b1, bases.f1)
-        )
-        assert np.linalg.norm(assembled - state.full_vector) < 1e-9
-        assert np.linalg.norm(recon - state.full_vector) < 1e-9
-        assert np.linalg.norm(recon - assembled) < 1e-9
+    # beta assembly, closed form, and amplitude reconstruction agree pairwise:
+    # the sum of the two distances to the closed form bounds the third
+    for state in random_states(rng, 10, 5, 3.0):
+        _, _, beta_distance, recon_distance = consistency_residuals(state)
+        assert beta_distance + recon_distance < 1e-9
