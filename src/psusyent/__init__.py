@@ -46,7 +46,12 @@ from .entanglement import (
     exact_maximal_profile,
     one_minus_c_squared,
 )
-from .errors import DegenerateProfileError, NoRealSolutionError, TruncationError
+from .errors import (
+    DegenerateProfileError,
+    FloatRangeError,
+    NoRealSolutionError,
+    TruncationError,
+)
 from .model import (
     AnnihilatorA,
     PsusyHamiltonian,
@@ -69,6 +74,7 @@ __all__ = [
     "BosonOps",
     "ConcurrenceResult",
     "DegenerateProfileError",
+    "FloatRangeError",
     "NoRealSolutionError",
     "ParafermiOps",
     "PsusyCoherentState",

@@ -1,15 +1,19 @@
 """Command-line front end: verification, single-state inspection, grid sweeps.
 
-Exit codes: 0 success, 1 check, I/O or truncation failure, 2 usage error.
+Exit codes: 0 success, 1 check, I/O, truncation or float-range failure, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
+
+import numpy as np
 
 from .coherent import (
     KIND_OPTIMAL,
@@ -24,21 +28,23 @@ from .entanglement import (
     concurrence_routes,
     entanglement_of_formation,
 )
-from .errors import NoRealSolutionError, TruncationError
+from .errors import FloatRangeError, TruncationError
 from .model import build_annihilator, verify_eigenstate
 from .verify import run_all
 
 __all__ = ["main"]
 
 CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
+# fixed 12-significant-digit formatting for reproducible CSV output
+_CSV_ROW = "%d,%.12g,%.12g,%.12g,%.12g\n"
+# |z| rows computed and written at a time, so memory does not grow with the grid
+GRID_CHUNK_ROWS = 4096
 
-# argparse takes only -1 and -1.5 style tokens as negative values; also take -1e-3
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
-
-
-def _fmt(x: float) -> str:
-    """Fixed 12-significant-digit formatting for reproducible CSV output."""
-    return f"{x:.12g}"
+# argparse takes only -1 and -1.5 style tokens as negative values; also take
+# -1e-3, and -inf / -nan so that they get the finite-number message
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -76,8 +82,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
         routes = concurrence_routes(state)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a truncation failure is a numerical limit, not a malformed request
-        return 1 if isinstance(exc, TruncationError) else 2
+        # a numerical limit, not a malformed request
+        return 1 if isinstance(exc, (TruncationError, FloatRangeError)) else 2
 
     record = {
         "p": args.p,
@@ -96,43 +102,42 @@ def _cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_point(
-    p: int, z_abs: float, kind: str, profile: AlphaProfile | None
-) -> tuple[float, float]:
-    """(concurrence, EoF) of one grid row; nan where the z-exact rule is undefined."""
+def _grid_block(p: int, zs: np.ndarray, kind: str, profile: AlphaProfile | None):
+    """(concurrence, EoF) over a |z| array; nan where the z-exact rule is undefined."""
     if kind == KIND_OPTIMAL:
-        value = concurrence_optimal(p, z_abs)
+        value = concurrence_optimal(p, zs)
         return value, entanglement_of_formation(value)
     if profile is None:
-        return math.nan, math.nan
-    try:
-        result = concurrence_closed_form(p, z_abs, profile)
-    except NoRealSolutionError:
-        return math.nan, math.nan
+        return np.full(len(zs), np.nan), np.full(len(zs), np.nan)
+    result = concurrence_closed_form(p, zs, profile)
     return result.value, result.eof
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     n_steps = int(math.floor((args.z_max - args.z_min) / args.z_step + 1e-9)) + 1
-    lines = [CSV_HEADER]
-    for p in range(args.p_min, args.p_max + 1):
-        # the z-dependent-exact family exists only for 1 <= m <= p-1
-        profile = None
-        if args.profile_kind == KIND_Z_EXACT and 1 <= args.m <= p - 1:
-            profile = AlphaProfile.z_dependent_exact(p, args.m, 1.0)
-        for i in range(n_steps):
-            z_abs = args.z_min + i * args.z_step
-            value, eof = _grid_point(p, z_abs, args.profile_kind, profile)
-            lines.append(
-                f"{p},{_fmt(z_abs)},{_fmt(value)},{_fmt(1.0 - value)},{_fmt(eof)}"
-            )
+    p = args.p_min
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            for p in range(args.p_min, args.p_max + 1):
+                # the z-dependent-exact family exists only for 1 <= m <= p-1
+                profile = None
+                if args.profile_kind == KIND_Z_EXACT and 1 <= args.m <= p - 1:
+                    profile = AlphaProfile.z_dependent_exact(p, args.m, 1.0)
+                for start in range(0, n_steps, GRID_CHUNK_ROWS):
+                    steps = np.arange(start, min(start + GRID_CHUNK_ROWS, n_steps))
+                    zs = args.z_min + steps * args.z_step
+                    value, eof = _grid_block(p, zs, args.profile_kind, profile)
+                    rows = np.column_stack((np.full(len(zs), p), zs, value, 1.0 - value, eof))
+                    fh.write((_CSV_ROW * len(zs)) % tuple(rows.ravel().tolist()))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+    except (ValueError, ArithmeticError) as exc:
+        # the rows of the orders before p are already written
+        print(f"error: grid at p={p}: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {(args.p_max - args.p_min + 1) * n_steps} rows to {args.out}")
     return 0
 
 
@@ -147,7 +152,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="psusyent",
         description=(
@@ -191,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # overflow shows as a non-finite result, which the commands report as one error line
+    with np.errstate(all="ignore"):
+        return _dispatch(parser, args)
 
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "verify":
         if not 1 <= args.p_max <= 8:
             parser.error(f"--p-max must be within 1..8, got {args.p_max}")

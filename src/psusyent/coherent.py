@@ -27,7 +27,7 @@ from .algebra import (
     derivative_coherent_vector,
     float_factorial,
 )
-from .errors import DegenerateProfileError, NoRealSolutionError
+from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
 
 __all__ = [
     "AlphaProfile",
@@ -133,26 +133,47 @@ class AlphaProfile:
     def z_dependent_exact(cls, p: int, m: int, alpha_p: float = 1.0) -> "AlphaProfile":
         return cls(p=p, kind=KIND_Z_EXACT, alpha_p=float(alpha_p), m=int(m))
 
-    def coefficients(self, z_abs: float) -> np.ndarray:
-        """Materialize alpha_0..alpha_p; z-dependent kinds resolve at |z|."""
+    def coefficients(self, z_abs):
+        """Materialize alpha_0..alpha_p; z-dependent kinds resolve at |z|.
+
+        A 1-D |z| array gives one row per |z|.  There a z-dependent-exact
+        row where the rule is undefined holds alpha_{p-m} = nan; a scalar
+        |z| raises NoRealSolutionError instead.
+        """
+        zs, scalar = _rows(z_abs)
         if self.kind == KIND_EXPLICIT:
-            return np.asarray(self.alphas, dtype=float)
-        alphas = _optimal_alphas(self.p, self.alpha_p)
-        if self.kind == KIND_OPTIMAL:
-            return alphas
+            base = np.array(self.alphas)
+        else:
+            base = _optimal_alphas(self.p, self.alpha_p)
+        alphas = base[None, :] if scalar else base[None, :].repeat(len(zs), axis=0)
+        if self.kind == KIND_Z_EXACT:
+            alphas[:, self.p - self.m] = self._exceptional_alpha(zs, scalar)
+        return alphas[0] if scalar else alphas
+
+    def _exceptional_alpha(self, zs: np.ndarray, scalar: bool) -> np.ndarray:
         p, m = self.p, self.m
-        if z_abs == 0.0:
+        w_m = np.array(_weight_rows(p, zs, m, m + 1), dtype=float)
+        bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
+        undefined = (zs == 0.0) | (bracket < 0.0)
+        if scalar and undefined[0]:
+            if zs[0] == 0.0:
+                raise NoRealSolutionError(
+                    f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
+                )
             raise NoRealSolutionError(
-                f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
+                f"no real alpha_{p - m} for p={p}, m={m}, |z|={zs[0]:.4g}: "
+                f"bracket {bracket[0]:.4g} < 0"
             )
-        bracket = (float_factorial(p) / p**2 - 1.0) + weight_terms(p, z_abs)[m] / p**2
-        if bracket < 0.0:
-            raise NoRealSolutionError(
-                f"no real alpha_{p - m} for p={p}, m={m}, |z|={z_abs:.4g}: "
-                f"bracket {bracket:.4g} < 0"
+        solved = ~undefined
+        alpha = np.full(len(zs), np.nan)
+        z_m = np.array(_scaled_powers(zs[solved], (1.0,), (m,)))
+        alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / z_m
+        if not np.isfinite(alpha[solved]).all():
+            raise FloatRangeError(
+                f"alpha_{p - m} of the z-dependent-exact profile (p={p}, m={m}) "
+                "exceeds the float range"
             )
-        alphas[p - m] = abs(self.alpha_p) * math.sqrt(bracket) / z_abs**m
-        return alphas
+        return alpha
 
     def to_dict(self) -> dict:
         """JSON-ready dict; the field set depends on the kind."""
@@ -198,50 +219,119 @@ class AlphaProfile:
         return cls(p=p, kind=kind, alpha_p=float(alpha_p), m=m)
 
 
+def _rows(z_abs) -> tuple[np.ndarray, bool]:
+    """|z| as a 1-D float array, and whether it was a scalar (then one row)."""
+    if isinstance(z_abs, np.ndarray) and z_abs.ndim:
+        if not z_abs.size:
+            raise ValueError("need at least one |z|, got an empty array")
+        return z_abs.astype(float, copy=False).reshape(-1), False
+    return np.array([float(z_abs)]), True
+
+
+def _scaled_powers(zs: np.ndarray, coeffs, exponents) -> list[float]:
+    """c * |z|**e for each |z| and each c, e in zip(coeffs, exponents), row-major.
+
+    Python's float ``**`` is the C library's ``pow``.  numpy's vectorized
+    power differs from it in the last bit for about 5% of arguments, and the
+    grid CSV's digits are pinned to libm's.  A power past the float range is
+    inf rather than OverflowError.
+    """
+    terms = tuple(zip(coeffs, exponents))
+    try:
+        return [c * z**e for z in zs.tolist() for c, e in terms]
+    except OverflowError:
+        return [c * _pow_or_inf(z, e) for z in zs.tolist() for c, e in terms]
+
+
+def _pow_or_inf(x: float, e: int) -> float:
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def _row_sums(values: list[float], width: int, rows: int) -> list[float]:
+    """Python's ``sum`` of each run of ``width`` values.
+
+    np.sum adds pairwise from 8 terms on, which rounds differently.
+    """
+    return [sum(values[i * width : (i + 1) * width]) for i in range(rows)]
+
+
 @functools.lru_cache(maxsize=None)
 def _weight_coefficients(p: int) -> tuple[float, ...]:
     # exact integer true division: correctly rounded, and no float (p!)^2,
     # which overflows from p = 99 on
     fp_sq = math.factorial(p) ** 2
-    return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
+    try:
+        return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
+    except OverflowError:
+        raise FloatRangeError(
+            f"weight coefficients of order p={p} exceed the float range"
+        ) from None
 
 
-def weight_terms(p: int, z_abs: float) -> list[float]:
+def _weight_rows(p: int, zs: np.ndarray, first: int, stop: int) -> list[float]:
+    """Weight terms c_n |z|^(2n), n = first..stop-1, for each |z| in turn."""
+    return _scaled_powers(zs, _weight_coefficients(p)[first:stop], range(2 * first, 2 * stop, 2))
+
+
+def weight_terms(p: int, z_abs):
     """Terms w_n = c_n |z|^(2n), n = 0..p-1, of the weight series.
 
     c_n = (p!)^2 / ((n!)^2 (p-n)!); the full series, with its n = p term
-    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.
+    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  A 1-D |z| array gives one row
+    of terms per |z|.
     """
-    return [c * z_abs ** (2 * n) for n, c in enumerate(_weight_coefficients(p))]
+    zs, scalar = _rows(z_abs)
+    terms = _weight_rows(p, zs, 0, p)
+    return terms if scalar else np.array(terms, dtype=float).reshape(len(zs), p)
 
 
-def bosonic_weight_sum(p: int, z_abs: float) -> float:
+def bosonic_weight_sum(p: int, z_abs):
     """Sum of the weight series of :func:`weight_terms`, always >= p!."""
-    return sum(weight_terms(p, z_abs))
+    zs, scalar = _rows(z_abs)
+    sums = _weight_sums(p, zs)
+    return sums[0] if scalar else np.array(sums, dtype=float)
 
 
-def _resolve(
-    p: int, z_abs: float, profile: AlphaProfile
-) -> tuple[np.ndarray, tuple[float, float, float], float]:
+def _weight_sums(p: int, zs: np.ndarray) -> list[float]:
+    """The weight series summed for each |z|, in Python floats."""
+    return _row_sums(_weight_rows(p, zs, 0, p), p, len(zs))
+
+
+def _resolve(p: int, z_abs, profile: AlphaProfile):
     """Alphas, branch weights (A^2, B^2, defect) and D = A^2 + B^2 + defect at |z|.
 
     A^2 = sum_{n<p} alpha_{p-n}^2 |z|^(2n), B^2 = (alpha_p/p)^2 * bosonic_weight_sum
     and defect = (alpha_0 - alpha_p/p)^2 |z|^(2p); D = exp(-|z|^2)/Q^2 must be
-    positive for the state to be normalizable.
+    positive for the state to be normalizable.  A 1-D |z| array gives arrays
+    with one row per |z|, nan on z-dependent-exact rows where the rule is
+    undefined.
     """
     if p != profile.p:
         raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
-    alphas = profile.coefficients(z_abs)
-    z2n = z_abs ** (2 * np.arange(p, dtype=float))
-    a_sq = float(np.sum(alphas[p - np.arange(p)] ** 2 * z2n))
-    b_sq = (alphas[p] / p) ** 2 * bosonic_weight_sum(p, z_abs)
-    defect = (alphas[0] - alphas[p] / p) ** 2 * z_abs ** (2 * p)
-    denom = a_sq + b_sq + defect
-    if denom <= 0.0:
+    zs, scalar = _rows(z_abs)
+    alphas = profile.coefficients(z_abs).reshape(len(zs), p + 1)
+    # alpha_0 and alpha_p do not depend on |z| in any kind
+    alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
+    # numpy's power here, not libm's: the digits of A^2 are pinned to it
+    z2n = np.power(zs[:, None], 2.0 * np.arange(p))
+    # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
+    a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
+    # the rest per |z| in Python floats, which is cheapest for one |z|
+    b_factor, d_factor = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2
+    b_sq = [b_factor * w for w in _weight_sums(p, zs)]
+    defect = [d_factor * x for x in _scaled_powers(zs, (1.0,), (2 * p,))]
+    denom = [a + b + d for a, b, d in zip(a_sq.tolist(), b_sq, defect)]
+    vanishing = [z for z, d in zip(zs.tolist(), denom) if d <= 0.0]
+    if vanishing:
         raise DegenerateProfileError(
-            f"normalization denominator vanishes at |z|={z_abs:.4g} for this profile"
+            f"normalization denominator vanishes at |z|={vanishing[0]:.4g} for this profile"
         )
-    return alphas, (a_sq, b_sq, defect), denom
+    if scalar:
+        return alphas[0], (float(a_sq[0]), b_sq[0], defect[0]), denom[0]
+    return alphas, (a_sq, np.array(b_sq), np.array(defect)), np.array(denom)
 
 
 def _q_norm(z_abs: float, denom: float) -> float:

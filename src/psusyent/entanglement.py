@@ -22,8 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import float_factorial
-from .coherent import AlphaProfile, PsusyCoherentState, _resolve, weight_terms
-from .errors import TruncationError
+from .coherent import (
+    AlphaProfile,
+    PsusyCoherentState,
+    _resolve,
+    _row_sums,
+    _rows,
+    _weight_rows,
+)
+from .errors import FloatRangeError, TruncationError
 
 __all__ = [
     "ABTerms",
@@ -56,6 +63,8 @@ ROUTE_SCHMIDT = "schmidt-oracle"
 # small concurrences are not zeroed out.
 _EIGENVALUE_DUST = 1e-12
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -70,16 +79,36 @@ class ABTerms:
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    value: float
+    """A concurrence and its EoF; arrays of them for a |z| array."""
+
+    value: float | np.ndarray
     route: str
-    eof: float
+    eof: float | np.ndarray
     lambdas: tuple[float, float, float, float] | None = None
 
 
-def _clip_unit(value: float, what: str) -> float:
-    if value < -1e-10 or value > 1.0 + 1e-10:
-        raise ValueError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
+def _clip_unit(value, what: str, tol: float = 1e-10):
+    """``value`` clipped to [0, 1], elementwise for an array.
+
+    nan raises FloatRangeError; a value more than ``tol`` outside [0, 1]
+    raises ValueError.  A float is checked with Python comparisons, which
+    cost a tenth of numpy's on one element.
+    """
+    if isinstance(value, np.ndarray) and value.ndim:
+        outside = value[~((value >= -tol) & (value <= 1.0 + tol))]  # nan is outside
+        if outside.size:
+            _reject(float(outside[0]), what)
+        return np.minimum(np.maximum(value, 0.0), 1.0)
+    value = float(value)
+    if not -tol <= value <= 1.0 + tol:
+        _reject(value, what)
     return min(max(value, 0.0), 1.0)
+
+
+def _reject(value: float, what: str):
+    if math.isnan(value):
+        raise FloatRangeError(f"{what} is nan: its formula left the float range")
+    raise ValueError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
 
 
 def ab_terms(p: int, z_abs: float, profile: AlphaProfile) -> ABTerms:
@@ -88,22 +117,34 @@ def ab_terms(p: int, z_abs: float, profile: AlphaProfile) -> ABTerms:
     return ABTerms(math.sqrt(a_sq), math.sqrt(b_sq))
 
 
-def _result(value: float, route: str, lambdas=None) -> ConcurrenceResult:
-    value = _clip_unit(value, "concurrence")
-    return ConcurrenceResult(value, route, entanglement_of_formation(value), lambdas)
+def _result(value, route: str, lambdas=None, undefined=None) -> ConcurrenceResult:
+    """Clip ``value`` and attach its EoF; entries marked ``undefined`` come out nan."""
+    if undefined is None or not np.count_nonzero(undefined):
+        value = _clip_unit(value, "concurrence")
+        return ConcurrenceResult(value, route, entanglement_of_formation(value), lambdas)
+    value = _clip_unit(np.where(undefined, 0.0, value), "concurrence")
+    eof = entanglement_of_formation(value)
+    return ConcurrenceResult(
+        np.where(undefined, np.nan, value), route, np.where(undefined, np.nan, eof), lambdas
+    )
 
 
-def concurrence_closed_form(
-    p: int, z: complex, profile: AlphaProfile
-) -> ConcurrenceResult:
+def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResult:
     """C = 2AB / (A^2 + B^2 + (alpha_0 - alpha_p/p)^2 |z|^(2p)).
 
     Zero exactly when alpha_p = 0 (then B = 0 and the state is a product);
     raises DegenerateProfileError where the denominator vanishes, at
-    alpha_p = 0 and z = 0, where no normalizable state exists.
+    alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
+    complex number or a 1-D array of |z|; over an array the result holds
+    arrays, nan on rows where a z-dependent-exact rule is undefined.
     """
-    _, (a_sq, b_sq, _), denom = _resolve(p, abs(complex(z)), profile)
-    return _result(2.0 * math.sqrt(a_sq) * math.sqrt(b_sq) / denom, ROUTE_CLOSED_FORM)
+    z_abs = np.abs(z) if isinstance(z, np.ndarray) and z.ndim else abs(complex(z))
+    alphas, (a_sq, b_sq, _), denom = _resolve(p, z_abs, profile)
+    value = 2.0 * np.sqrt(a_sq) * np.sqrt(b_sq) / denom
+    if alphas.ndim == 1:
+        return _result(value, ROUTE_CLOSED_FORM)
+    # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
+    return _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(alphas).any(axis=1))
 
 
 def concurrence_pure(amps) -> float:
@@ -210,19 +251,23 @@ def one_minus_c_squared(p: int, z_abs: float, profile: AlphaProfile) -> float:
     return ((a_sq - b_sq) / (a_sq + b_sq)) ** 2
 
 
-def concurrence_optimal(p: int, z_abs: float) -> float:
+def concurrence_optimal(p: int, z_abs):
     """Concurrence of the optimal-constant family, directly in closed form.
 
     C = sqrt(1 - (p!/p^2 - 1)^2 / (p!/p^2 + 1 + 2 sum_{n=1..p-1} w_n / p^2)^2)
     with w_n the weight terms of :func:`weight_terms`; identically 1 for
-    p = 1 and increasing in |z| toward 1 for p >= 2.
+    p = 1 and increasing in |z| toward 1 for p >= 2.  Elementwise over a
+    1-D |z| array.
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
+    zs, scalar = _rows(z_abs)
+    scaled = (np.array(_weight_rows(p, zs, 1, p), dtype=float) / p**2).tolist()
+    series = np.array(_row_sums(scaled, p - 1, len(zs)), dtype=float)
     fp = float_factorial(p)
-    series = sum(t / p**2 for t in weight_terms(p, float(z_abs))[1:])
     ratio = (fp / p**2 - 1.0) / (fp / p**2 + 1.0 + 2.0 * series)
-    return math.sqrt(max(0.0, 1.0 - ratio * ratio))
+    value = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    return float(value[0]) if scalar else value
 
 
 def exact_maximal_profile(
@@ -239,19 +284,17 @@ def exact_maximal_profile(
     return profile
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-
-
-def entanglement_of_formation(c: float) -> float:
+def entanglement_of_formation(c):
     """EoF of a two-qubit state with concurrence c, in natural-log units.
 
     H(1/2 + sqrt(1 - c^2)/2) with H the natural-log binary entropy, so the
     maximum is ln 2, not 1 bit.  Strictly increasing in c on (0, 1).
+    Elementwise over an array; nan is rejected.
     """
-    if c < -1e-12 or c > 1.0 + 1e-12:
-        raise ValueError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    return _binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+    c = _clip_unit(c, "concurrence", tol=1e-12)
+    x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)  # in [0.5, 1]
+    y = 1.0 - x
+    # y + tiny is y for every y > 0 (y >= 2^-53); at y = 0 the log sees tiny
+    # instead of 0, and H = -0.0 - (-0.0) comes out +0.0
+    h = -x * np.log(x) - y * np.log(y + _SMALLEST_NORMAL)
+    return h if isinstance(h, np.ndarray) else float(h)

@@ -19,3 +19,7 @@ class DegenerateProfileError(ValueError):
 
 class NoRealSolutionError(ValueError):
     """The z-dependent coefficient rule has no real solution at this z."""
+
+
+class FloatRangeError(ValueError):
+    """A closed form left the float range: a term overflowed to inf or nan."""

@@ -158,8 +158,7 @@ def suite_concurrence_routes(p_max: int, rng):
 def suite_eof_curve(p_max: int, rng):
     yield abs(entanglement_of_formation(0.0))
     yield abs(entanglement_of_formation(1.0) - math.log(2.0))
-    grid = np.linspace(0.0, 1.0, 1001)
-    values = np.array([entanglement_of_formation(c) for c in grid])
+    values = entanglement_of_formation(np.linspace(0.0, 1.0, 1001))
     yield max(0.0, float(np.max(values[:-1] - values[1:])))
 
 

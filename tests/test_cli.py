@@ -1,11 +1,26 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from psusyent import verify
-from psusyent.cli import main
+import psusyent
+from psusyent import (
+    AlphaProfile,
+    NoRealSolutionError,
+    cli,
+    concurrence_closed_form,
+    concurrence_optimal,
+    entanglement_of_formation,
+    verify,
+)
+from psusyent.cli import CSV_HEADER, main
 
 
 def _write_profile(tmp_path, obj, name="profile.json"):
@@ -214,6 +229,12 @@ def test_grid_usage_errors(argv):
         ["state", "--p", "1", "--z-re", "inf", "--profile", "x.json"],
         ["state", "--p", "1", "--z-re", "nan", "--profile", "x.json"],
         ["verify", "--tol", "nan"],
+        # a leading minus must not turn these into unknown options
+        ["state", "--p", "1", "--z-re", "-inf", "--profile", "x.json"],
+        ["state", "--p", "1", "--z-im", "-Infinity", "--profile", "x.json"],
+        ["state", "--p", "1", "--z-re", "-NaN", "--profile", "x.json"],
+        ["verify", "--tol", "-INF"],
+        ["grid", "--z-min", "-nan", "--out", "x.csv"],
     ],
 )
 def test_non_finite_number_is_usage_error(argv, capsys):
@@ -221,3 +242,182 @@ def test_non_finite_number_is_usage_error(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err.splitlines()[-1]
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    assert main(["verify", "--p-max", "1"]) == 0
+    assert main(["grid", "--p-max", "1", "--z-max", "0.1", "--out", str(tmp_path / "g.csv")]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_usage_error_leaves_shared_parser_correct(tmp_path, capsys):
+    profile = _write_profile(tmp_path, {"p": 1, "kind": "explicit", "alphas": [1.0, 1.0]})
+    with pytest.raises(SystemExit):
+        main(["state", "--p", "1", "--z-re", "-inf", "--profile", profile])
+    with pytest.raises(SystemExit):
+        main(["grid", "--p-max", "2", "--z-step", "0", "--out", "x.csv"])
+    capsys.readouterr()
+    assert main(["state", "--p", "1", "--z-re", "-1e-3", "--profile", profile]) == 0
+    assert json.loads(capsys.readouterr().out)["z"] == [-0.001, 0.0]
+    # options set by earlier calls do not leak into the defaults
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6 * 101
+
+
+# ---------------------------------------------------------------- grid rows
+
+
+def _exact_concurrence_sq(p: int, z: float, kind: str, m: int) -> Fraction | None:
+    """C^2 = 4 A^2 B^2 / (A^2 + B^2)^2 of a grid row in exact rationals.
+
+    Both families have alpha_p = 1 and alpha_0 = 1/p (no defect term) and
+    alpha_{p-n}^2 = c_n / p^2 for 0 < n < p, with
+    c_n = (p!)^2 / ((n!)^2 (p-n)!); z-dependent-exact sets
+    alpha_{p-m}^2 |z|^(2m) to its bracket.  None where that rule is undefined.
+    """
+    fp = math.factorial(p)
+    z2 = Fraction(z) ** 2
+    w = [Fraction(fp**2, math.factorial(n) ** 2 * math.factorial(p - n)) * z2**n for n in range(p)]
+    a_terms = [Fraction(1)] + [t / p**2 for t in w[1:]]
+    if kind == "z-dependent-exact":
+        if not 1 <= m <= p - 1 or z == 0.0:
+            return None
+        bracket = Fraction(fp, p**2) - 1 + w[m] / p**2
+        if bracket < 0:
+            return None
+        a_terms[m] = bracket
+    a_sq, b_sq = sum(a_terms), sum(w) / p**2
+    return 4 * a_sq * b_sq / (a_sq + b_sq) ** 2
+
+
+def _scalar_row(p: int, z: float, kind: str, m: int) -> tuple[float, float]:
+    if kind == "optimal-constant":
+        c = concurrence_optimal(p, z)
+        return c, entanglement_of_formation(c)
+    if not 1 <= m <= p - 1:
+        return math.nan, math.nan
+    try:
+        result = concurrence_closed_form(p, z, AlphaProfile.z_dependent_exact(p, m))
+    except NoRealSolutionError:
+        return math.nan, math.nan
+    return result.value, result.eof
+
+
+@pytest.mark.parametrize(
+    "kind,m",
+    [("optimal-constant", 1), ("z-dependent-exact", 1), ("z-dependent-exact", 2),
+     ("z-dependent-exact", 3)],
+)
+def test_grid_rows_match_scalar_functions_and_exact_oracle(tmp_path, capsys, kind, m):
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-min", "0.37", "--z-max", "3.3",
+            "--z-step", "0.29", "--profile-kind", kind, "--m", str(m), "--out", str(out)]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + 10 * 11
+    undefined = 0
+    for r, line in enumerate(lines[1:]):
+        p, i = 1 + r // 11, r % 11
+        z = 0.37 + i * 0.29
+        c, eof = _scalar_row(p, z, kind, m)
+        assert line == "%d,%.12g,%.12g,%.12g,%.12g" % (p, z, c, 1.0 - c, eof)
+        fields = [float(x) for x in line.split(",")]
+        assert abs(Fraction(fields[1]) - (Fraction("0.37") + i * Fraction("0.29"))) <= 1e-12
+        c_sq = _exact_concurrence_sq(p, z, kind, m)
+        if c_sq is None:
+            assert line.endswith(",nan,nan,nan")
+            undefined += 1
+            continue
+        exact_c = math.sqrt(c_sq)
+        root = math.sqrt(1 - c_sq)  # sqrt(1 - C^2), free of cancellation
+        x = 0.5 + 0.5 * root
+        exact_eof = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+        assert abs(fields[2] - exact_c) <= 1e-12
+        assert abs(fields[3] - float(1 - c_sq) / (1.0 + exact_c)) <= 1e-12
+        assert abs(fields[4] - exact_eof) <= 1e-12
+    # p <= 3 has rows below the real-solution threshold, and every p <= m has none
+    assert (undefined > 0) == (kind == "z-dependent-exact")
+
+
+@pytest.mark.parametrize(
+    "kind,p_range,z_range",
+    [
+        ("optimal-constant", ("2", "4"), ("0.1", "2.9", "0.05")),  # 57 rows: 8 chunks of 7 and 1
+        ("z-dependent-exact", ("2", "4"), ("0.1", "2.9", "0.05")),
+        # a full 4096-row chunk at p >= 8, where the A^2 sum is pairwise
+        ("z-dependent-exact", ("8", "9"), ("0", "5", "0.001")),
+    ],
+)
+def test_grid_chunk_size_does_not_change_bytes(tmp_path, monkeypatch, capsys, kind, p_range,
+                                               z_range):
+    argv = ["grid", "--p-min", p_range[0], "--p-max", p_range[1], "--z-min", z_range[0],
+            "--z-max", z_range[1], "--z-step", z_range[2], "--profile-kind", kind, "--m", "1",
+            "--out"]
+    assert main([*argv, str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(cli, "GRID_CHUNK_ROWS", 7)
+    assert main([*argv, str(tmp_path / "chunked.csv")]) == 0
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_grid_memory_does_not_grow_with_rows(tmp_path):
+    # The child caps its own address space 40 MiB above what it has mapped
+    # after import.  500,001 rows held in memory before writing need ~70 MiB
+    # and end in MemoryError; streamed chunks need a few MiB.
+    child = (
+        "import resource, sys\n"
+        "from psusyent.cli import main\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    mapped = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + 40 * 2**20, hard))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "big.csv"
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "grid", "--p-max", "1", "--z-max", "500",
+         "--z-step", "0.001", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote 500001 rows to {out}\n"
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 500001
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_grid_failed_write_exits_1(capsys):
+    assert main(["grid", "--out", "/dev/full"]) == 1
+    assert "error: cannot write /dev/full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the closed form overflows to nan
+        ["--p-min", "150", "--p-max", "150", "--profile-kind", "z-dependent-exact", "--m", "1",
+         "--z-min", "4.9", "--z-max", "5"],
+        # the weight coefficients exceed the float range
+        ["--p-min", "167", "--p-max", "167"],
+        # |z|^(2n) exceeds the float range
+        ["--p-min", "60", "--p-max", "60", "--profile-kind", "z-dependent-exact", "--m", "1",
+         "--z-min", "1000", "--z-max", "1000"],
+    ],
+)
+def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["grid", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: grid at p=")
+    assert out.read_text().splitlines() == [CSV_HEADER]

@@ -70,6 +70,32 @@ def test_z_dependent_exact_no_real_solution():
         profile.coefficients(0.0)  # rule undefined at z = 0
 
 
+def test_coefficients_over_a_z_array():
+    zs = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
+    profiles = (
+        AlphaProfile.z_dependent_exact(3, 1),
+        AlphaProfile.optimal_constant(3, 0.7),
+        AlphaProfile.explicit([0.3, -1.0, 0.2, 1.1]),
+    )
+    for profile in profiles:
+        rows = profile.coefficients(zs)
+        assert rows.shape == (5, 4)
+        for z, row in zip(zs, rows):
+            try:
+                expected = profile.coefficients(z)
+            except NoRealSolutionError:
+                # only alpha_{p-m} is undefined; the rest of the row stays usable
+                assert np.isnan(row[2]) and not np.isnan(np.delete(row, 2)).any()
+                continue
+            assert np.array_equal(row, expected)
+    # p = 3, m = 1: bracket -1/3 + 2|z|^2 is negative below |z| = 0.408, and z = 0 is undefined
+    assert np.isnan(AlphaProfile.z_dependent_exact(3, 1).coefficients(zs)[:, 2]).tolist() == [
+        True, True, False, False, False
+    ]
+    with pytest.raises(ValueError):
+        profiles[0].coefficients(np.array([]))
+
+
 def test_z_dependent_exact_m_range():
     with pytest.raises(ValueError):
         AlphaProfile.z_dependent_exact(2, 2)
@@ -122,6 +148,12 @@ def test_weight_terms_match_exact_arithmetic(z_abs):
                 math.factorial(p) ** 2, math.factorial(n) ** 2 * math.factorial(p - n)
             ) * z2**n
             assert abs(Fraction(term) - exact) <= Fraction(1e-15) * exact
+        # bit for bit Python's float ** (libm pow), which numpy's power is not
+        coeffs = [Fraction(math.factorial(p) ** 2, math.factorial(n) ** 2 * math.factorial(p - n))
+                  for n in range(p)]
+        assert terms == [float(c) * z_abs ** (2 * n) for n, c in enumerate(coeffs)]
+        rows = weight_terms(p, np.array([z_abs, 0.5]))
+        assert rows.shape == (2, p) and np.array_equal(rows[0], terms)
 
 
 # ---------------------------------------------------------------- normalization

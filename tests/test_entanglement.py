@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from psusyent import (
     AlphaProfile,
+    FloatRangeError,
     NoRealSolutionError,
     TruncationError,
     ab_terms,
@@ -283,3 +284,46 @@ def test_eof_domain_errors():
         entanglement_of_formation(1.01)
     # values inside the 1e-12 tolerance band are clamped, not rejected
     assert entanglement_of_formation(1.0 + 5e-13) == pytest.approx(math.log(2.0))
+    with pytest.raises(FloatRangeError):
+        entanglement_of_formation(math.nan)
+    with pytest.raises(FloatRangeError):
+        entanglement_of_formation(np.array([0.5, math.nan]))
+
+
+def test_closed_form_overflow_raises_instead_of_nan():
+    # alpha^2 |z|^(2n) overflows at p = 150, |z| = 5
+    with np.errstate(all="ignore"), pytest.raises(FloatRangeError):
+        concurrence_closed_form(150, 5.0, AlphaProfile.optimal_constant(150))
+
+
+# ---------------------------------------------------------------- |z| arrays
+
+
+def _closed_form_at(p, z, profile):
+    try:
+        result = concurrence_closed_form(p, z, profile)
+    except NoRealSolutionError:
+        return math.nan, math.nan
+    return result.value, result.eof
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 9])
+def test_array_evaluation_equals_scalar_evaluation(p):
+    # every |z| array result is bit for bit the scalar result at each |z|,
+    # with nan exactly where the z-dependent-exact rule has no solution
+    zs = np.array([0.0, 0.05, 0.3, 0.71, 1.0, 2.2, 4.7])
+    assert np.array_equal(concurrence_optimal(p, zs), [concurrence_optimal(p, z) for z in zs])
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(
+        entanglement_of_formation(grid), [entanglement_of_formation(c) for c in grid]
+    )
+    profiles = [
+        AlphaProfile.optimal_constant(p, 1.3),
+        AlphaProfile.explicit(np.linspace(0.4, 1.6, p + 1)),
+    ]
+    profiles += [AlphaProfile.z_dependent_exact(p, m) for m in range(1, p)]
+    for profile in profiles:
+        result = concurrence_closed_form(p, zs, profile)
+        value, eof = zip(*[_closed_form_at(p, z, profile) for z in zs])
+        assert np.array_equal(result.value, value, equal_nan=True)
+        assert np.array_equal(result.eof, eof, equal_nan=True)
