@@ -7,9 +7,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -115,9 +117,14 @@ def _grid_block(p: int, zs: np.ndarray, kind: str, profile: AlphaProfile | None)
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     n_steps = int(math.floor((args.z_max - args.z_min) / args.z_step + 1e-9)) + 1
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     p = args.p_min
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(CSV_HEADER + "\n")
             for p in range(args.p_min, args.p_max + 1):
                 # the z-dependent-exact family exists only for 1 <= m <= p-1
@@ -130,12 +137,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                     value, eof = _grid_block(p, zs, args.profile_kind, profile)
                     rows = np.column_stack((np.full(len(zs), p), zs, value, 1.0 - value, eof))
                     fh.write((_CSV_ROW * len(zs)) % tuple(rows.ravel().tolist()))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
-        # the rows of the orders before p are already written
-        print(f"error: grid at p={p}: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # remove the truncated sweep this call wrote; a device or a pipe is left alone
+        if os.path.isfile(args.out):
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        what = f"cannot write {args.out}" if isinstance(exc, OSError) else f"grid at p={p}"
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {(args.p_max - args.p_min + 1) * n_steps} rows to {args.out}")
     return 0

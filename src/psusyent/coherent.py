@@ -136,9 +136,10 @@ class AlphaProfile:
     def coefficients(self, z_abs):
         """Materialize alpha_0..alpha_p; z-dependent kinds resolve at |z|.
 
-        A 1-D |z| array gives one row per |z|.  There a z-dependent-exact
-        row where the rule is undefined holds alpha_{p-m} = nan; a scalar
-        |z| raises NoRealSolutionError instead.
+        A 1-D |z| array gives one row per |z|.  Where a z-dependent-exact
+        rule is undefined, at one |z| or at any |z| of an array, this raises
+        NoRealSolutionError; over an array the error's ``alphas`` holds every
+        row, with alpha_{p-m} = nan on the undefined ones.
         """
         zs, scalar = _rows(z_abs)
         if self.kind == KIND_EXPLICIT:
@@ -147,23 +148,18 @@ class AlphaProfile:
             base = _optimal_alphas(self.p, self.alpha_p)
         alphas = base[None, :] if scalar else base[None, :].repeat(len(zs), axis=0)
         if self.kind == KIND_Z_EXACT:
-            alphas[:, self.p - self.m] = self._exceptional_alpha(zs, scalar)
+            column, undefined = self._exceptional_alpha(zs)
+            alphas[:, self.p - self.m] = column
+            if undefined:
+                raise NoRealSolutionError(undefined, alphas=None if scalar else alphas)
         return alphas[0] if scalar else alphas
 
-    def _exceptional_alpha(self, zs: np.ndarray, scalar: bool) -> np.ndarray:
+    def _exceptional_alpha(self, zs: np.ndarray) -> tuple[np.ndarray, str | None]:
+        """alpha_{p-m} per |z|, nan where the rule is undefined, and why if anywhere."""
         p, m = self.p, self.m
         w_m = np.array(_weight_rows(p, zs, m, m + 1), dtype=float)
         bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
         undefined = (zs == 0.0) | (bracket < 0.0)
-        if scalar and undefined[0]:
-            if zs[0] == 0.0:
-                raise NoRealSolutionError(
-                    f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
-                )
-            raise NoRealSolutionError(
-                f"no real alpha_{p - m} for p={p}, m={m}, |z|={zs[0]:.4g}: "
-                f"bracket {bracket[0]:.4g} < 0"
-            )
         solved = ~undefined
         alpha = np.full(len(zs), np.nan)
         z_m = np.array(_scaled_powers(zs[solved], (1.0,), (m,)))
@@ -173,7 +169,19 @@ class AlphaProfile:
                 f"alpha_{p - m} of the z-dependent-exact profile (p={p}, m={m}) "
                 "exceeds the float range"
             )
-        return alpha
+        if solved.all():
+            return alpha, None
+        first = int(np.argmax(undefined))
+        if zs[first] == 0.0:
+            reason = f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
+        else:
+            reason = (
+                f"no real alpha_{p - m} for p={p}, m={m}, |z|={zs[first]:.4g}: "
+                f"bracket {bracket[first]:.4g} < 0"
+            )
+        if len(zs) > 1:
+            reason += f" (undefined at {np.count_nonzero(undefined)} of {len(zs)} |z| values)"
+        return alpha, reason
 
     def to_dict(self) -> dict:
         """JSON-ready dict; the field set depends on the kind."""
@@ -271,6 +279,14 @@ def _weight_coefficients(p: int) -> tuple[float, ...]:
         ) from None
 
 
+@functools.lru_cache(maxsize=None)
+def _even_exponents(p: int) -> np.ndarray:
+    """0, 2, ..., 2(p-1) as floats, made once per order."""
+    exponents = np.arange(0.0, 2.0 * p, 2.0)
+    exponents.setflags(write=False)
+    return exponents
+
+
 def _weight_rows(p: int, zs: np.ndarray, first: int, stop: int) -> list[float]:
     """Weight terms c_n |z|^(2n), n = first..stop-1, for each |z| in turn."""
     return _scaled_powers(zs, _weight_coefficients(p)[first:stop], range(2 * first, 2 * stop, 2))
@@ -288,11 +304,9 @@ def weight_terms(p: int, z_abs):
     return terms if scalar else np.array(terms, dtype=float).reshape(len(zs), p)
 
 
-def bosonic_weight_sum(p: int, z_abs):
+def bosonic_weight_sum(p: int, z_abs: float) -> float:
     """Sum of the weight series of :func:`weight_terms`, always >= p!."""
-    zs, scalar = _rows(z_abs)
-    sums = _weight_sums(p, zs)
-    return sums[0] if scalar else np.array(sums, dtype=float)
+    return sum(weight_terms(p, z_abs))
 
 
 def _weight_sums(p: int, zs: np.ndarray) -> list[float]:
@@ -312,11 +326,17 @@ def _resolve(p: int, z_abs, profile: AlphaProfile):
     if p != profile.p:
         raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
     zs, scalar = _rows(z_abs)
-    alphas = profile.coefficients(z_abs).reshape(len(zs), p + 1)
+    try:
+        alphas = profile.coefficients(z_abs)
+    except NoRealSolutionError as exc:
+        if exc.alphas is None:
+            raise
+        alphas = exc.alphas  # go on with the rows where the rule is defined
+    alphas = alphas.reshape(len(zs), p + 1)
     # alpha_0 and alpha_p do not depend on |z| in any kind
     alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
     # numpy's power here, not libm's: the digits of A^2 are pinned to it
-    z2n = np.power(zs[:, None], 2.0 * np.arange(p))
+    z2n = np.power(zs[:, None], _even_exponents(p))
     # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
     a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
     # the rest per |z| in Python floats, which is cheapest for one |z|

@@ -119,7 +119,7 @@ def ab_terms(p: int, z_abs: float, profile: AlphaProfile) -> ABTerms:
 
 def _result(value, route: str, lambdas=None, undefined=None) -> ConcurrenceResult:
     """Clip ``value`` and attach its EoF; entries marked ``undefined`` come out nan."""
-    if undefined is None or not np.count_nonzero(undefined):
+    if undefined is None:
         value = _clip_unit(value, "concurrence")
         return ConcurrenceResult(value, route, entanglement_of_formation(value), lambdas)
     value = _clip_unit(np.where(undefined, 0.0, value), "concurrence")

@@ -18,7 +18,15 @@ class DegenerateProfileError(ValueError):
 
 
 class NoRealSolutionError(ValueError):
-    """The z-dependent coefficient rule has no real solution at this z."""
+    """The z-dependent coefficient rule has no real solution at this z.
+
+    Raised over a |z| array, it carries ``alphas``: the coefficient rows of
+    every |z|, nan where the rule is undefined.  Otherwise ``alphas`` is None.
+    """
+
+    def __init__(self, message: str, alphas=None):
+        super().__init__(message)
+        self.alphas = alphas
 
 
 class FloatRangeError(ValueError):

@@ -399,6 +399,30 @@ def test_grid_failed_write_exits_1(capsys):
     assert "error: cannot write /dev/full" in capsys.readouterr().err
 
 
+def test_grid_failed_write_removes_the_partial_file(tmp_path):
+    # The child caps the size of the files it writes at 64 KiB; with SIGXFSZ
+    # ignored, a write past the cap fails with EFBIG after some rows are out.
+    child = (
+        "import resource, signal, sys\n"
+        "from psusyent.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (2**16, resource.RLIM_INFINITY))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "big.csv"
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "grid", "--p-max", "2", "--z-max", "20",
+         "--z-step", "0.001", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {out}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -410,6 +434,8 @@ def test_grid_failed_write_exits_1(capsys):
         # |z|^(2n) exceeds the float range
         ["--p-min", "60", "--p-max", "60", "--profile-kind", "z-dependent-exact", "--m", "1",
          "--z-min", "1000", "--z-max", "1000"],
+        # p = 166 is written before p = 167 fails
+        ["--p-min", "166", "--p-max", "167"],
     ],
 )
 def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
@@ -420,4 +446,5 @@ def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: grid at p=")
-    assert out.read_text().splitlines() == [CSV_HEADER]
+    # no truncated sweep is left behind
+    assert not out.exists()

@@ -70,6 +70,14 @@ def test_z_dependent_exact_no_real_solution():
         profile.coefficients(0.0)  # rule undefined at z = 0
 
 
+def _rows_or_error_rows(profile, zs):
+    try:
+        return profile.coefficients(zs)
+    except NoRealSolutionError as exc:
+        assert exc.alphas is not None
+        return exc.alphas
+
+
 def test_coefficients_over_a_z_array():
     zs = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
     profiles = (
@@ -78,20 +86,23 @@ def test_coefficients_over_a_z_array():
         AlphaProfile.explicit([0.3, -1.0, 0.2, 1.1]),
     )
     for profile in profiles:
-        rows = profile.coefficients(zs)
+        rows = _rows_or_error_rows(profile, zs)
         assert rows.shape == (5, 4)
         for z, row in zip(zs, rows):
             try:
                 expected = profile.coefficients(z)
-            except NoRealSolutionError:
+            except NoRealSolutionError as exc:
+                assert exc.alphas is None
                 # only alpha_{p-m} is undefined; the rest of the row stays usable
                 assert np.isnan(row[2]) and not np.isnan(np.delete(row, 2)).any()
                 continue
             assert np.array_equal(row, expected)
     # p = 3, m = 1: bracket -1/3 + 2|z|^2 is negative below |z| = 0.408, and z = 0 is undefined
-    assert np.isnan(AlphaProfile.z_dependent_exact(3, 1).coefficients(zs)[:, 2]).tolist() == [
-        True, True, False, False, False
-    ]
+    with pytest.raises(NoRealSolutionError, match="undefined at 2 of 5") as info:
+        profiles[0].coefficients(zs)
+    assert np.isnan(info.value.alphas[:, 2]).tolist() == [True, True, False, False, False]
+    # where the rule is defined at every |z|, the rows come back
+    assert np.array_equal(profiles[0].coefficients(zs[2:]), info.value.alphas[2:])
     with pytest.raises(ValueError):
         profiles[0].coefficients(np.array([]))
 
