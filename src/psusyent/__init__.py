@@ -22,6 +22,7 @@ from .algebra import (
 )
 from .coherent import (
     AlphaProfile,
+    ClosedForm,
     PsusyCoherentState,
     QubitBases,
     beta_coefficients,
@@ -32,9 +33,7 @@ from .coherent import (
     weight_terms,
 )
 from .entanglement import (
-    ABTerms,
     ConcurrenceResult,
-    ab_terms,
     concurrence_closed_form,
     concurrence_optimal,
     concurrence_pure,
@@ -43,8 +42,6 @@ from .entanglement import (
     concurrence_wootters,
     density_from_amplitudes,
     entanglement_of_formation,
-    exact_maximal_profile,
-    one_minus_c_squared,
 )
 from .errors import (
     DegenerateProfileError,
@@ -58,8 +55,6 @@ from .model import (
     build_annihilator,
     build_hamiltonian,
     degeneracy_profile,
-    flat_index,
-    split_index,
     verify_eigenstate,
 )
 from .verify import RunReport, run_all
@@ -67,11 +62,11 @@ from .verify import RunReport, run_all
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABTerms",
     "AlgebraReport",
     "AlphaProfile",
     "AnnihilatorA",
     "BosonOps",
+    "ClosedForm",
     "ConcurrenceResult",
     "DegenerateProfileError",
     "FloatRangeError",
@@ -82,7 +77,6 @@ __all__ = [
     "QubitBases",
     "RunReport",
     "TruncationError",
-    "ab_terms",
     "beta_coefficients",
     "build_annihilator",
     "build_boson",
@@ -103,15 +97,11 @@ __all__ = [
     "density_from_amplitudes",
     "derivative_coherent_vector",
     "entanglement_of_formation",
-    "exact_maximal_profile",
-    "flat_index",
     "normalization_q",
-    "one_minus_c_squared",
     "qubit_amplitudes",
     "qubit_bases",
     "required_n_max",
     "run_all",
-    "split_index",
     "verify_eigenstate",
     "weight_terms",
 ]

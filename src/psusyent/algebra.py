@@ -70,14 +70,6 @@ class ParafermiOps:
     b_dag: np.ndarray
     j3: np.ndarray
 
-    @property
-    def j_plus(self) -> np.ndarray:
-        return self.b_dag
-
-    @property
-    def j_minus(self) -> np.ndarray:
-        return self.b
-
 
 @dataclass(frozen=True)
 class BosonOps:

@@ -71,7 +71,8 @@ def _cmd_state(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read profile: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also not UTF-8, an integer literal past the digit limit, or nested too deep
         print(f"error: invalid profile JSON: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
 
 __all__ = [
     "AlphaProfile",
+    "ClosedForm",
     "PsusyCoherentState",
     "QubitBases",
     "beta_coefficients",
@@ -215,16 +216,24 @@ class AlphaProfile:
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in alphas
             ):
                 raise ValueError("'alphas' must be a list of numbers")
-            return cls(p=p, kind=kind, alphas=tuple(float(x) for x in alphas))
+            return cls(p=p, kind=kind, alphas=tuple(_json_float(x, "'alphas'") for x in alphas))
         alpha_p = obj["alpha_p"]
         if not isinstance(alpha_p, (int, float)) or isinstance(alpha_p, bool):
             raise ValueError(f"'alpha_p' must be a number, got {alpha_p!r}")
         if kind == KIND_OPTIMAL:
-            return cls(p=p, kind=kind, alpha_p=float(alpha_p))
+            return cls(p=p, kind=kind, alpha_p=_json_float(alpha_p, "'alpha_p'"))
         m = obj["m"]
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"'m' must be an integer, got {m!r}")
-        return cls(p=p, kind=kind, alpha_p=float(alpha_p), m=m)
+        return cls(p=p, kind=kind, alpha_p=_json_float(alpha_p, "'alpha_p'"), m=m)
+
+
+def _json_float(value: int | float, name: str) -> float:
+    """A JSON number as a float; an integer past the float range is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: integer beyond the float range") from None
 
 
 def _rows(z_abs) -> tuple[np.ndarray, bool]:
@@ -309,19 +318,58 @@ def bosonic_weight_sum(p: int, z_abs: float) -> float:
     return sum(weight_terms(p, z_abs))
 
 
-def _weight_sums(p: int, zs: np.ndarray) -> list[float]:
-    """The weight series summed for each |z|, in Python floats."""
-    return _row_sums(_weight_rows(p, zs, 0, p), p, len(zs))
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed form of one state, resolved once from its profile at |z|.
+
+    A^2 = sum_{n<p} alpha_{p-n}^2 |z|^(2n), B^2 = (alpha_p/p)^2 W with W the
+    weight series sum (:func:`bosonic_weight_sum`), defect =
+    (alpha_0 - alpha_p/p)^2 |z|^(2p), and D = A^2 + B^2 + defect =
+    exp(-|z|^2)/Q^2.  Over a 1-D |z| array every field but ``p`` holds one
+    row per |z|, nan where a z-dependent-exact rule is undefined.
+    """
+
+    p: int
+    z_abs: float | np.ndarray
+    alphas: np.ndarray
+    a_sq: float | np.ndarray
+    b_sq: float | np.ndarray
+    defect: float | np.ndarray
+    denom: float | np.ndarray
+    weight_sum: float | np.ndarray
+
+    @property
+    def q(self) -> float:
+        """Normalization factor Q = exp(-|z|^2/2) / sqrt(D) of one state."""
+        return math.exp(-0.5 * self.z_abs * self.z_abs) / math.sqrt(self.denom)
+
+    @property
+    def concurrence(self):
+        """C = 2AB/D, unclipped; elementwise over a |z| array."""
+        return 2.0 * np.sqrt(self.a_sq) * np.sqrt(self.b_sq) / self.denom
+
+    def amplitudes(self, z: complex) -> tuple[complex, complex, complex, complex]:
+        """Two-qubit amplitudes (a00, a01, a10, a11) at z, with |z| = ``z_abs``.
+
+        a00 = (alpha_p/p) sqrt(W) / sqrt(D), a01 = 0,
+        a10 = conj(z)^p (alpha_0 - alpha_p/p) / sqrt(D), a11 = A / sqrt(D)
+        (Q exp(|z|^2/2) = 1/sqrt(D) cancels all exponentials).  a00 keeps the
+        sign of alpha_p so that the amplitudes reconstruct the tensor state
+        exactly; its magnitude is B/sqrt(D).
+        """
+        p, alphas = self.p, self.alphas
+        inv = 1.0 / math.sqrt(self.denom)
+        a00 = complex(math.copysign(math.sqrt(self.b_sq), alphas[p]) * inv)
+        a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
+        a11 = complex(math.sqrt(self.a_sq) * inv)
+        return (a00, 0j, complex(a10), a11)
 
 
-def _resolve(p: int, z_abs, profile: AlphaProfile):
-    """Alphas, branch weights (A^2, B^2, defect) and D = A^2 + B^2 + defect at |z|.
+def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
+    """The :class:`ClosedForm` of ``profile`` at |z|, or over a 1-D |z| array.
 
-    A^2 = sum_{n<p} alpha_{p-n}^2 |z|^(2n), B^2 = (alpha_p/p)^2 * bosonic_weight_sum
-    and defect = (alpha_0 - alpha_p/p)^2 |z|^(2p); D = exp(-|z|^2)/Q^2 must be
-    positive for the state to be normalizable.  A 1-D |z| array gives arrays
-    with one row per |z|, nan on z-dependent-exact rows where the rule is
-    undefined.
+    Raises DegenerateProfileError where D is not positive: no normalizable
+    state exists there.
     """
     if p != profile.p:
         raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
@@ -341,7 +389,8 @@ def _resolve(p: int, z_abs, profile: AlphaProfile):
     a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
     # the rest per |z| in Python floats, which is cheapest for one |z|
     b_factor, d_factor = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2
-    b_sq = [b_factor * w for w in _weight_sums(p, zs)]
+    weight_sum = _row_sums(_weight_rows(p, zs, 0, p), p, len(zs))
+    b_sq = [b_factor * w for w in weight_sum]
     defect = [d_factor * x for x in _scaled_powers(zs, (1.0,), (2 * p,))]
     denom = [a + b + d for a, b, d in zip(a_sq.tolist(), b_sq, defect)]
     vanishing = [z for z, d in zip(zs.tolist(), denom) if d <= 0.0]
@@ -350,21 +399,17 @@ def _resolve(p: int, z_abs, profile: AlphaProfile):
             f"normalization denominator vanishes at |z|={vanishing[0]:.4g} for this profile"
         )
     if scalar:
-        return alphas[0], (float(a_sq[0]), b_sq[0], defect[0]), denom[0]
-    return alphas, (a_sq, np.array(b_sq), np.array(defect)), np.array(denom)
-
-
-def _q_norm(z_abs: float, denom: float) -> float:
-    return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
+        return ClosedForm(
+            p, float(zs[0]), alphas[0], float(a_sq[0]), b_sq[0], defect[0], denom[0], weight_sum[0]
+        )
+    return ClosedForm(
+        p, zs, alphas, a_sq, np.array(b_sq), np.array(defect), np.array(denom), np.array(weight_sum)
+    )
 
 
 def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
-    """Normalization factor Q(|z|) of the coherent state.
-
-    Q = exp(-|z|^2/2) / sqrt(A^2 + B^2 + defect); raises when the
-    denominator vanishes (e.g. alpha_p = 0 at z = 0).
-    """
-    return _q_norm(z_abs, _resolve(p, z_abs, profile)[2])
+    """Normalization factor Q(|z|) of the coherent state; see :class:`ClosedForm`."""
+    return _resolve(p, z_abs, profile).q
 
 
 def beta_coefficients(
@@ -383,8 +428,8 @@ def beta_coefficients(
     if n_cut < p:
         raise ValueError(f"n_cut={n_cut} must be at least p={p}")
     z = complex(z)
-    alphas, _, denom = _resolve(p, abs(z), profile)
-    q = _q_norm(abs(z), denom)
+    form = _resolve(p, abs(z), profile)
+    alphas, q = form.alphas, form.q
 
     coh = coherent_vector(z, n_cut + 1)
     beta = np.zeros((p + 1, n_cut + 1), dtype=complex)
@@ -398,15 +443,22 @@ def beta_coefficients(
 
 @dataclass(frozen=True)
 class PsusyCoherentState:
-    """A normalized coherent eigenstate and its two-qubit amplitudes."""
+    """A normalized coherent eigenstate and the closed form it was built from."""
 
     p: int
     z: complex
     profile: AlphaProfile
-    q_norm: float
+    closed_form: ClosedForm
     n_max: int
     full_vector: np.ndarray
-    qubit_amps: tuple[complex, complex, complex, complex]
+
+    @property
+    def q_norm(self) -> float:
+        return self.closed_form.q
+
+    @property
+    def qubit_amps(self) -> tuple[complex, complex, complex, complex]:
+        return self.closed_form.amplitudes(self.z)
 
 
 def build_state(
@@ -425,8 +477,8 @@ def build_state(
     z = complex(z)
     if n_max is None:
         n_max = default_n_max(z, p)
-    alphas, weights, denom = _resolve(p, abs(z), profile)
-    q = _q_norm(abs(z), denom)
+    form = _resolve(p, abs(z), profile)
+    alphas, q = form.alphas, form.q
 
     coh = coherent_vector(z, n_max, tail_tol=tail_tol)
     dcoh = derivative_coherent_vector(z, p, n_max)
@@ -436,35 +488,15 @@ def build_state(
         columns[:, k] = alphas[k] * z ** (p - k) * coh
     full = q * columns.reshape(-1)
     full.setflags(write=False)
-    amps = _amplitudes(p, z, alphas, weights, denom)
-    return PsusyCoherentState(int(p), z, profile, q, int(n_max), full, amps)
+    return PsusyCoherentState(int(p), z, profile, form, int(n_max), full)
 
 
 def qubit_amplitudes(
     p: int, z: complex, profile: AlphaProfile
 ) -> tuple[complex, complex, complex, complex]:
-    """Two-qubit amplitudes (a00, a01, a10, a11) of the coherent state.
-
-    a00 = (alpha_p/p) sqrt(bosonic_weight_sum) / sqrt(D),
-    a01 = 0,
-    a10 = conj(z)^p (alpha_0 - alpha_p/p) / sqrt(D),
-    a11 = A / sqrt(D),
-    with D = A^2 + B^2 + defect (so Q exp(|z|^2/2) = 1/sqrt(D) cancels all
-    exponentials).  a00 keeps the sign of alpha_p so that the amplitudes
-    reconstruct the tensor state exactly; its magnitude is B/sqrt(D).
-    """
+    """Two-qubit amplitudes (a00, a01, a10, a11); see :meth:`ClosedForm.amplitudes`."""
     z = complex(z)
-    return _amplitudes(p, z, *_resolve(p, abs(z), profile))
-
-
-def _amplitudes(
-    p: int, z: complex, alphas: np.ndarray, weights: tuple[float, float, float], denom: float
-) -> tuple[complex, complex, complex, complex]:
-    inv = 1.0 / math.sqrt(denom)
-    a00 = complex(math.copysign(math.sqrt(weights[1]), alphas[p]) * inv)
-    a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
-    a11 = complex(math.sqrt(weights[0]) * inv)
-    return (a00, 0j, complex(a10), a11)
+    return _resolve(p, abs(z), profile).amplitudes(z)
 
 
 @dataclass(frozen=True)
@@ -492,11 +524,11 @@ def qubit_bases(
     if n_max is None:
         n_max = default_n_max(z, p)
     # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
-    alphas, (f1_norm_sq, _, _), _ = _resolve(p, abs(z), profile)
+    form = _resolve(p, abs(z), profile)
 
     f1_raw = np.zeros(p + 1, dtype=complex)
-    f1_raw[1:] = alphas[1:] * z ** (p - np.arange(1, p + 1))
-    if f1_norm_sq <= 0.0:
+    f1_raw[1:] = form.alphas[1:] * z ** (p - np.arange(1, p + 1))
+    if form.a_sq <= 0.0:
         raise DegenerateProfileError(
             "all of alpha_1..alpha_p vanish at this z: the state is a product "
             "with the parafermion vacuum and the f1 basis vector is undefined"
@@ -506,10 +538,10 @@ def qubit_bases(
     coh = coherent_vector(z, n_max)
     dcoh = derivative_coherent_vector(z, p, n_max)
     b1 = gauss * coh
-    b0 = gauss * (np.conj(z) ** p * coh - dcoh) / math.sqrt(bosonic_weight_sum(p, abs(z)))
+    b0 = gauss * (np.conj(z) ** p * coh - dcoh) / math.sqrt(form.weight_sum)
     f0 = np.zeros(p + 1, dtype=complex)
     f0[0] = 1.0
-    f1 = f1_raw / math.sqrt(f1_norm_sq)
+    f1 = f1_raw / math.sqrt(form.a_sq)
     for arr in (b0, b1, f0, f1):
         arr.setflags(write=False)
     return QubitBases(b0, b1, f0, f1)

@@ -33,22 +33,18 @@ from .coherent import (
 from .errors import FloatRangeError, TruncationError
 
 __all__ = [
-    "ABTerms",
     "ConcurrenceResult",
     "ROUTE_CLOSED_FORM",
     "ROUTE_PURE",
     "ROUTE_WOOTTERS",
     "ROUTE_SCHMIDT",
-    "ab_terms",
     "concurrence_closed_form",
     "concurrence_pure",
     "concurrence_wootters",
     "concurrence_schmidt_oracle",
     "concurrence_routes",
     "density_from_amplitudes",
-    "one_minus_c_squared",
     "concurrence_optimal",
-    "exact_maximal_profile",
     "entanglement_of_formation",
 ]
 
@@ -67,14 +63,6 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-@dataclass(frozen=True)
-class ABTerms:
-    """The two branch amplitudes A and B entering the closed form."""
-
-    a_term: float
-    b_term: float
 
 
 @dataclass(frozen=True)
@@ -111,12 +99,6 @@ def _reject(value: float, what: str):
     raise ValueError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
 
 
-def ab_terms(p: int, z_abs: float, profile: AlphaProfile) -> ABTerms:
-    """A = sqrt(sum alpha_{p-n}^2 |z|^(2n)), B = |alpha_p|/p * sqrt(weight sum)."""
-    _, (a_sq, b_sq, _), _ = _resolve(p, float(z_abs), profile)
-    return ABTerms(math.sqrt(a_sq), math.sqrt(b_sq))
-
-
 def _result(value, route: str, lambdas=None, undefined=None) -> ConcurrenceResult:
     """Clip ``value`` and attach its EoF; entries marked ``undefined`` come out nan."""
     if undefined is None:
@@ -139,12 +121,11 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     arrays, nan on rows where a z-dependent-exact rule is undefined.
     """
     z_abs = np.abs(z) if isinstance(z, np.ndarray) and z.ndim else abs(complex(z))
-    alphas, (a_sq, b_sq, _), denom = _resolve(p, z_abs, profile)
-    value = 2.0 * np.sqrt(a_sq) * np.sqrt(b_sq) / denom
-    if alphas.ndim == 1:
-        return _result(value, ROUTE_CLOSED_FORM)
+    form = _resolve(p, z_abs, profile)
+    if form.alphas.ndim == 1:
+        return _result(form.concurrence, ROUTE_CLOSED_FORM)
     # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
-    return _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(alphas).any(axis=1))
+    return _result(form.concurrence, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
 
 
 def concurrence_pure(amps) -> float:
@@ -226,29 +207,17 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
 
 
 def concurrence_routes(state: PsusyCoherentState) -> dict[str, float]:
-    """Concurrence of ``state`` by all four routes, keyed by route name."""
+    """Concurrence of ``state`` by all four routes, keyed by route name.
+
+    The closed-form route reads the state's own :class:`ClosedForm`.
+    """
     amps = state.qubit_amps
     return {
-        ROUTE_CLOSED_FORM: concurrence_closed_form(state.p, state.z, state.profile).value,
+        ROUTE_CLOSED_FORM: _clip_unit(state.closed_form.concurrence, "concurrence"),
         ROUTE_PURE: concurrence_pure(amps),
         ROUTE_WOOTTERS: concurrence_wootters(density_from_amplitudes(amps)).value,
         ROUTE_SCHMIDT: concurrence_schmidt_oracle(state),
     }
-
-
-def one_minus_c_squared(p: int, z_abs: float, profile: AlphaProfile) -> float:
-    """((A^2 - B^2) / (A^2 + B^2))^2, defined on profiles with alpha_0 = alpha_p/p.
-
-    This is the quantity whose minimization drives the choice of the
-    optimal-constant family; the precondition is enforced, not substituted.
-    """
-    alphas, (a_sq, b_sq, _), _ = _resolve(p, float(z_abs), profile)
-    if abs(alphas[0] - alphas[p] / p) > 1e-12 * max(1.0, abs(alphas[p])):
-        raise ValueError(
-            f"profile must satisfy alpha_0 = alpha_p/p, got alpha_0={alphas[0]!r}, "
-            f"alpha_p/p={alphas[p] / p!r}"
-        )
-    return ((a_sq - b_sq) / (a_sq + b_sq)) ** 2
 
 
 def concurrence_optimal(p: int, z_abs):
@@ -268,20 +237,6 @@ def concurrence_optimal(p: int, z_abs):
     ratio = (fp / p**2 - 1.0) / (fp / p**2 + 1.0 + 2.0 * series)
     value = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
     return float(value[0]) if scalar else value
-
-
-def exact_maximal_profile(
-    p: int, z: complex, m: int, alpha_p: float = 1.0
-) -> AlphaProfile:
-    """The z-dependent profile that makes the concurrence exactly 1 at z.
-
-    The rule is the ``z-dependent-exact`` kind of :class:`AlphaProfile`.
-    Raises NoRealSolutionError when its bracket is negative (small |z| with
-    p <= 3) or z = 0.
-    """
-    profile = AlphaProfile.z_dependent_exact(p, m, alpha_p)
-    profile.coefficients(abs(complex(z)))  # validate solvability at this z
-    return profile
 
 
 def entanglement_of_formation(c):

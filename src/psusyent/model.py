@@ -10,32 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import build_boson, build_parafermi, float_factorial
-
 __all__ = [
     "PsusyHamiltonian",
     "AnnihilatorA",
-    "flat_index",
-    "split_index",
     "build_hamiltonian",
     "degeneracy_profile",
     "build_annihilator",
     "verify_eigenstate",
 ]
-
-
-def flat_index(n_b: int, n_f: int, p: int) -> int:
-    """Flat tensor index of |n_b>|n_f> in the boson-major layout."""
-    if not 0 <= n_f <= p:
-        raise ValueError(f"n_f={n_f} outside 0..{p}")
-    if n_b < 0:
-        raise ValueError(f"n_b={n_b} negative")
-    return n_b * (p + 1) + n_f
-
-
-def split_index(i: int, p: int) -> tuple[int, int]:
-    """Inverse of :func:`flat_index`: flat index -> (n_b, n_f)."""
-    return divmod(i, p + 1)
 
 
 @dataclass(frozen=True)
@@ -50,11 +32,6 @@ class PsusyHamiltonian:
     p: int
     n_max: int
     energies: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense operator, built on demand as a test oracle."""
-        return np.diag(self.energies.astype(complex))
 
 
 @dataclass(frozen=True)
@@ -87,17 +64,6 @@ class AnnihilatorA:
         raise_w = np.prod(np.sqrt(n[:, None] + np.arange(1, p)), axis=1)
         out[p - 1 :, 0] += raise_w * x[:kept, p]
         return out.reshape(-1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense operator, built on demand as a test oracle."""
-        boson = build_boson(self.n_max)
-        pf = build_parafermi(self.p)
-        a_dag_pow = np.linalg.matrix_power(boson.a_dag, self.p - 1)
-        b_dag_pow = np.linalg.matrix_power(pf.b_dag, self.p)
-        return np.kron(boson.a, np.eye(self.p + 1)) + np.kron(
-            a_dag_pow / float_factorial(self.p), b_dag_pow
-        )
 
 
 def _check_dimensions(p: int, n_max: int) -> None:

@@ -20,7 +20,6 @@ from psusyent import (
     concurrence_schmidt_oracle,
     degeneracy_profile,
     entanglement_of_formation,
-    exact_maximal_profile,
 )
 from psusyent.cli import main
 from psusyent.verify import (
@@ -165,7 +164,7 @@ def test_criterion_07_near_maximality():
 def test_criterion_08_exact_maximality():
     worst = 0.0
     for p, m, z in ((2, 1, 1.0), (3, 1, 1.5), (3, 2, 1.5), (4, 2, 2.0)):
-        profile = exact_maximal_profile(p, z, m)
+        profile = AlphaProfile.z_dependent_exact(p, m)
         closed = concurrence_closed_form(p, z, profile).value
         oracle = concurrence_schmidt_oracle(build_state(p, z, profile))
         worst = max(worst, abs(closed - 1.0), abs(oracle - 1.0))

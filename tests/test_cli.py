@@ -113,11 +113,27 @@ def test_state_disentangled_profile(tmp_path, capsys):
 
 
 def test_state_invalid_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    rc = main(["state", "--p", "1", "--profile", str(path)])
-    assert rc == 2
-    assert "invalid profile JSON" in capsys.readouterr().err
+    digits = b"9" * 400
+    cases = [
+        (b"{not json", "invalid profile JSON"),
+        # integers past the float range
+        (b'{"p": 2, "kind": "optimal-constant", "alpha_p": ' + digits + b"}", "'alpha_p': integer"),
+        (b'{"p": 2, "kind": "explicit", "alphas": [1.0, -' + digits + b", 1.0]}", "'alphas': integer"),
+        # an integer literal past the interpreter's digit limit
+        (b'{"p": 2, "kind": "optimal-constant", "alpha_p": ' + b"9" * 4301 + b"}", "invalid profile"),
+        # not UTF-8
+        (b'{"p": 2, "kind": "optimal-constant", "alpha_p": 1.0, "\xff": 0}', "invalid profile JSON"),
+        # nested past the recursion limit
+        (b"[" * 100_000 + b"]" * 100_000, "invalid profile JSON"),
+    ]
+    for i, (content, message) in enumerate(cases):
+        path = tmp_path / f"broken{i}.json"
+        path.write_bytes(content)
+        rc = main(["state", "--p", "2", "--z-re", "0.5", "--profile", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, err
 
 
 def test_state_unknown_field_exits_2(tmp_path, capsys):

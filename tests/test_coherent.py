@@ -14,11 +14,13 @@ from psusyent import (
     beta_coefficients,
     build_state,
     coherent_vector,
+    concurrence_routes,
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
     weight_terms,
 )
+from psusyent.cli import main
 from psusyent.verify import consistency_residuals, random_states
 
 from conftest import random_explicit_profile, random_z
@@ -290,10 +292,9 @@ def test_build_state_order_mismatch():
         build_state(2, 0.5, AlphaProfile.explicit([1.0, 1.0]))
 
 
-@pytest.mark.parametrize(
-    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.z_dependent_exact(3, 2)]
-)
-def test_build_state_resolves_profile_once(monkeypatch, profile):
+@pytest.fixture
+def coefficient_calls(monkeypatch):
+    """The |z| of every AlphaProfile.coefficients call made during the test."""
     calls = []
     original = AlphaProfile.coefficients
 
@@ -302,8 +303,32 @@ def test_build_state_resolves_profile_once(monkeypatch, profile):
         return original(self, z_abs)
 
     monkeypatch.setattr(AlphaProfile, "coefficients", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.z_dependent_exact(3, 2)]
+)
+def test_build_state_resolves_profile_once(coefficient_calls, profile):
     build_state(3, 1.5 - 0.5j, profile)
-    assert calls == [abs(1.5 - 0.5j)]
+    assert coefficient_calls == [abs(1.5 - 0.5j)]
+
+
+@pytest.mark.parametrize(
+    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.z_dependent_exact(3, 2)]
+)
+def test_state_command_resolves_profile_once(coefficient_calls, tmp_path, capsys, profile):
+    # the four concurrence routes read the state's closed form: no second resolve
+    state = build_state(3, 1.5 - 0.5j, profile)
+    coefficient_calls.clear()
+    concurrence_routes(state)
+    assert coefficient_calls == []
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile.to_dict()))
+    rc = main(["state", "--p", "3", "--z-re", "1.5", "--z-im", "-0.5", "--profile", str(path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 3
+    assert coefficient_calls == [abs(1.5 - 0.5j)]
 
 
 # ---------------------------------------------------------------- qubit bases

@@ -9,7 +9,6 @@ from psusyent import (
     FloatRangeError,
     NoRealSolutionError,
     TruncationError,
-    ab_terms,
     build_state,
     concurrence_closed_form,
     concurrence_optimal,
@@ -19,8 +18,6 @@ from psusyent import (
     concurrence_wootters,
     density_from_amplitudes,
     entanglement_of_formation,
-    exact_maximal_profile,
-    one_minus_c_squared,
 )
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
 from psusyent.verify import route_spread
@@ -164,39 +161,41 @@ def test_ab_terms_and_am_gm_bound(rng):
         p = int(rng.integers(1, 7))
         z_abs = rng.uniform(0.0, 3.0)
         profile = random_explicit_profile(rng, p)
-        terms = ab_terms(p, z_abs, profile)
-        assert terms.a_term >= 0.0 and terms.b_term >= 0.0
-        assert 2 * terms.a_term * terms.b_term <= terms.a_term**2 + terms.b_term**2 + 1e-15
+        form = build_state(p, z_abs, profile).closed_form
+        a_term, b_term = math.sqrt(form.a_sq), math.sqrt(form.b_sq)
+        assert form.a_sq >= 0.0 and form.b_sq >= 0.0
+        assert 2 * a_term * b_term <= a_term**2 + b_term**2 + 1e-15
         assert concurrence_closed_form(p, z_abs, profile).value <= 1.0
 
 
+def _one_minus_c_squared(form):
+    """((A^2 - B^2) / (A^2 + B^2))^2, which is 1 - C^2 when alpha_0 = alpha_p/p."""
+    return ((form.a_sq - form.b_sq) / (form.a_sq + form.b_sq)) ** 2
+
+
 def test_one_minus_c_squared_examples():
-    assert one_minus_c_squared(1, 1.7, AlphaProfile.optimal_constant(1)) == 0.0
+    form = build_state(1, 1.7, AlphaProfile.optimal_constant(1)).closed_form
+    assert _one_minus_c_squared(form) == 0.0
     # p=2, optimal, |z|=2: (0.5-1)^2 / (1.5 + 2*4)^2 = 0.25/90.25
-    value = one_minus_c_squared(2, 2.0, AlphaProfile.optimal_constant(2))
+    value = _one_minus_c_squared(build_state(2, 2.0, AlphaProfile.optimal_constant(2)).closed_form)
     assert abs(value - 0.25 / 90.25) < 1e-15
     c = concurrence_optimal(2, 2.0)
     assert abs(value - (1.0 - c * c)) < 1e-12
 
 
 def test_one_minus_c_squared_matches_general_ratio(rng):
-    # on alpha_0 = alpha_p/p profiles the ratio reduces to ((A^2-B^2)/(A^2+B^2))^2
+    # on alpha_0 = alpha_p/p profiles the defect vanishes, D = A^2 + B^2, and
+    # 1 - C^2 reduces to ((A^2-B^2)/(A^2+B^2))^2
     for p in (2, 3, 5):
         alphas = rng.uniform(-1.5, 1.5, p + 1)
         alphas[p] = 1.2
         alphas[0] = alphas[p] / p
         profile = AlphaProfile.explicit(alphas)
         z_abs = rng.uniform(0.1, 2.5)
-        terms = ab_terms(p, z_abs, profile)
-        expected = ((terms.a_term**2 - terms.b_term**2) / (terms.a_term**2 + terms.b_term**2)) ** 2
-        assert abs(one_minus_c_squared(p, z_abs, profile) - expected) < 1e-14
+        form = build_state(p, z_abs, profile).closed_form
+        assert form.defect == 0.0 and form.denom == form.a_sq + form.b_sq
         c = concurrence_closed_form(p, z_abs, profile).value
-        assert abs(one_minus_c_squared(p, z_abs, profile) - (1 - c * c)) < 1e-12
-
-
-def test_one_minus_c_squared_enforces_precondition():
-    with pytest.raises(ValueError):
-        one_minus_c_squared(2, 1.0, AlphaProfile.explicit([1.0, 1.0, 1.0]))
+        assert abs(_one_minus_c_squared(form) - (1 - c * c)) < 1e-12
 
 
 def test_concurrence_optimal_values():
@@ -233,7 +232,7 @@ def test_concurrence_optimal_nondecreasing_in_z():
 
 @pytest.mark.parametrize("p,m,z", [(2, 1, 1.0), (3, 1, 1.5), (3, 2, 1.5), (4, 2, 2.0)])
 def test_exact_maximal_profile_reaches_one(p, m, z):
-    profile = exact_maximal_profile(p, z, m)
+    profile = AlphaProfile.z_dependent_exact(p, m)
     assert abs(concurrence_closed_form(p, z, profile).value - 1.0) < 1e-10
     state = build_state(p, z, profile)
     assert abs(concurrence_schmidt_oracle(state) - 1.0) < 1e-10
@@ -241,11 +240,11 @@ def test_exact_maximal_profile_reaches_one(p, m, z):
 
 def test_exact_maximal_profile_errors():
     with pytest.raises(NoRealSolutionError):
-        exact_maximal_profile(2, 1e-4, 1)  # bracket -> -1/2 as z -> 0
+        AlphaProfile.z_dependent_exact(2, 1).coefficients(1e-4)  # bracket -> -1/2 as z -> 0
     with pytest.raises(NoRealSolutionError):
-        exact_maximal_profile(3, 0.0, 1)
+        AlphaProfile.z_dependent_exact(3, 1).coefficients(0.0)
     with pytest.raises(ValueError):
-        exact_maximal_profile(2, 1.0, 2)  # m out of range
+        AlphaProfile.z_dependent_exact(2, 2)  # m out of range
 
 
 def test_concurrence_phase_invariance(rng):
