@@ -23,6 +23,7 @@ from .algebra import (
 from .coherent import (
     AlphaProfile,
     ClosedForm,
+    PowerTable,
     PsusyCoherentState,
     QubitBases,
     beta_coefficients,
@@ -72,6 +73,7 @@ __all__ = [
     "FloatRangeError",
     "NoRealSolutionError",
     "ParafermiOps",
+    "PowerTable",
     "PsusyCoherentState",
     "PsusyHamiltonian",
     "QubitBases",

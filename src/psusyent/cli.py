@@ -21,6 +21,7 @@ from .coherent import (
     KIND_OPTIMAL,
     KIND_Z_EXACT,
     AlphaProfile,
+    PowerTable,
     build_state,
 )
 from .entanglement import (
@@ -37,8 +38,10 @@ from .verify import run_all
 __all__ = ["main"]
 
 CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
-# fixed 12-significant-digit formatting for reproducible CSV output
-_CSV_ROW = "%d,%.12g,%.12g,%.12g,%.12g\n"
+# fixed 12-significant-digit formatting for reproducible CSV output: a row
+# is p, then abs_z as text, formatted once per |z| chunk, then C, 1 - C, EoF
+_Z_TEXT = "%.12g"
+_CSV_ROW_AFTER_P = ",%s,%.12g,%.12g,%.12g\n"
 # |z| rows computed and written at a time, so memory does not grow with the grid
 GRID_CHUNK_ROWS = 4096
 
@@ -105,14 +108,37 @@ def _cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_block(p: int, zs: np.ndarray, kind: str, profile: AlphaProfile | None):
-    """(concurrence, EoF) over a |z| array; nan where the z-exact rule is undefined."""
+class _GridChunk:
+    """One chunk of grid |z| rows and what depends only on |z|.
+
+    That is the libm power table and the abs_z text, shared by every order
+    p whose block covers these rows.
+    """
+
+    def __init__(self, start: int, zs: np.ndarray):
+        self.start = start
+        self.powers = PowerTable(zs)
+        # the fields of each row after p
+        self._fields = np.empty((len(zs), 4), dtype=object)
+        self._fields[:, 0] = [_Z_TEXT % z for z in self.powers.values]
+
+    def csv(self, p: int, value: np.ndarray, eof: np.ndarray) -> str:
+        """The CSV rows of order p over this chunk, with concurrences ``value``."""
+        fields = self._fields
+        fields[:, 1] = value
+        fields[:, 2] = 1.0 - value
+        fields[:, 3] = eof
+        return ((str(p) + _CSV_ROW_AFTER_P) * len(fields)) % tuple(fields.ravel().tolist())
+
+
+def _grid_block(p: int, powers: PowerTable, kind: str, profile: AlphaProfile | None):
+    """(concurrence, EoF) over a |z| chunk; nan where the z-exact rule is undefined."""
     if kind == KIND_OPTIMAL:
-        value = concurrence_optimal(p, zs)
+        value = concurrence_optimal(p, powers)
         return value, entanglement_of_formation(value)
     if profile is None:
-        return np.full(len(zs), np.nan), np.full(len(zs), np.nan)
-    result = concurrence_closed_form(p, zs, profile)
+        return np.full(len(powers.zs), np.nan), np.full(len(powers.zs), np.nan)
+    result = concurrence_closed_form(p, powers, profile)
     return result.value, result.eof
 
 
@@ -124,6 +150,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     p = args.p_min
+    chunk = None
     try:
         with fh:
             fh.write(CSV_HEADER + "\n")
@@ -133,11 +160,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                 if args.profile_kind == KIND_Z_EXACT and 1 <= args.m <= p - 1:
                     profile = AlphaProfile.z_dependent_exact(p, args.m, 1.0)
                 for start in range(0, n_steps, GRID_CHUNK_ROWS):
-                    steps = np.arange(start, min(start + GRID_CHUNK_ROWS, n_steps))
-                    zs = args.z_min + steps * args.z_step
-                    value, eof = _grid_block(p, zs, args.profile_kind, profile)
-                    rows = np.column_stack((np.full(len(zs), p), zs, value, 1.0 - value, eof))
-                    fh.write((_CSV_ROW * len(zs)) % tuple(rows.ravel().tolist()))
+                    # kept while the next p covers the same rows: when the grid is one chunk
+                    if chunk is None or chunk.start != start:
+                        steps = np.arange(start, min(start + GRID_CHUNK_ROWS, n_steps))
+                        chunk = _GridChunk(start, args.z_min + steps * args.z_step)
+                    value, eof = _grid_block(p, chunk.powers, args.profile_kind, profile)
+                    fh.write(chunk.csv(p, value, eof))
     except (OSError, ValueError, ArithmeticError) as exc:
         # remove the truncated sweep this call wrote; a device or a pipe is left alone
         if os.path.isfile(args.out):

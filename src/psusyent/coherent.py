@@ -32,6 +32,7 @@ from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
 __all__ = [
     "AlphaProfile",
     "ClosedForm",
+    "PowerTable",
     "PsusyCoherentState",
     "QubitBases",
     "beta_coefficients",
@@ -137,52 +138,68 @@ class AlphaProfile:
     def coefficients(self, z_abs):
         """Materialize alpha_0..alpha_p; z-dependent kinds resolve at |z|.
 
-        A 1-D |z| array gives one row per |z|.  Where a z-dependent-exact
-        rule is undefined, at one |z| or at any |z| of an array, this raises
-        NoRealSolutionError; over an array the error's ``alphas`` holds every
-        row, with alpha_{p-m} = nan on the undefined ones.
+        A 1-D |z| array, or a :class:`PowerTable` over one, gives one row per
+        |z|.  Where a z-dependent-exact rule is undefined, at one |z| or at
+        any |z| of an array, this raises NoRealSolutionError; over an array
+        the error's ``alphas`` holds every row, with alpha_{p-m} = nan on the
+        undefined ones.
         """
-        zs, scalar = _rows(z_abs)
+        powers = PowerTable.of(z_abs)
         if self.kind == KIND_EXPLICIT:
             base = np.array(self.alphas)
         else:
             base = _optimal_alphas(self.p, self.alpha_p)
-        alphas = base[None, :] if scalar else base[None, :].repeat(len(zs), axis=0)
+        alphas = base[None, :] if powers.scalar else base[None, :].repeat(len(powers.zs), axis=0)
         if self.kind == KIND_Z_EXACT:
-            column, undefined = self._exceptional_alpha(zs)
+            column, undefined = self._exceptional_alpha(powers)
             alphas[:, self.p - self.m] = column
             if undefined:
-                raise NoRealSolutionError(undefined, alphas=None if scalar else alphas)
-        return alphas[0] if scalar else alphas
+                raise NoRealSolutionError(undefined, alphas=None if powers.scalar else alphas)
+        return alphas[0] if powers.scalar else alphas
 
-    def _exceptional_alpha(self, zs: np.ndarray) -> tuple[np.ndarray, str | None]:
+    def _exceptional_alpha(self, powers: "PowerTable") -> tuple[float | np.ndarray, str | None]:
         """alpha_{p-m} per |z|, nan where the rule is undefined, and why if anywhere."""
         p, m = self.p, self.m
-        w_m = np.array(_weight_rows(p, zs, m, m + 1), dtype=float)
+        (w_m,) = _weight_series(p, powers, m, m + 1)
         bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
+        if powers.scalar:
+            z_abs = powers.values[0]
+            if z_abs == 0.0 or bracket < 0.0:
+                return math.nan, self._undefined_reason(z_abs, bracket)
+            z_m = powers.column(m)  # 0.0 where |z|^m underflows
+            alpha = abs(self.alpha_p) * math.sqrt(bracket) / z_m if z_m else math.inf
+            if not math.isfinite(alpha):
+                raise self._float_range_error()
+            return alpha, None
+        zs = powers.zs
         undefined = (zs == 0.0) | (bracket < 0.0)
         solved = ~undefined
         alpha = np.full(len(zs), np.nan)
-        z_m = np.array(_scaled_powers(zs[solved], (1.0,), (m,)))
-        alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / z_m
+        alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / powers.column(m)[solved]
         if not np.isfinite(alpha[solved]).all():
-            raise FloatRangeError(
-                f"alpha_{p - m} of the z-dependent-exact profile (p={p}, m={m}) "
-                "exceeds the float range"
-            )
+            raise self._float_range_error()
         if solved.all():
             return alpha, None
         first = int(np.argmax(undefined))
-        if zs[first] == 0.0:
-            reason = f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
-        else:
-            reason = (
-                f"no real alpha_{p - m} for p={p}, m={m}, |z|={zs[first]:.4g}: "
-                f"bracket {bracket[first]:.4g} < 0"
-            )
+        reason = self._undefined_reason(float(zs[first]), float(bracket[first]))
         if len(zs) > 1:
             reason += f" (undefined at {np.count_nonzero(undefined)} of {len(zs)} |z| values)"
         return alpha, reason
+
+    def _undefined_reason(self, z_abs: float, bracket: float) -> str:
+        p, m = self.p, self.m
+        if z_abs == 0.0:
+            return f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
+        return (
+            f"no real alpha_{p - m} for p={p}, m={m}, |z|={z_abs:.4g}: "
+            f"bracket {bracket:.4g} < 0"
+        )
+
+    def _float_range_error(self) -> FloatRangeError:
+        return FloatRangeError(
+            f"alpha_{self.p - self.m} of the z-dependent-exact profile "
+            f"(p={self.p}, m={self.m}) exceeds the float range"
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready dict; the field set depends on the kind."""
@@ -236,28 +253,18 @@ def _json_float(value: int | float, name: str) -> float:
         raise ValueError(f"{name}: integer beyond the float range") from None
 
 
-def _rows(z_abs) -> tuple[np.ndarray, bool]:
-    """|z| as a 1-D float array, and whether it was a scalar (then one row)."""
-    if isinstance(z_abs, np.ndarray) and z_abs.ndim:
-        if not z_abs.size:
-            raise ValueError("need at least one |z|, got an empty array")
-        return z_abs.astype(float, copy=False).reshape(-1), False
-    return np.array([float(z_abs)]), True
-
-
-def _scaled_powers(zs: np.ndarray, coeffs, exponents) -> list[float]:
-    """c * |z|**e for each |z| and each c, e in zip(coeffs, exponents), row-major.
+def _libm_powers(values: list[float], exponents) -> list[float]:
+    """z**e for each z in ``values`` and each e in ``exponents``, row-major.
 
     Python's float ``**`` is the C library's ``pow``.  numpy's vectorized
     power differs from it in the last bit for about 5% of arguments, and the
     grid CSV's digits are pinned to libm's.  A power past the float range is
     inf rather than OverflowError.
     """
-    terms = tuple(zip(coeffs, exponents))
     try:
-        return [c * z**e for z in zs.tolist() for c, e in terms]
+        return [z**e for z in values for e in exponents]
     except OverflowError:
-        return [c * _pow_or_inf(z, e) for z in zs.tolist() for c, e in terms]
+        return [_pow_or_inf(z, e) for z in values for e in exponents]
 
 
 def _pow_or_inf(x: float, e: int) -> float:
@@ -267,12 +274,68 @@ def _pow_or_inf(x: float, e: int) -> float:
         return math.inf
 
 
-def _row_sums(values: list[float], width: int, rows: int) -> list[float]:
-    """Python's ``sum`` of each run of ``width`` values.
+class PowerTable:
+    """|z| values and their powers |z|**e by the C library's ``pow``.
 
-    np.sum adds pairwise from 8 terms on, which rounds differently.
+    Every function that takes a 1-D |z| array also takes a table over one.
+    Over an array the table keeps one column per exponent, computed on first
+    use, so the functions handed the same table share its powers: ``grid``
+    builds one per |z| chunk for all its orders p.  Built from one |z| given
+    as a number, it has a single row and its powers are Python floats,
+    computed on each request, which is cheapest for one state.
     """
-    return [sum(values[i * width : (i + 1) * width]) for i in range(rows)]
+
+    __slots__ = ("zs", "values", "scalar", "_columns")
+
+    def __init__(self, z_abs):
+        if isinstance(z_abs, np.ndarray) and z_abs.ndim:
+            if not z_abs.size:
+                raise ValueError("need at least one |z|, got an empty array")
+            self.zs, self.scalar = z_abs.astype(float, copy=False).reshape(-1), False
+        else:
+            self.zs, self.scalar = np.array([float(z_abs)]), True
+        self.values = self.zs.tolist()
+        self._columns: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, z_abs) -> "PowerTable":
+        """``z_abs`` itself if it is a table, else a new table over it."""
+        return z_abs if isinstance(z_abs, cls) else cls(z_abs)
+
+    def columns(self, exponents) -> list:
+        """|z|**e for each e in ``exponents``: a float each over one |z|, else an array."""
+        if self.scalar:
+            return _libm_powers(self.values, exponents)
+        out = []
+        for e in exponents:
+            column = self._columns.get(e)
+            if column is None:
+                column = self._columns[e] = np.array(_libm_powers(self.values, (e,)))
+                column.setflags(write=False)  # shared by every caller of the table
+            out.append(column)
+        return out
+
+    def column(self, e: int):
+        """|z|**e: a float over one |z|, else an array."""
+        return self.columns((e,))[0]
+
+    def first(self, mask) -> float | None:
+        """The first |z| where ``mask`` holds (one bool over one |z|), or None."""
+        if self.scalar:
+            return self.values[0] if mask else None
+        return self.values[int(np.argmax(mask))] if mask.any() else None
+
+
+def _fold(terms, total=0.0):
+    """``total`` plus each term in turn, added left to right.
+
+    Python's ``sum`` adds with compensation from 3.12 on, and np.sum adds
+    pairwise from 8 terms on; the grid CSV's digits are pinned to this order
+    on every Python version.
+    """
+    for term in terms:
+        total = total + term
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,26 +359,30 @@ def _even_exponents(p: int) -> np.ndarray:
     return exponents
 
 
-def _weight_rows(p: int, zs: np.ndarray, first: int, stop: int) -> list[float]:
-    """Weight terms c_n |z|^(2n), n = first..stop-1, for each |z| in turn."""
-    return _scaled_powers(zs, _weight_coefficients(p)[first:stop], range(2 * first, 2 * stop, 2))
+def _weight_series(p: int, powers: PowerTable, first: int, stop: int) -> list:
+    """Weight terms c_n |z|^(2n), n = first..stop-1: a float or a |z| column each."""
+    coeffs = _weight_coefficients(p)[first:stop]
+    return [c * x for c, x in zip(coeffs, powers.columns(range(2 * first, 2 * stop, 2)))]
 
 
 def weight_terms(p: int, z_abs):
     """Terms w_n = c_n |z|^(2n), n = 0..p-1, of the weight series.
 
     c_n = (p!)^2 / ((n!)^2 (p-n)!); the full series, with its n = p term
-    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  A 1-D |z| array gives one row
-    of terms per |z|.
+    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  A 1-D |z| array (or a
+    :class:`PowerTable`) gives one row of terms per |z|.
     """
-    zs, scalar = _rows(z_abs)
-    terms = _weight_rows(p, zs, 0, p)
-    return terms if scalar else np.array(terms, dtype=float).reshape(len(zs), p)
+    powers = PowerTable.of(z_abs)
+    terms = _weight_series(p, powers, 0, p)
+    return terms if powers.scalar else np.column_stack(terms)
 
 
 def bosonic_weight_sum(p: int, z_abs: float) -> float:
-    """Sum of the weight series of :func:`weight_terms`, always >= p!."""
-    return sum(weight_terms(p, z_abs))
+    """Sum of the weight series of :func:`weight_terms`, always >= p!.
+
+    The terms are added left to right, n = 0 first.
+    """
+    return _fold(_weight_series(p, PowerTable.of(z_abs), 0, p))
 
 
 @dataclass(frozen=True)
@@ -368,12 +435,16 @@ class ClosedForm:
 def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
     """The :class:`ClosedForm` of ``profile`` at |z|, or over a 1-D |z| array.
 
-    Raises DegenerateProfileError where D is not positive: no normalizable
-    state exists there.
+    ``z_abs`` may be a :class:`PowerTable`, whose powers are then shared.
+    Over one |z| the series are added in Python floats, which is cheapest
+    for one state; over an array, one |z| column at a time, in the same
+    order.  Raises DegenerateProfileError where D is not positive: no
+    normalizable state exists there.
     """
     if p != profile.p:
         raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
-    zs, scalar = _rows(z_abs)
+    powers = PowerTable.of(z_abs)
+    zs = powers.zs
     try:
         alphas = profile.coefficients(z_abs)
     except NoRealSolutionError as exc:
@@ -387,24 +458,18 @@ def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
     z2n = np.power(zs[:, None], _even_exponents(p))
     # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
     a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
-    # the rest per |z| in Python floats, which is cheapest for one |z|
-    b_factor, d_factor = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2
-    weight_sum = _row_sums(_weight_rows(p, zs, 0, p), p, len(zs))
-    b_sq = [b_factor * w for w in weight_sum]
-    defect = [d_factor * x for x in _scaled_powers(zs, (1.0,), (2 * p,))]
-    denom = [a + b + d for a, b, d in zip(a_sq.tolist(), b_sq, defect)]
-    vanishing = [z for z, d in zip(zs.tolist(), denom) if d <= 0.0]
-    if vanishing:
+    if powers.scalar:  # the fields of one state are floats
+        zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
+    weight_sum = _fold(_weight_series(p, powers, 0, p))
+    b_sq = (alpha_p / p) ** 2 * weight_sum
+    defect = (alpha_0 - alpha_p / p) ** 2 * powers.column(2 * p)
+    denom = a_sq + b_sq + defect
+    vanishing = powers.first(denom <= 0.0)
+    if vanishing is not None:
         raise DegenerateProfileError(
-            f"normalization denominator vanishes at |z|={vanishing[0]:.4g} for this profile"
+            f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
         )
-    if scalar:
-        return ClosedForm(
-            p, float(zs[0]), alphas[0], float(a_sq[0]), b_sq[0], defect[0], denom[0], weight_sum[0]
-        )
-    return ClosedForm(
-        p, zs, alphas, a_sq, np.array(b_sq), np.array(defect), np.array(denom), np.array(weight_sum)
-    )
+    return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, weight_sum)
 
 
 def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
@@ -413,7 +478,12 @@ def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
 
 
 def beta_coefficients(
-    p: int, z: complex, profile: AlphaProfile, n_cut: int
+    p: int,
+    z: complex,
+    profile: AlphaProfile,
+    n_cut: int,
+    *,
+    closed_form: ClosedForm | None = None,
 ) -> np.ndarray:
     """Expansion coefficients beta_{k,n} of |Z> over |n-k>_b |k>_f.
 
@@ -424,11 +494,13 @@ def beta_coefficients(
     beta_{0,n} = -sqrt(n!)/(p (n-p)!) z^(n-p) beta_{p,p}
                  + z^n/sqrt(n!) beta_{0,0},
     the first term vanishing for n < p (reciprocal factorial convention).
+    ``closed_form``, when given, must be the :class:`ClosedForm` of
+    ``profile`` at |z|, such as a state's; the profile is not resolved again.
     """
     if n_cut < p:
         raise ValueError(f"n_cut={n_cut} must be at least p={p}")
     z = complex(z)
-    form = _resolve(p, abs(z), profile)
+    form = _resolve(p, abs(z), profile) if closed_form is None else closed_form
     alphas, q = form.alphas, form.q
 
     coh = coherent_vector(z, n_cut + 1)
@@ -510,7 +582,12 @@ class QubitBases:
 
 
 def qubit_bases(
-    p: int, z: complex, profile: AlphaProfile, n_max: int | None = None
+    p: int,
+    z: complex,
+    profile: AlphaProfile,
+    n_max: int | None = None,
+    *,
+    closed_form: ClosedForm | None = None,
 ) -> QubitBases:
     """Build the orthonormal two-dimensional bases occupied by the state.
 
@@ -519,12 +596,14 @@ def qubit_bases(
     identities), f0 the parafermion vacuum and f1 the normalized
     sum_{k>=1} alpha_k z^(p-k) |k>_f.  Needs some alpha_{k>=1} nonzero at
     this z, otherwise the state is a product with |0>_f and f1 is undefined.
+    ``closed_form``, when given, must be the :class:`ClosedForm` of
+    ``profile`` at |z|, such as a state's; the profile is not resolved again.
     """
     z = complex(z)
     if n_max is None:
         n_max = default_n_max(z, p)
     # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
-    form = _resolve(p, abs(z), profile)
+    form = _resolve(p, abs(z), profile) if closed_form is None else closed_form
 
     f1_raw = np.zeros(p + 1, dtype=complex)
     f1_raw[1:] = form.alphas[1:] * z ** (p - np.arange(1, p + 1))

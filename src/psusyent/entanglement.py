@@ -24,11 +24,11 @@ import numpy as np
 from .algebra import float_factorial
 from .coherent import (
     AlphaProfile,
+    PowerTable,
     PsusyCoherentState,
+    _fold,
     _resolve,
-    _row_sums,
-    _rows,
-    _weight_rows,
+    _weight_series,
 )
 from .errors import FloatRangeError, TruncationError
 
@@ -117,10 +117,16 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     Zero exactly when alpha_p = 0 (then B = 0 and the state is a product);
     raises DegenerateProfileError where the denominator vanishes, at
     alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
-    complex number or a 1-D array of |z|; over an array the result holds
-    arrays, nan on rows where a z-dependent-exact rule is undefined.
+    complex number, a 1-D array of |z| or a :class:`PowerTable` over one;
+    over an array the result holds arrays, nan on rows where a
+    z-dependent-exact rule is undefined.
     """
-    z_abs = np.abs(z) if isinstance(z, np.ndarray) and z.ndim else abs(complex(z))
+    if isinstance(z, PowerTable):
+        z_abs = z
+    elif isinstance(z, np.ndarray) and z.ndim:
+        z_abs = np.abs(z)
+    else:
+        z_abs = abs(complex(z))
     form = _resolve(p, z_abs, profile)
     if form.alphas.ndim == 1:
         return _result(form.concurrence, ROUTE_CLOSED_FORM)
@@ -226,17 +232,19 @@ def concurrence_optimal(p: int, z_abs):
     C = sqrt(1 - (p!/p^2 - 1)^2 / (p!/p^2 + 1 + 2 sum_{n=1..p-1} w_n / p^2)^2)
     with w_n the weight terms of :func:`weight_terms`; identically 1 for
     p = 1 and increasing in |z| toward 1 for p >= 2.  Elementwise over a
-    1-D |z| array.
+    1-D |z| array or a :class:`PowerTable` over one; the series is added
+    left to right, n = 1 first.
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
-    zs, scalar = _rows(z_abs)
-    scaled = (np.array(_weight_rows(p, zs, 1, p), dtype=float) / p**2).tolist()
-    series = np.array(_row_sums(scaled, p - 1, len(zs)), dtype=float)
+    powers = PowerTable.of(z_abs)
+    # from zero rows, so that p = 1, with no terms, still gives one row per |z|
+    zero = 0.0 if powers.scalar else np.zeros(len(powers.zs))
+    series = _fold((w / p**2 for w in _weight_series(p, powers, 1, p)), zero)
     fp = float_factorial(p)
     ratio = (fp / p**2 - 1.0) / (fp / p**2 + 1.0 + 2.0 * series)
     value = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
-    return float(value[0]) if scalar else value
+    return float(value) if powers.scalar else value
 
 
 def entanglement_of_formation(c):

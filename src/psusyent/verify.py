@@ -71,12 +71,12 @@ def consistency_residuals(state) -> tuple[float, float, float, float]:
     beta-tower assembly and from its qubit-basis reconstruction."""
     p, z, profile, n_max = state.p, state.z, state.profile, state.n_max
     # beta_{k,n} is the amplitude of |n-k>_b |k>_f
-    beta = beta_coefficients(p, z, profile, n_max - 1)
+    beta = beta_coefficients(p, z, profile, n_max - 1, closed_form=state.closed_form)
     from_beta = np.zeros((n_max, p + 1), dtype=complex)
     for k in range(p + 1):
         from_beta[: n_max - k, k] = beta[k, k:]
 
-    bases = qubit_bases(p, z, profile, n_max)
+    bases = qubit_bases(p, z, profile, n_max, closed_form=state.closed_form)
     a00, a01, a10, a11 = state.qubit_amps
     recon = (
         a00 * np.kron(bases.b0, bases.f0)

@@ -15,6 +15,7 @@ from psusyent import (
     AlphaProfile,
     NoRealSolutionError,
     cli,
+    coherent,
     concurrence_closed_form,
     concurrence_optimal,
     entanglement_of_formation,
@@ -368,6 +369,9 @@ def test_grid_rows_match_scalar_functions_and_exact_oracle(tmp_path, capsys, kin
         ("z-dependent-exact", ("2", "4"), ("0.1", "2.9", "0.05")),
         # a full 4096-row chunk at p >= 8, where the A^2 sum is pairwise
         ("z-dependent-exact", ("8", "9"), ("0", "5", "0.001")),
+        # ten orders over the same rows: one power table per chunk, or per (p, chunk)
+        ("optimal-constant", ("1", "10"), ("0.1", "2.9", "0.05")),
+        ("z-dependent-exact", ("1", "10"), ("0.1", "2.9", "0.05")),
     ],
 )
 def test_grid_chunk_size_does_not_change_bytes(tmp_path, monkeypatch, capsys, kind, p_range,
@@ -379,6 +383,26 @@ def test_grid_chunk_size_does_not_change_bytes(tmp_path, monkeypatch, capsys, ki
     monkeypatch.setattr(cli, "GRID_CHUNK_ROWS", 7)
     assert main([*argv, str(tmp_path / "chunked.csv")]) == 0
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind_argv", [[], ["--profile-kind", "z-dependent-exact", "--m", "2"]])
+def test_grid_computes_each_power_once_per_chunk(tmp_path, monkeypatch, capsys, kind_argv):
+    # 301 |z| rows and ten orders: every p block of the chunk shares one
+    # table, so no more libm powers than 12 per row (each p recomputing its
+    # own took 13,545 and 22,831)
+    count = [0]
+    libm_powers = coherent._libm_powers
+
+    def counting(values, exponents):
+        count[0] += len(values) * len(exponents)
+        return libm_powers(values, exponents)
+
+    monkeypatch.setattr(coherent, "_libm_powers", counting)
+    argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
+            *kind_argv, "--out", str(tmp_path / "grid.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("wrote 3010 rows")
+    assert 0 < count[0] <= 301 * 12
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")

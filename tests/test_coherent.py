@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from psusyent import (
     weight_terms,
 )
 from psusyent.cli import main
+from psusyent.coherent import _resolve, bosonic_weight_sum
 from psusyent.verify import consistency_residuals, random_states
 
 from conftest import random_explicit_profile, random_z
@@ -169,6 +172,25 @@ def test_weight_terms_match_exact_arithmetic(z_abs):
         assert rows.shape == (2, p) and np.array_equal(rows[0], terms)
 
 
+@pytest.mark.parametrize("p", [1, 2, 5, 8, 9, 12])
+def test_weight_sum_is_a_left_to_right_fold(p):
+    # Python's sum adds with compensation from 3.12 on, and np.sum pairwise
+    # from 8 terms on; one |z| and a |z| array both add n = 0, 1, ... in turn
+    zs = np.array([0.3, 0.77, 1.0, 2.5, 3.3, 6.0])
+    profile = AlphaProfile.optimal_constant(p)
+    rows = _resolve(p, zs, profile).weight_sum
+    exact_differs = False
+    for z_abs, row in zip(zs.tolist(), rows.tolist()):
+        terms = weight_terms(p, z_abs)
+        fold = functools.reduce(operator.add, terms)
+        assert bosonic_weight_sum(p, z_abs) == fold
+        assert _resolve(p, z_abs, profile).weight_sum == fold
+        assert row == fold
+        exact_differs |= math.fsum(terms) != fold
+    # from p = 5 on the cases include sums that exact summation rounds otherwise
+    assert exact_differs or p < 5
+
+
 # ---------------------------------------------------------------- normalization
 
 
@@ -184,6 +206,9 @@ def test_normalization_q_degenerate_at_zero():
     # alpha_p = 0 leaves no weight at z = 0: nothing to normalize
     with pytest.raises(DegenerateProfileError):
         normalization_q(2, 0.0, AlphaProfile.explicit([1.0, 0.5, 0.0]))
+    # over a |z| array the first vanishing row is named
+    with pytest.raises(DegenerateProfileError, match=r"at \|z\|=0 "):
+        _resolve(2, np.array([1.0, 0.0, 2.0]), AlphaProfile.explicit([1.0, 0.5, 0.0]))
 
 
 def test_states_built_with_q_have_unit_norm(rng):
@@ -329,6 +354,14 @@ def test_state_command_resolves_profile_once(coefficient_calls, tmp_path, capsys
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["p"] == 3
     assert coefficient_calls == [abs(1.5 - 0.5j)]
+
+
+def test_verify_reads_each_state_closed_form(coefficient_calls, capsys):
+    # the beta towers and qubit bases of state-consistency take the state's
+    # closed form: 60 resolves, where resolving them again made 90
+    assert main(["verify", "--p-max", "4"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(coefficient_calls) <= 60
 
 
 # ---------------------------------------------------------------- qubit bases

@@ -295,6 +295,13 @@ def test_closed_form_overflow_raises_instead_of_nan():
         concurrence_closed_form(150, 5.0, AlphaProfile.optimal_constant(150))
 
 
+@pytest.mark.parametrize("z", [1e-170, np.array([1e-170, 1.0])])
+def test_z_exact_alpha_past_the_float_range_raises(z):
+    # |z|^2 underflows to 0, so alpha_{p-m} = ... / |z|^m is past the float range
+    with np.errstate(all="ignore"), pytest.raises(FloatRangeError):
+        concurrence_closed_form(4, z, AlphaProfile.z_dependent_exact(4, 2))
+
+
 # ---------------------------------------------------------------- |z| arrays
 
 
