@@ -265,15 +265,30 @@ def derivative_coherent_vector(z: complex, p: int, n_max: int) -> np.ndarray:
     equivalently the n = m+p amplitude is the coherent amplitude at m times
     sqrt((m+1)(m+2)...(m+p)).
     """
+    _check_derivative_order(p, n_max)
+    return _derivative_tower(coherent_vector(z, n_max - p), p, n_max)
+
+
+def _check_derivative_order(p: int, n_max: int) -> None:
     if p < 0:
         raise ValueError(f"derivative order must be >= 0, got {p}")
     if n_max <= p:
         raise ValueError(f"n_max={n_max} must exceed derivative order p={p}")
-    base = coherent_vector(z, n_max - p)
+
+
+def _derivative_tower(coh: np.ndarray, p: int, n_max: int) -> np.ndarray:
+    """|z^(p)> on n_max levels from a coherent vector |z> of n_max - p or more.
+
+    Only the first n_max - p amplitudes of ``coh`` are read.  A prefix of a
+    coherent vector is bit-identical to a shorter one (its product runs in
+    order), so the result is the one :func:`derivative_coherent_vector`
+    gives.
+    """
+    _check_derivative_order(p, n_max)
     m = np.arange(n_max - p, dtype=float)
     rising = np.ones_like(m)
     for j in range(1, p + 1):
         rising *= m + j
     out = np.zeros(n_max, dtype=complex)
-    out[p:] = base * np.sqrt(rising)
+    out[p:] = coh[: n_max - p] * np.sqrt(rising)
     return out

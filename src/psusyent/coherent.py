@@ -22,9 +22,9 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TAIL_TOL,
+    _derivative_tower,
     coherent_vector,
     default_n_max,
-    derivative_coherent_vector,
     float_factorial,
 )
 from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
@@ -102,12 +102,12 @@ class AlphaProfile:
                 raise ValueError(
                     f"explicit profile needs p+1={self.p + 1} coefficients, got {len(self.alphas)}"
                 )
-            arr = np.asarray(self.alphas, dtype=float)
-            if not np.all(np.isfinite(arr)):
+            alphas = _float_tuple(self.alphas)
+            if not all(map(math.isfinite, alphas)):
                 raise ValueError("profile coefficients must be finite")
-            if np.all(arr == 0.0):
+            if not any(alphas):
                 raise DegenerateProfileError("all alpha_k are zero")
-            object.__setattr__(self, "alphas", tuple(float(x) for x in arr))
+            object.__setattr__(self, "alphas", alphas)
         else:
             if self.alphas is not None:
                 raise ValueError(f"{self.kind} profiles take 'alpha_p', not 'alphas'")
@@ -243,6 +243,16 @@ class AlphaProfile:
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"'m' must be an integer, got {m!r}")
         return cls(p=p, kind=kind, alpha_p=_json_float(alpha_p, "'alpha_p'"), m=m)
+
+
+def _float_tuple(values) -> tuple[float, ...]:
+    """``values`` as Python floats, read as numpy's float conversion reads them."""
+    if isinstance(values, tuple):
+        try:
+            return tuple(map(float, values))
+        except TypeError:
+            pass  # numpy reads None as nan and rejects a nested sequence
+    return tuple(np.asarray(values, dtype=float).tolist())
 
 
 def _json_float(value: int | float, name: str) -> float:
@@ -477,13 +487,33 @@ def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
     return _resolve(p, z_abs, profile).q
 
 
+def _form_and_towers(
+    p: int, z: complex, profile: AlphaProfile, n_max: int, state: "PsusyCoherentState | None"
+) -> tuple[ClosedForm, np.ndarray, np.ndarray]:
+    """The closed form of ``profile`` at |z|, |z> and |z^(p)> on n_max levels.
+
+    A given ``state`` lends its own after a check that it is the state of
+    (p, z, profile) on n_max levels; otherwise they are made here.
+    """
+    if state is None:
+        form = _resolve(p, abs(z), profile)
+        coh = coherent_vector(z, n_max)
+        return form, coh, _derivative_tower(coh, p, n_max)
+    if (state.p, state.z, state.n_max) != (p, z, n_max) or state.profile != profile:
+        raise ValueError(
+            f"state (p={state.p}, z={state.z}, n_max={state.n_max}) is not the state of "
+            f"this call (p={p}, z={z}, n_max={n_max}) and its profile"
+        )
+    return state.closed_form, state.coherent, state.derivative
+
+
 def beta_coefficients(
     p: int,
     z: complex,
     profile: AlphaProfile,
     n_cut: int,
     *,
-    closed_form: ClosedForm | None = None,
+    state: "PsusyCoherentState | None" = None,
 ) -> np.ndarray:
     """Expansion coefficients beta_{k,n} of |Z> over |n-k>_b |k>_f.
 
@@ -494,20 +524,19 @@ def beta_coefficients(
     beta_{0,n} = -sqrt(n!)/(p (n-p)!) z^(n-p) beta_{p,p}
                  + z^n/sqrt(n!) beta_{0,0},
     the first term vanishing for n < p (reciprocal factorial convention).
-    ``closed_form``, when given, must be the :class:`ClosedForm` of
-    ``profile`` at |z|, such as a state's; the profile is not resolved again.
+    ``state``, when given, must be the state of (p, z, profile) on n_cut + 1
+    boson levels; its closed form and vectors are read, not made again.
     """
     if n_cut < p:
         raise ValueError(f"n_cut={n_cut} must be at least p={p}")
     z = complex(z)
-    form = _resolve(p, abs(z), profile) if closed_form is None else closed_form
+    form, coh, dcoh = _form_and_towers(p, z, profile, n_cut + 1, state)
     alphas, q = form.alphas, form.q
 
-    coh = coherent_vector(z, n_cut + 1)
     beta = np.zeros((p + 1, n_cut + 1), dtype=complex)
     beta_pp = alphas[p] * q
     beta[0] = alphas[0] * q * np.conj(z) ** p * coh
-    beta[0] -= (beta_pp / p) * derivative_coherent_vector(z, p, n_cut + 1)
+    beta[0] -= (beta_pp / p) * dcoh
     for k in range(1, p + 1):
         beta[k, k:] = alphas[k] * q * z ** (p - k) * coh[: n_cut + 1 - k]
     return beta
@@ -515,7 +544,12 @@ def beta_coefficients(
 
 @dataclass(frozen=True)
 class PsusyCoherentState:
-    """A normalized coherent eigenstate and the closed form it was built from."""
+    """A normalized coherent eigenstate and what it was built from.
+
+    ``closed_form`` is the profile resolved at |z|; ``coherent`` (|z>) and
+    ``derivative`` (|z^(p)>) are the read-only boson vectors of length n_max
+    that ``full_vector`` is assembled from.
+    """
 
     p: int
     z: complex
@@ -523,6 +557,8 @@ class PsusyCoherentState:
     closed_form: ClosedForm
     n_max: int
     full_vector: np.ndarray
+    coherent: np.ndarray
+    derivative: np.ndarray
 
     @property
     def q_norm(self) -> float:
@@ -553,14 +589,17 @@ def build_state(
     alphas, q = form.alphas, form.q
 
     coh = coherent_vector(z, n_max, tail_tol=tail_tol)
-    dcoh = derivative_coherent_vector(z, p, n_max)
-    columns = np.zeros((n_max, p + 1), dtype=complex)
+    dcoh = _derivative_tower(coh, p, n_max)
+    columns = np.empty((n_max, p + 1), dtype=complex)
     columns[:, 0] = alphas[0] * np.conj(z) ** p * coh - (alphas[p] / p) * dcoh
-    for k in range(1, p + 1):
-        columns[:, k] = alphas[k] * z ** (p - k) * coh
+    # column k is alpha_k z^(p-k) |z>; the scalar stays the first factor of
+    # each product, as numpy's complex multiply is not bitwise commutative
+    coefs = np.array([alphas[k] * z ** (p - k) for k in range(1, p + 1)])
+    columns[:, 1:] = np.multiply.outer(coefs, coh).T
     full = q * columns.reshape(-1)
-    full.setflags(write=False)
-    return PsusyCoherentState(int(p), z, profile, form, int(n_max), full)
+    for vector in (full, coh, dcoh):
+        vector.setflags(write=False)
+    return PsusyCoherentState(int(p), z, profile, form, int(n_max), full, coh, dcoh)
 
 
 def qubit_amplitudes(
@@ -587,7 +626,7 @@ def qubit_bases(
     profile: AlphaProfile,
     n_max: int | None = None,
     *,
-    closed_form: ClosedForm | None = None,
+    state: PsusyCoherentState | None = None,
 ) -> QubitBases:
     """Build the orthonormal two-dimensional bases occupied by the state.
 
@@ -596,15 +635,15 @@ def qubit_bases(
     identities), f0 the parafermion vacuum and f1 the normalized
     sum_{k>=1} alpha_k z^(p-k) |k>_f.  Needs some alpha_{k>=1} nonzero at
     this z, otherwise the state is a product with |0>_f and f1 is undefined.
-    ``closed_form``, when given, must be the :class:`ClosedForm` of
-    ``profile`` at |z|, such as a state's; the profile is not resolved again.
+    ``state``, when given, must be the state of (p, z, profile) on n_max
+    boson levels; its closed form and vectors are read, not made again.
     """
     z = complex(z)
     if n_max is None:
         n_max = default_n_max(z, p)
-    # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
-    form = _resolve(p, abs(z), profile) if closed_form is None else closed_form
+    form, coh, dcoh = _form_and_towers(p, z, profile, n_max, state)
 
+    # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
     f1_raw = np.zeros(p + 1, dtype=complex)
     f1_raw[1:] = form.alphas[1:] * z ** (p - np.arange(1, p + 1))
     if form.a_sq <= 0.0:
@@ -614,8 +653,6 @@ def qubit_bases(
         )
 
     gauss = math.exp(-0.5 * abs(z) ** 2)
-    coh = coherent_vector(z, n_max)
-    dcoh = derivative_coherent_vector(z, p, n_max)
     b1 = gauss * coh
     b0 = gauss * (np.conj(z) ** p * coh - dcoh) / math.sqrt(form.weight_sum)
     f0 = np.zeros(p + 1, dtype=complex)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,13 @@ from psusyent import (
     build_state,
     coherent_vector,
     concurrence_routes,
+    derivative_coherent_vector,
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
     weight_terms,
 )
+from psusyent import algebra, cli, coherent, entanglement, model, verify
 from psusyent.cli import main
 from psusyent.coherent import _resolve, bosonic_weight_sum
 from psusyent.verify import consistency_residuals, random_states
@@ -41,6 +44,11 @@ def test_explicit_profile_validation():
         AlphaProfile.explicit([1.0, float("nan")])
     with pytest.raises(DegenerateProfileError):
         AlphaProfile.explicit([0.0, 0.0, 0.0])
+    # as numpy's float conversion reads them: None is nan, complex is a TypeError
+    with pytest.raises(ValueError, match="finite"):
+        AlphaProfile.explicit([None, 1.0])
+    with pytest.raises(TypeError):
+        AlphaProfile.explicit([1j, 1.0])
     with pytest.raises(ValueError):
         AlphaProfile(p=1, kind="no-such-kind", alphas=(1.0, 1.0))
 
@@ -307,6 +315,77 @@ def test_phase_covariance(rng):
         assert abs(rotated[2] - base[2] * np.exp(-1j * p * theta)) < 1e-12
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_state_towers_are_bit_exact(rng, p):
+    # |z> and |z^(p)> are made once per state, |z^(p)> from a prefix of |z>,
+    # and the columns k >= 1 in one outer product: each must equal the
+    # vectors built on their own and the column-by-column assembly, bit for
+    # bit.  Swapping the operands of the complex products changes last bits.
+    for z in (0.0, 0.45, 1.2 - 0.7j, -2.3j, 3.1 + 1.4j):
+        profile = random_explicit_profile(rng, p)
+        state = build_state(p, z, profile)
+        n_max, z = state.n_max, complex(z)
+        coh = coherent_vector(z, n_max)
+        dcoh = derivative_coherent_vector(z, p, n_max)
+        assert np.array_equal(state.coherent, coh)
+        assert np.array_equal(state.derivative, dcoh)
+        for vector in (state.coherent, state.derivative, state.full_vector):
+            assert not vector.flags.writeable
+        alphas, q = state.closed_form.alphas, state.closed_form.q
+        columns = np.zeros((n_max, p + 1), dtype=complex)
+        columns[:, 0] = alphas[0] * np.conj(z) ** p * coh - (alphas[p] / p) * dcoh
+        for k in range(1, p + 1):
+            columns[:, k] = alphas[k] * z ** (p - k) * coh
+        assert np.array_equal(state.full_vector, q * columns.reshape(-1))
+
+
+def test_state_keyword_must_match_the_call():
+    profile = AlphaProfile.optimal_constant(3)
+    state = build_state(3, 1.2 - 0.4j, profile)
+    z, n_max = state.z, state.n_max
+    # the matching call reads the state's vectors: the same values as building them
+    beta = beta_coefficients(3, z, profile, n_max - 1, state=state)
+    assert np.array_equal(beta, beta_coefficients(3, z, profile, n_max - 1))
+    bases = qubit_bases(3, z, profile, n_max, state=state)
+    built = qubit_bases(3, z, profile, n_max)
+    for name in ("b0", "b1", "f0", "f1"):
+        assert np.array_equal(getattr(bases, name), getattr(built, name))
+    mismatches = [
+        (2, z, AlphaProfile.optimal_constant(2), n_max),
+        (3, z.conjugate(), profile, n_max),
+        (3, z, profile, n_max + 1),
+        (3, z, AlphaProfile.optimal_constant(3, alpha_p=2.0), n_max),
+    ]
+    for p, z_call, profile_call, n_call in mismatches:
+        with pytest.raises(ValueError, match="is not the state"):
+            beta_coefficients(p, z_call, profile_call, n_call - 1, state=state)
+        with pytest.raises(ValueError, match="is not the state"):
+            qubit_bases(p, z_call, profile_call, n_call, state=state)
+
+
+def _reference_states(rng, count, p_max, z_max):
+    """(p, z, alphas) as random_states drew them with rng.choice for the sign."""
+    for _ in range(count):
+        p = int(rng.integers(1, p_max + 1))
+        z = rng.uniform(0, z_max) * np.exp(2j * np.pi * rng.uniform())
+        alphas = rng.uniform(-2.0, 2.0, size=p + 1)
+        alphas[p] = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
+        yield p, z, alphas
+
+
+@pytest.mark.parametrize("seed", [20260810, 5])
+def test_random_states_keep_the_sampler_stream(seed):
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = zip(random_states(ours, 200, 8, 3.0), _reference_states(reference, 200, 8, 3.0))
+    count = 0
+    for state, (p, z, alphas) in draws:
+        assert (state.p, state.z) == (p, complex(z))
+        assert state.profile.alphas == tuple(alphas.tolist())
+        count += 1
+    assert count == 200
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def test_build_state_truncation_enforced():
     with pytest.raises(TruncationError):
         build_state(1, 3.0, AlphaProfile.explicit([1.0, 1.0]), n_max=12)
@@ -362,6 +441,32 @@ def test_verify_reads_each_state_closed_form(coefficient_calls, capsys):
     assert main(["verify", "--p-max", "4"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(coefficient_calls) <= 60
+
+
+def test_verify_builds_each_state_vectors_once(monkeypatch, capsys):
+    # the 60 random states make |z> and |z^(p)> once and the checks read them;
+    # each of the 20 coherent-identity samples makes |z> once and |z^(p)>
+    # from it.  Making them for every check built 220 and 110, and the
+    # qubit-basis reconstruction called np.kron 60 times.
+    counts = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("coherent_vector", "_derivative_tower"):
+        wrapper = counting(name, getattr(algebra, name))
+        for module in (algebra, coherent, entanglement, model, verify, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(np, "kron", counting("kron", np.kron))
+    assert main(["verify", "--p-max", "4"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert 0 < counts["coherent_vector"] <= 80
+    assert 0 < counts["_derivative_tower"] <= 80
+    assert counts["kron"] == 0
 
 
 # ---------------------------------------------------------------- qubit bases
