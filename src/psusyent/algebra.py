@@ -15,13 +15,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import FloatRangeError, TruncationError
 
 __all__ = [
     "ParafermiOps",
@@ -182,16 +183,29 @@ def default_n_max(z: complex, p: int) -> int:
     holds every inner-product identity used downstream to 1e-10 or better.
     """
     zabs = abs(z)
-    return max(32, math.ceil(zabs * zabs + 10.0 * zabs + p + 20))
+    try:
+        return max(32, math.ceil(zabs * zabs + 10.0 * zabs + p + 20))
+    except OverflowError:
+        raise _truncation_range_error(zabs) from None
+
+
+def _truncation_range_error(z_abs: float) -> FloatRangeError:
+    return FloatRangeError(f"the boson truncation at |z|={z_abs:.4g} exceeds the float range")
 
 
 def coherent_tail(z_abs: float, n_max: int) -> float:
-    """Dropped weight sum_{n >= n_max} |z|^{2n} / n! of a coherent vector."""
+    """Dropped weight sum_{n >= n_max} |z|^{2n} / n! of a coherent vector.
+
+    Raises FloatRangeError when n_max or log(n_max!) is past the float range.
+    """
     lam = z_abs * z_abs
     if lam == 0.0:
         return 0.0
     # log of the leading term; the ratio test bounds the remainder.
-    log_term = n_max * math.log(lam) - math.lgamma(n_max + 1)
+    try:
+        log_term = n_max * math.log(lam) - math.lgamma(n_max + 1)
+    except OverflowError:
+        raise _truncation_range_error(z_abs) from None
     if log_term < -700.0:
         return 0.0
     if log_term > _LOG_FLOAT_MAX:
@@ -211,7 +225,9 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
     """Smallest truncation whose dropped tail is below ``tail_tol``.
 
     The tail falls monotonically in n_max, so the crossing is bracketed by
-    doubling and then bisected: O(log n_max) tail evaluations.
+    doubling and then bisected: O(log n_max) tail evaluations.  Raises
+    FloatRangeError when the crossing lies past the float range, as it does
+    from |z| ~ 1e152 on.
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
@@ -254,7 +270,9 @@ def coherent_vector(z: complex, n_max: int, tail_tol: float | None = None) -> np
     amps = np.empty(n_max, dtype=complex)
     amps[0] = 1.0
     if n_max > 1:
-        amps[1:] = np.cumprod(z / np.sqrt(np.arange(1, n_max, dtype=float)))
+        # amplitude n is amplitude n-1 times z/sqrt(n), accumulated in place
+        rest = np.divide(z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[1:])
+        np.multiply.accumulate(rest, out=rest)
     return amps
 
 
@@ -285,10 +303,43 @@ def _derivative_tower(coh: np.ndarray, p: int, n_max: int) -> np.ndarray:
     gives.
     """
     _check_derivative_order(p, n_max)
-    m = np.arange(n_max - p, dtype=float)
+    out = np.zeros(n_max, dtype=complex)
+    out[p:] = coh[: n_max - p] * _ladder_table(_rising_sqrt, n_max - p, p)
+    return out
+
+
+# Ladder tables: weights that depend only on the level index and the order
+# p, never on z.  Each builder computes entry m on its own, so a prefix of
+# a longer table is bit-identical to a shorter one.
+
+_MIN_TABLE_CAPACITY = 64
+
+
+def _sqrt_levels(n: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(n): the lowering weights of a and of |z>'s recursion."""
+    return np.sqrt(np.arange(1, n + 1, dtype=float))
+
+
+def _rising_sqrt(n: int, p: int) -> np.ndarray:
+    """sqrt((m+1)(m+2)...(m+p)) for m = 0..n-1, the factors of |z^(p)>."""
+    m = np.arange(n, dtype=float)
     rising = np.ones_like(m)
     for j in range(1, p + 1):
         rising *= m + j
-    out = np.zeros(n_max, dtype=complex)
-    out[p:] = coh[: n_max - p] * np.sqrt(rising)
-    return out
+    return np.sqrt(rising)
+
+
+def _ladder_table(build, n: int, *params) -> np.ndarray:
+    """Entries 0..n-1 of ``build(n, *params)``, read-only, from a per-process table.
+
+    The table is built once per (build, params, capacity), with capacity n
+    rounded up to a power of two and at least 64, so it holds at most twice
+    the longest prefix asked for.
+    """
+    capacity = max(_MIN_TABLE_CAPACITY, 1 << (n - 1).bit_length())
+    return _ladder_table_at(build, capacity, *params)[:n]
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_table_at(build, capacity: int, *params) -> np.ndarray:
+    return _readonly(build(capacity, *params))

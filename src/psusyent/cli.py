@@ -32,8 +32,7 @@ from .entanglement import (
     entanglement_of_formation,
 )
 from .errors import FloatRangeError, TruncationError
-from .model import build_annihilator, verify_eigenstate
-from .verify import run_all
+from .verify import eigenstate_residual, run_all
 
 __all__ = ["main"]
 
@@ -83,8 +82,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
     try:
         profile = AlphaProfile.from_dict(profile_obj)
         state = build_state(args.p, z, profile)
-        a_op = build_annihilator(args.p, state.n_max)
-        residual = verify_eigenstate(a_op, state.full_vector, z)
+        residual = eigenstate_residual(state)
         routes = concurrence_routes(state)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

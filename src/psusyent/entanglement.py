@@ -155,9 +155,11 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+    trace = complex(rho.trace())
+    if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
         raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+    # eigvalsh sorts ascending: the first eigenvalue is the smallest
+    if np.linalg.eigvalsh(rho)[0] < -1e-10:
         raise ValueError("density matrix is not positive semidefinite within 1e-10")
     return rho
 
@@ -168,20 +170,22 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y); the lambdas are the
     decreasingly sorted square roots of the eigenvalues of rho rho~ and
     C = max(0, l1 - l2 - l3 - l4).  Eigenvalues within 1e-12 of zero
-    relative to the spectral scale are clamped before the square root.
+    relative to the spectral scale are clamped before the square root.  The
+    four eigenvalues are finished in Python floats, cheaper than numpy
+    calls on four elements.
     """
     rho = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    evals = np.real(np.linalg.eigvals(rho @ rho_tilde))
-    dust = _EIGENVALUE_DUST * max(float(np.max(np.abs(evals))), 1e-300)
-    evals[np.abs(evals) < dust] = 0.0
-    if np.min(evals) < 0.0:
+    evals = np.linalg.eigvals(rho @ rho_tilde).real.tolist()
+    dust = _EIGENVALUE_DUST * max(max(map(abs, evals)), 1e-300)
+    evals = [0.0 if abs(e) < dust else e for e in evals]
+    if min(evals) < 0.0:
         raise ValueError(
-            f"rho*rho~ has a negative eigenvalue {np.min(evals):.3e} beyond dust tolerance"
+            f"rho*rho~ has a negative eigenvalue {min(evals):.3e} beyond dust tolerance"
         )
-    lams = np.sort(np.sqrt(evals))[::-1]
-    value = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
-    return _result(value, ROUTE_WOOTTERS, lambdas=tuple(float(x) for x in lams))
+    lams = sorted(map(math.sqrt, evals), reverse=True)
+    value = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    return _result(value, ROUTE_WOOTTERS, lambdas=tuple(lams))
 
 
 def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
@@ -198,17 +202,17 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
     """
     psi = state.full_vector.reshape(state.n_max, state.p + 1)
     mu = np.linalg.svd(psi, compute_uv=False) ** 2
-    trace = float(np.sum(mu))  # = Tr rho_f = ||psi||^2
+    trace = float(mu.sum())  # = Tr rho_f = ||psi||^2
     if abs(trace - 1.0) > 1e-8:
         raise TruncationError(
             f"reduced density trace {trace:.10g} differs from 1 beyond 1e-8; "
             "increase n_max"
         )
-    mu = mu / trace
+    mu = (mu / trace).tolist()
     pairwise = 0.0
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            pairwise += mu[i] * mu[j]
+    for i, mu_i in enumerate(mu):
+        for mu_j in mu[i + 1 :]:
+            pairwise += mu_i * mu_j
     return _clip_unit(2.0 * math.sqrt(pairwise), "concurrence")
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _ladder_table, _sqrt_levels
+
 __all__ = [
     "PsusyHamiltonian",
     "AnnihilatorA",
@@ -56,14 +58,18 @@ class AnnihilatorA:
         x = np.asarray(psi).reshape(n_max, p + 1)
         out = np.zeros(x.shape, dtype=np.result_type(x, float))
         # a ⊗ I: level n + 1 -> n with weight sqrt(n + 1), in every column.
-        out[:-1] = np.sqrt(np.arange(1.0, n_max))[:, None] * x[1:]
+        out[:-1] = _ladder_table(_sqrt_levels, n_max - 1)[:, None] * x[1:]
         # (a†)^(p-1) ⊗ |0><p|: level n -> n + p - 1 with weight
         # sqrt((n + p - 1)!/n!); the p! of (b†)^p cancels the 1/p!.
         kept = n_max - p + 1
-        n = np.arange(kept, dtype=float)
-        raise_w = np.prod(np.sqrt(n[:, None] + np.arange(1, p)), axis=1)
-        out[p - 1 :, 0] += raise_w * x[:kept, p]
+        out[p - 1 :, 0] += _ladder_table(_raise_weights, kept, p) * x[:kept, p]
         return out.reshape(-1)
+
+
+def _raise_weights(n: int, p: int) -> np.ndarray:
+    """prod_{j=1..p-1} sqrt(m + j) for m = 0..n-1, the raising weights of A."""
+    levels = np.arange(n, dtype=float)
+    return np.prod(np.sqrt(levels[:, None] + np.arange(1, p)), axis=1)
 
 
 def _check_dimensions(p: int, n_max: int) -> None:

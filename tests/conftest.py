@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psusyent import AlphaProfile, build_boson, build_parafermi
+from psusyent import AlphaProfile, algebra, build_boson, build_parafermi
 from psusyent.algebra import float_factorial
 
 
@@ -35,3 +35,11 @@ def annihilator_matrix(a_op):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def fresh_ladder_tables():
+    """Empty the per-process ladder-table cache before and after the test."""
+    algebra._ladder_table_at.cache_clear()
+    yield
+    algebra._ladder_table_at.cache_clear()

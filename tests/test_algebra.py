@@ -5,7 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from psusyent import (
+    FloatRangeError,
     TruncationError,
+    algebra,
+    build_state,
+    model,
     build_boson,
     build_parafermi,
     check_algebra,
@@ -15,6 +19,7 @@ from psusyent import (
     derivative_coherent_vector,
     required_n_max,
 )
+from psusyent.coherent import AlphaProfile
 
 
 def test_parafermi_p1_matrices():
@@ -208,3 +213,106 @@ def test_default_n_max_rule():
 def test_derivative_rejects_too_small_n_max():
     with pytest.raises(ValueError):
         derivative_coherent_vector(1.0, 3, 3)
+
+
+@pytest.mark.parametrize("z_abs", [1e200, math.inf])
+def test_truncation_past_the_float_range_raises(z_abs):
+    # |z|^2 is inf: default_n_max had math.ceil(inf) and required_n_max
+    # doubled its bracket until lgamma overflowed, both as OverflowError
+    with pytest.raises(FloatRangeError, match="float range"):
+        default_n_max(z_abs, 2)
+    with pytest.raises(FloatRangeError, match="float range"):
+        required_n_max(z_abs, 1e-14)
+
+
+@pytest.mark.parametrize("z", [1e200, -1.3e154j, 1e154])
+def test_build_state_past_the_float_range_raises(z):
+    profile = AlphaProfile.optimal_constant(2)
+    # at 1e200 the closed form overflows first; the CLI runs under the same errstate
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatRangeError, match="float range"):
+            build_state(2, z, profile)
+        with pytest.raises(FloatRangeError, match="float range"):
+            build_state(2, z, profile, n_max=64)
+
+
+# ---------------------------------------------------------------- ladder tables
+
+# lengths on both sides of the 64 and 128 capacity boundaries
+_TABLE_LENGTHS = (1, 63, 64, 65, 129, 700)
+
+
+def _tables_written_out(n, p):
+    """The sqrt levels, rising sqrt and raise weights of length n, as the
+    package computed them for every call before they were tabled."""
+    m = np.arange(n, dtype=float)
+    rising = np.ones_like(m)
+    for j in range(1, p + 1):
+        rising *= m + j
+    raise_w = np.prod(np.sqrt(m[:, None] + np.arange(1, p)), axis=1)
+    return {
+        (algebra._sqrt_levels, ()): np.sqrt(np.arange(1, n + 1, dtype=float)),
+        (algebra._rising_sqrt, (p,)): np.sqrt(rising),
+        (model._raise_weights, (p,)): raise_w,
+    }
+
+
+def _coherent_vector_written_out(z, n_max):
+    amps = np.empty(n_max, dtype=complex)
+    amps[0] = 1.0
+    if n_max > 1:
+        amps[1:] = np.cumprod(z / np.sqrt(np.arange(1, n_max, dtype=float)))
+    return amps
+
+
+def _derivative_tower_written_out(coh, p, n_max):
+    m = np.arange(n_max - p, dtype=float)
+    rising = np.ones_like(m)
+    for j in range(1, p + 1):
+        rising *= m + j
+    out = np.zeros(n_max, dtype=complex)
+    out[p:] = coh[: n_max - p] * np.sqrt(rising)
+    return out
+
+
+def _apply_written_out(p, n_max, psi):
+    x = psi.reshape(n_max, p + 1)
+    out = np.zeros(x.shape, dtype=np.result_type(x, float))
+    out[:-1] = np.sqrt(np.arange(1.0, n_max))[:, None] * x[1:]
+    kept = n_max - p + 1
+    n = np.arange(kept, dtype=float)
+    raise_w = np.prod(np.sqrt(n[:, None] + np.arange(1, p)), axis=1)
+    out[p - 1 :, 0] += raise_w * x[:kept, p]
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_ladder_tables_are_read_only_prefixes(p, descending, fresh_ladder_tables):
+    for n in sorted(_TABLE_LENGTHS, reverse=descending):
+        for (build, params), expected in _tables_written_out(n, p).items():
+            table = algebra._ladder_table(build, n, *params)
+            assert table.shape == (n,) and not table.flags.writeable, (build, n)
+            assert np.array_equal(table, expected), (build, n)
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_tabled_vectors_and_annihilator_are_bit_identical(p, descending, fresh_ladder_tables):
+    rng = np.random.default_rng(p)
+    for n in sorted(_TABLE_LENGTHS, reverse=descending):
+        z = complex(*rng.uniform(-4.0, 4.0, size=2))
+        # each n_max puts a table length at n
+        coh = coherent_vector(z, n + 1)
+        assert np.array_equal(coh, _coherent_vector_written_out(z, n + 1))
+        coh = coherent_vector(z, n + p)
+        assert np.array_equal(
+            algebra._derivative_tower(coh, p, n + p), _derivative_tower_written_out(coh, p, n + p)
+        )
+        for n_max in {max(n + 1, p + 2), max(n + p - 1, p + 2)}:
+            a_op = model.build_annihilator(p, n_max)
+            dim = n_max * (p + 1)
+            for psi in (rng.normal(size=dim), rng.normal(size=dim) + 1j * rng.normal(size=dim)):
+                assert np.array_equal(a_op.apply(psi), _apply_written_out(p, n_max, psi))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,13 @@ import psusyent
 from psusyent import (
     AlphaProfile,
     NoRealSolutionError,
+    algebra,
     cli,
     coherent,
     concurrence_closed_form,
     concurrence_optimal,
     entanglement_of_formation,
+    model,
     verify,
 )
 from psusyent.cli import CSV_HEADER, main
@@ -66,6 +69,29 @@ def test_verify_counts_nan_residual_as_failed(monkeypatch):
     (report,) = verify.run_all(1, 1e-8)
     assert (report.name, report.passed, report.failed) == ("nan", 1, 1)
     assert not report.ok
+
+
+def test_verify_builds_each_ladder_table_once(monkeypatch, capsys, fresh_ladder_tables):
+    # the run asks for a ladder table 200 times, for |z>, |z^(p)> and A of
+    # every state; each (builder, p, capacity) table is built once
+    builds = Counter()
+
+    def counting(build):
+        def wrapper(n, *params):
+            builds[build.__name__, params, n] += 1
+            return build(n, *params)
+
+        return wrapper
+
+    sqrt_levels = counting(algebra._sqrt_levels)
+    monkeypatch.setattr(algebra, "_sqrt_levels", sqrt_levels)
+    monkeypatch.setattr(model, "_sqrt_levels", sqrt_levels)
+    monkeypatch.setattr(algebra, "_rising_sqrt", counting(algebra._rising_sqrt))
+    monkeypatch.setattr(model, "_raise_weights", counting(model._raise_weights))
+    assert main(["verify", "--p-max", "4"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert {name for name, _, _ in builds} == {"_sqrt_levels", "_rising_sqrt", "_raise_weights"}
+    assert max(builds.values()) == 1, builds
 
 
 def test_verify_fails_below_numerical_floor(capsys):
@@ -157,6 +183,22 @@ def test_state_truncation_exits_1(tmp_path, capsys):
     rc = main(["state", "--p", "2", "--z-re", "6", "--profile", profile])
     assert rc == 1
     assert "need n_max >= 124" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z_argv", [["--z-re", "1e200"], ["--z-im=-1e160"]])
+def test_state_past_the_float_range_exits_1_with_one_line(tmp_path, z_argv):
+    # |z|^2 overflows: the truncation rule used to end in an OverflowError traceback
+    profile = _write_profile(tmp_path, {"p": 2, "kind": "optimal-constant", "alpha_p": 1.0})
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "psusyent.cli", "state", "--p", "2", *z_argv, "--profile", profile],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: the boson truncation at |z|=1e+")
+    assert "exceeds the float range" in proc.stderr
 
 
 def test_state_missing_file_exits_1(tmp_path):

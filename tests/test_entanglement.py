@@ -20,7 +20,7 @@ from psusyent import (
     entanglement_of_formation,
 )
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
-from psusyent.verify import route_spread
+from psusyent.verify import random_states, route_spread
 
 from conftest import random_explicit_profile, random_z
 
@@ -116,6 +116,52 @@ def test_wootters_rejects_invalid_density():
         concurrence_wootters(non_psd)
     with pytest.raises(ValueError):
         concurrence_wootters(np.eye(3) / 3.0)
+
+
+def _wootters_written_out(rho):
+    """(C, lambdas) by the numpy formulation the route used before it
+    finished its four eigenvalues in Python floats."""
+    sy_sy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+    rho = np.asarray(rho, dtype=complex)
+    evals = np.real(np.linalg.eigvals(rho @ (sy_sy @ rho.conj() @ sy_sy)))
+    dust = 1e-12 * max(float(np.max(np.abs(evals))), 1e-300)
+    evals[np.abs(evals) < dust] = 0.0
+    assert np.min(evals) >= 0.0
+    lams = np.sort(np.sqrt(evals))[::-1]
+    value = max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    return min(max(value, 0.0), 1.0), tuple(float(x) for x in lams)
+
+
+def _route_kernel_states():
+    return list(random_states(np.random.default_rng(2005), 200, 8, 3.0))
+
+
+def test_wootters_kernel_is_bit_identical_in_python_floats():
+    w = 0.8
+    densities = [density_from_amplitudes(s.qubit_amps) for s in _route_kernel_states()] + [
+        density_from_amplitudes(BELL),
+        w * np.outer(BELL, BELL) + (1 - w) * np.eye(4) / 4.0,
+        np.eye(4) / 4.0,
+    ]
+    for rho in densities:
+        result = concurrence_wootters(rho)
+        assert type(result.value) is float
+        assert all(type(lam) is float for lam in result.lambdas)
+        assert list(result.lambdas) == sorted(result.lambdas, reverse=True)
+        assert (result.value, result.lambdas) == _wootters_written_out(rho)
+
+
+def test_schmidt_kernel_is_bit_identical_in_python_floats():
+    for state in _route_kernel_states():
+        psi = state.full_vector.reshape(state.n_max, state.p + 1)
+        mu = np.linalg.svd(psi, compute_uv=False) ** 2
+        mu = mu / float(np.sum(mu))
+        pairwise = 0.0
+        for i in range(len(mu)):
+            for j in range(i + 1, len(mu)):
+                pairwise += mu[i] * mu[j]  # numpy scalars
+        expected = min(max(2.0 * math.sqrt(pairwise), 0.0), 1.0)
+        assert concurrence_schmidt_oracle(state) == expected
 
 
 # ---------------------------------------------------------------- Schmidt oracle
