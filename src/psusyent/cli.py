@@ -26,6 +26,9 @@ from .coherent import (
 )
 from .entanglement import (
     ROUTE_CLOSED_FORM,
+    ROUTE_PURE,
+    ROUTE_SCHMIDT,
+    ROUTE_WOOTTERS,
     concurrence_closed_form,
     concurrence_optimal,
     concurrence_routes,
@@ -35,6 +38,10 @@ from .errors import FloatRangeError, TruncationError
 from .verify import eigenstate_residual, run_all
 
 __all__ = ["main"]
+
+_ROUTES = (ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_WOOTTERS, ROUTE_SCHMIDT)
+# how json writes the float specials; float.__repr__ writes them as nan, inf, -inf
+_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
 # fixed 12-significant-digit formatting for reproducible CSV output: a row
@@ -89,21 +96,56 @@ def _cmd_state(args: argparse.Namespace) -> int:
         # a numerical limit, not a malformed request
         return 1 if isinstance(exc, (TruncationError, FloatRangeError)) else 2
 
-    record = {
-        "p": args.p,
-        "z": [z.real, z.imag],
-        "q_norm": state.q_norm,
-        "qubit_amps": {
-            name: [amp.real, amp.imag]
-            for name, amp in zip(("a00", "a01", "a10", "a11"), state.qubit_amps)
-        },
-        "concurrence": routes,
-        "eof": entanglement_of_formation(routes[ROUTE_CLOSED_FORM]),
-        "eigenstate_residual": residual,
-    }
-    json.dump(record, sys.stdout, indent=2)
-    print()
+    eof = entanglement_of_formation(routes[ROUTE_CLOSED_FORM])
+    sys.stdout.write(
+        _state_json(args.p, z, state.q_norm, state.qubit_amps, routes, eof, residual)
+    )
     return 0
+
+
+def _state_template() -> str:
+    """The `state` record as indented JSON, with a %s slot for each number.
+
+    The layout is json's own: the record's keys in order, two-space indent,
+    and a newline after the closing brace.
+    """
+    slot = "\0"  # a string json escapes, so its quoted form marks each slot
+    pair = [slot, slot]
+    skeleton = {
+        "p": slot,
+        "z": pair,
+        "q_norm": slot,
+        "qubit_amps": dict.fromkeys(("a00", "a01", "a10", "a11"), pair),
+        "concurrence": dict.fromkeys(_ROUTES, slot),
+        "eof": slot,
+        "eigenstate_residual": slot,
+    }
+    text = json.dumps(skeleton, indent=2).replace("%", "%%")
+    return text.replace(json.dumps(slot), "%s") + "\n"
+
+
+_STATE_TEMPLATE = _state_template()
+
+
+def _json_float(value: float) -> str:
+    """``value`` as json writes a float: its repr, and NaN, Infinity, -Infinity."""
+    text = float.__repr__(value)
+    return _JSON_SPECIALS.get(text, text)
+
+
+def _state_json(p: int, z: complex, q_norm: float, amps, routes: dict, eof: float,
+                residual: float) -> str:
+    """The `state` record's text, byte for byte ``json.dumps(record, indent=2) + "\\n"``.
+
+    json's own encoder is pure Python once ``indent`` is set; one template
+    fill costs a fraction of it.
+    """
+    numbers = [z.real, z.imag, q_norm]
+    for amp in amps:
+        numbers += (amp.real, amp.imag)
+    numbers += [routes[name] for name in _ROUTES]
+    numbers += (eof, residual)
+    return _STATE_TEMPLATE % (p, *map(_json_float, numbers))
 
 
 class _GridChunk:
@@ -227,12 +269,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", required=True, help="output CSV path")
     for subparser in (p_verify, p_state, p_grid):
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
+    # command name -> its parser, the names argparse accepts in argv[0]
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, reading each token once.
+
+    The parent parser hands everything after a command name to that
+    command's parser; an argv that starts with one goes to it directly, and
+    leftover tokens get the parent's own message.  Any other argv (none, -h,
+    an unknown command, --) takes the full parse, which reports it.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     # overflow shows as a non-finite result, which the commands report as one error line
     with np.errstate(all="ignore"):
         return _dispatch(parser, args)

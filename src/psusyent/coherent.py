@@ -464,10 +464,12 @@ def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
     alphas = alphas.reshape(len(zs), p + 1)
     # alpha_0 and alpha_p do not depend on |z| in any kind
     alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
-    # numpy's power here, not libm's: the digits of A^2 are pinned to it
-    z2n = np.power(zs[:, None], _even_exponents(p))
-    # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
-    a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
+    # an A^2 past the float range comes out inf or nan, which the callers classify
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's power here, not libm's: the digits of A^2 are pinned to it
+        z2n = np.power(zs[:, None], _even_exponents(p))
+        # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
+        a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
     if powers.scalar:  # the fields of one state are floats
         zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
     weight_sum = _fold(_weight_series(p, powers, 0, p))
@@ -597,6 +599,11 @@ def build_state(
     coefs = np.array([alphas[k] * z ** (p - k) for k in range(1, p + 1)])
     columns[:, 1:] = np.multiply.outer(coefs, coh).T
     full = q * columns.reshape(-1)
+    # checked here, before any LAPACK call reads the vector
+    if not np.isfinite(full).all():
+        raise FloatRangeError(
+            f"the state vector of order p={p} at |z|={abs(z):.4g} leaves the float range"
+        )
     for vector in (full, coh, dcoh):
         vector.setflags(write=False)
     return PsusyCoherentState(int(p), z, profile, form, int(n_max), full, coh, dcoh)

@@ -16,6 +16,7 @@ Routes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,12 +68,25 @@ _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """A concurrence and its EoF; arrays of them for a |z| array."""
+    """A concurrence and its EoF; arrays of them for a |z| array.
+
+    ``eof`` is computed from ``value`` on first read, nan where ``value`` is
+    nan, so a caller that reads only ``value`` does not pay for it.
+    """
 
     value: float | np.ndarray
     route: str
-    eof: float | np.ndarray
     lambdas: tuple[float, float, float, float] | None = None
+
+    @functools.cached_property
+    def eof(self) -> float | np.ndarray:
+        value = self.value
+        if isinstance(value, np.ndarray):
+            undefined = np.isnan(value)
+            if undefined.any():
+                eof = entanglement_of_formation(np.where(undefined, 0.0, value))
+                return np.where(undefined, np.nan, eof)
+        return entanglement_of_formation(value)
 
 
 def _clip_unit(value, what: str, tol: float = 1e-10):
@@ -100,15 +114,11 @@ def _reject(value: float, what: str):
 
 
 def _result(value, route: str, lambdas=None, undefined=None) -> ConcurrenceResult:
-    """Clip ``value`` and attach its EoF; entries marked ``undefined`` come out nan."""
+    """Clip ``value`` to [0, 1]; entries marked ``undefined`` come out nan."""
     if undefined is None:
-        value = _clip_unit(value, "concurrence")
-        return ConcurrenceResult(value, route, entanglement_of_formation(value), lambdas)
+        return ConcurrenceResult(_clip_unit(value, "concurrence"), route, lambdas)
     value = _clip_unit(np.where(undefined, 0.0, value), "concurrence")
-    eof = entanglement_of_formation(value)
-    return ConcurrenceResult(
-        np.where(undefined, np.nan, value), route, np.where(undefined, np.nan, eof), lambdas
-    )
+    return ConcurrenceResult(np.where(undefined, np.nan, value), route, lambdas)
 
 
 def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResult:

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psusyent
@@ -20,6 +21,7 @@ from psusyent import (
     coherent,
     concurrence_closed_form,
     concurrence_optimal,
+    entanglement,
     entanglement_of_formation,
     model,
     verify,
@@ -264,38 +266,38 @@ def test_grid_unwritable_path_exits_1(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["grid", "--z-step", "0", "--out", "x.csv"],
-        ["grid", "--z-min", "-1", "--out", "x.csv"],
-        ["grid", "--p-min", "0", "--out", "x.csv"],
-        ["grid", "--p-min", "4", "--p-max", "2", "--out", "x.csv"],
-        ["grid", "--z-step", "nan", "--out", "x.csv"],
-        ["grid", "--z-max", "inf", "--out", "x.csv"],
-        ["grid", "--z-max", "nan", "--out", "x.csv"],
-    ],
-)
+GRID_USAGE_ERRORS = [
+    ["grid", "--z-step", "0", "--out", "x.csv"],
+    ["grid", "--z-min", "-1", "--out", "x.csv"],
+    ["grid", "--p-min", "0", "--out", "x.csv"],
+    ["grid", "--p-min", "4", "--p-max", "2", "--out", "x.csv"],
+    ["grid", "--z-step", "nan", "--out", "x.csv"],
+    ["grid", "--z-max", "inf", "--out", "x.csv"],
+    ["grid", "--z-max", "nan", "--out", "x.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", GRID_USAGE_ERRORS)
 def test_grid_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["state", "--p", "1", "--z-re", "inf", "--profile", "x.json"],
-        ["state", "--p", "1", "--z-re", "nan", "--profile", "x.json"],
-        ["verify", "--tol", "nan"],
-        # a leading minus must not turn these into unknown options
-        ["state", "--p", "1", "--z-re", "-inf", "--profile", "x.json"],
-        ["state", "--p", "1", "--z-im", "-Infinity", "--profile", "x.json"],
-        ["state", "--p", "1", "--z-re", "-NaN", "--profile", "x.json"],
-        ["verify", "--tol", "-INF"],
-        ["grid", "--z-min", "-nan", "--out", "x.csv"],
-    ],
-)
+NON_FINITE_ARGV = [
+    ["state", "--p", "1", "--z-re", "inf", "--profile", "x.json"],
+    ["state", "--p", "1", "--z-re", "nan", "--profile", "x.json"],
+    ["verify", "--tol", "nan"],
+    # a leading minus must not turn these into unknown options
+    ["state", "--p", "1", "--z-re", "-inf", "--profile", "x.json"],
+    ["state", "--p", "1", "--z-im", "-Infinity", "--profile", "x.json"],
+    ["state", "--p", "1", "--z-re", "-NaN", "--profile", "x.json"],
+    ["verify", "--tol", "-INF"],
+    ["grid", "--z-min", "-nan", "--out", "x.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV)
 def test_non_finite_number_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -312,6 +314,132 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     assert main(["grid", "--p-max", "1", "--z-max", "0.1", "--out", str(tmp_path / "g.csv")]) == 0
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+PARSE_CORPUS = [
+    *GRID_USAGE_ERRORS,
+    *NON_FINITE_ARGV,
+    ["verify"],
+    ["verify", "--p-max", "3", "--tol", "1e-9"],
+    ["state", "--p", "2", "--z-re", "1.5", "--z-im", "-0.5", "--profile", "x.json"],
+    ["grid", "--p-min", "2", "--p-max", "3", "--profile-kind", "z-dependent-exact", "--m", "1",
+     "--out", "x.csv"],
+    ["state", "--p=2", "--z-re=-1e-3", "--profile=x.json"],
+    ["state", "--p", "1", "--z-im", "-1e-3", "--profile", "x.json"],
+    # abbreviations: --pro is --profile, --z is ambiguous
+    ["state", "--pro", "x.json", "--p", "1"],
+    ["state", "--z", "1", "--p", "1", "--profile", "x.json"],
+    ["grid", "--prof", "z-dependent-exact", "--out", "x.csv"],
+    # leftover tokens
+    ["state", "--p", "1", "--profile", "x.json", "extra"],
+    ["verify", "--p-max", "2", "x", "y"],
+    ["verify", "--", "x"],
+    ["grid", "--unknown", "1", "--out", "x.csv"],
+    # bad values and missing options
+    ["state", "--p", "x", "--profile", "x.json"],
+    ["grid", "--profile-kind", "other", "--out", "x.csv"],
+    ["state"],
+    # help, and argv that does not start with a command
+    ["state", "-h"],
+    ["grid", "--help"],
+    ["-h"],
+    ["-h", "state"],
+    [],
+    ["bogus"],
+    ["sta"],
+    ["--"],
+    ["--", "verify"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS)
+def test_parse_matches_the_full_parse(argv, capsys):
+    # the same Namespace, or the same exit code, usage and message
+    parser = cli.build_parser()
+    expected = _parse_outcome(parser.parse_args, argv, capsys)
+    assert _parse_outcome(lambda a: cli._parse(parser, a), argv, capsys) == expected
+
+
+def _random_state_record(rng) -> dict:
+    """A `state` record of the layout `state` writes, its numbers drawn to
+    include every float json spells out specially and the extremes of repr."""
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 1.0, 0.1]
+
+    def number():
+        if rng.random() < 0.3:
+            return specials[rng.integers(len(specials))]
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-320, 308))
+        return np.float64(value) if rng.random() < 0.2 else value
+
+    return {
+        "p": int(rng.integers(1, 200)),
+        "z": [number(), number()],
+        "q_norm": number(),
+        "qubit_amps": {name: [number(), number()] for name in ("a00", "a01", "a10", "a11")},
+        "concurrence": {name: number() for name in cli._ROUTES},
+        "eof": number(),
+        "eigenstate_residual": number(),
+    }
+
+
+def test_state_json_equals_json_dumps():
+    rng = np.random.default_rng(20051)
+    for _ in range(2000):
+        rec = _random_state_record(rng)
+        amps = [complex(*pair) for pair in rec["qubit_amps"].values()]
+        text = cli._state_json(rec["p"], complex(*rec["z"]), rec["q_norm"], amps,
+                               rec["concurrence"], rec["eof"], rec["eigenstate_residual"])
+        assert text == json.dumps(rec, indent=2) + "\n"
+
+
+def test_state_output_is_indented_json(tmp_path, capsys):
+    profile = _write_profile(tmp_path, {"p": 3, "kind": "optimal-constant", "alpha_p": 1.0})
+    assert main(["state", "--p", "3", "--z-re", "1.2", "--z-im", "-0.4", "--profile", profile]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert list(json.loads(out)) == [
+        "p", "z", "q_norm", "qubit_amps", "concurrence", "eof", "eigenstate_residual"
+    ]
+
+
+def test_state_computes_eof_once_per_op(tmp_path, monkeypatch, capsys):
+    # the record's EoF; nothing reads the EoF of the Wootters route's result
+    calls = []
+    original = entanglement.entanglement_of_formation
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(entanglement, "entanglement_of_formation", counting)
+    monkeypatch.setattr(cli, "entanglement_of_formation", counting)
+    for p in (1, 3, 6):
+        profile = _write_profile(tmp_path, {"p": p, "kind": "optimal-constant", "alpha_p": 1.0})
+        calls.clear()
+        assert main(["state", "--p", str(p), "--z-re", "0.7", "--profile", profile]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert calls == [record["concurrence"]["closed-form"]]
+
+
+def test_state_non_finite_vector_exits_1_with_one_line(tmp_path, capsys):
+    # the order-166 |z^(p)> overflows; the vector used to reach the SVD, whose
+    # LinAlgError was reported as a usage error
+    profile = _write_profile(tmp_path, {"p": 166, "kind": "optimal-constant", "alpha_p": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["state", "--p", "166", "--z-re", "1", "--profile", profile])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: the state vector of order p=166 at |z|=1 leaves the float range\n"
 
 
 def test_usage_error_leaves_shared_parser_correct(tmp_path, capsys):

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import operator
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 from psusyent import (
     AlphaProfile,
     DegenerateProfileError,
+    FloatRangeError,
     NoRealSolutionError,
     TruncationError,
     beta_coefficients,
@@ -389,6 +391,24 @@ def test_random_states_keep_the_sampler_stream(seed):
 def test_build_state_truncation_enforced():
     with pytest.raises(TruncationError):
         build_state(1, 3.0, AlphaProfile.explicit([1.0, 1.0]), n_max=12)
+
+
+@pytest.mark.parametrize(
+    "p, z, n_max, error",
+    [(8, 1e25, None, TruncationError), (2, 1e200, 64, FloatRangeError)],
+)
+def test_build_state_classifies_overflow_without_a_warning(p, z, n_max, error):
+    # A^2 overflows in the closed form first; the tail or the cutoff check classifies it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build_state(p, z, AlphaProfile.optimal_constant(p), n_max=n_max)
+
+
+def test_build_state_rejects_a_non_finite_vector():
+    # the order-166 |z^(p)> overflows at |z| = 1
+    with np.errstate(all="ignore"), pytest.raises(FloatRangeError, match="state vector"):
+        build_state(166, 1.0, AlphaProfile.optimal_constant(166))
 
 
 def test_build_state_order_mismatch():
