@@ -243,9 +243,7 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
     return hi
 
 
-def _check_tail(z: complex, n_max: int, tail_tol: float | None) -> None:
-    if tail_tol is None:
-        return
+def _check_tail(z: complex, n_max: int, tail_tol: float) -> None:
     tail = coherent_tail(abs(z), n_max)
     if tail >= tail_tol:
         needed = required_n_max(abs(z), tail_tol)
@@ -256,23 +254,29 @@ def _check_tail(z: complex, n_max: int, tail_tol: float | None) -> None:
         )
 
 
-def coherent_vector(z: complex, n_max: int, tail_tol: float | None = None) -> np.ndarray:
+def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     """Unnormalized coherent vector with amplitudes z^n / sqrt(n!).
 
     Its squared norm is exp(|z|^2) up to the dropped tail.  When
     ``tail_tol`` is given, the truncation is checked against the Poisson
     tail bound and a TruncationError carrying the required n_max is raised
-    on failure.
+    on failure.  A 1-D complex ``z`` array gives one row per z, each
+    checked on its own and bit-identical to the vector of that z alone.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_tail(z, n_max, tail_tol)
-    amps = np.empty(n_max, dtype=complex)
-    amps[0] = 1.0
+    stacked = isinstance(z, np.ndarray) and z.ndim
+    if tail_tol is not None:
+        for z_row in z.tolist() if stacked else (z,):
+            _check_tail(z_row, n_max, tail_tol)
+    amps = np.empty(z.shape + (n_max,) if stacked else n_max, dtype=complex)
+    amps[..., 0] = 1.0
     if n_max > 1:
         # amplitude n is amplitude n-1 times z/sqrt(n), accumulated in place
-        rest = np.divide(z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[1:])
-        np.multiply.accumulate(rest, out=rest)
+        rest = np.divide(
+            z[:, None] if stacked else z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[..., 1:]
+        )
+        np.multiply.accumulate(rest, -1, out=rest)
     return amps
 
 
@@ -297,14 +301,14 @@ def _check_derivative_order(p: int, n_max: int) -> None:
 def _derivative_tower(coh: np.ndarray, p: int, n_max: int) -> np.ndarray:
     """|z^(p)> on n_max levels from a coherent vector |z> of n_max - p or more.
 
-    Only the first n_max - p amplitudes of ``coh`` are read.  A prefix of a
-    coherent vector is bit-identical to a shorter one (its product runs in
-    order), so the result is the one :func:`derivative_coherent_vector`
-    gives.
+    Only the first n_max - p amplitudes of ``coh`` are read, in each row of
+    a stack.  A prefix of a coherent vector is bit-identical to a shorter
+    one (its product runs in order), so the result is the one
+    :func:`derivative_coherent_vector` gives.
     """
     _check_derivative_order(p, n_max)
-    out = np.zeros(n_max, dtype=complex)
-    out[p:] = coh[: n_max - p] * _ladder_table(_rising_sqrt, n_max - p, p)
+    out = np.zeros(coh.shape[:-1] + (n_max,), dtype=complex)
+    out[..., p:] = coh[..., : n_max - p] * _ladder_table(_rising_sqrt, n_max - p, p)
     return out
 
 

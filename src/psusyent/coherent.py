@@ -350,15 +350,21 @@ def _fold(terms, total=0.0):
 
 @functools.lru_cache(maxsize=None)
 def _weight_coefficients(p: int) -> tuple[float, ...]:
+    # c_0 = p! alone exceeds the float range from p = 171 on; failing here
+    # spares the big-integer (p!)^2, which takes minutes at p ~ 1e6
+    if p > 170:
+        raise _weight_range_error(p)
     # exact integer true division: correctly rounded, and no float (p!)^2,
     # which overflows from p = 99 on
     fp_sq = math.factorial(p) ** 2
     try:
         return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
     except OverflowError:
-        raise FloatRangeError(
-            f"weight coefficients of order p={p} exceed the float range"
-        ) from None
+        raise _weight_range_error(p) from None
+
+
+def _weight_range_error(p: int) -> FloatRangeError:
+    return FloatRangeError(f"weight coefficients of order p={p} exceed the float range")
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,7 +409,9 @@ class ClosedForm:
     weight series sum (:func:`bosonic_weight_sum`), defect =
     (alpha_0 - alpha_p/p)^2 |z|^(2p), and D = A^2 + B^2 + defect =
     exp(-|z|^2)/Q^2.  Over a 1-D |z| array every field but ``p`` holds one
-    row per |z|, nan where a z-dependent-exact rule is undefined.
+    row per |z|, nan where a z-dependent-exact rule is undefined; so does
+    the closed form of a stack of states, one profile per row.  Each row
+    is bit-identical to the closed form of its |z| and profile alone.
     """
 
     p: int
@@ -416,65 +424,96 @@ class ClosedForm:
     weight_sum: float | np.ndarray
 
     @property
-    def q(self) -> float:
-        """Normalization factor Q = exp(-|z|^2/2) / sqrt(D) of one state."""
-        return math.exp(-0.5 * self.z_abs * self.z_abs) / math.sqrt(self.denom)
+    def q(self):
+        """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows."""
+        return _each(_q, self.z_abs, self.denom)
 
     @property
     def concurrence(self):
         """C = 2AB/D, unclipped; elementwise over a |z| array."""
         return 2.0 * np.sqrt(self.a_sq) * np.sqrt(self.b_sq) / self.denom
 
-    def amplitudes(self, z: complex) -> tuple[complex, complex, complex, complex]:
+    def amplitudes(self, z):
         """Two-qubit amplitudes (a00, a01, a10, a11) at z, with |z| = ``z_abs``.
 
         a00 = (alpha_p/p) sqrt(W) / sqrt(D), a01 = 0,
         a10 = conj(z)^p (alpha_0 - alpha_p/p) / sqrt(D), a11 = A / sqrt(D)
         (Q exp(|z|^2/2) = 1/sqrt(D) cancels all exponentials).  a00 keeps the
         sign of alpha_p so that the amplitudes reconstruct the tensor state
-        exactly; its magnitude is B/sqrt(D).
+        exactly; its magnitude is B/sqrt(D).  Over rows, with one z each,
+        this is a (rows, 4) complex array.
         """
-        p, alphas = self.p, self.alphas
-        inv = 1.0 / math.sqrt(self.denom)
-        a00 = complex(math.copysign(math.sqrt(self.b_sq), alphas[p]) * inv)
-        a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
-        a11 = complex(math.sqrt(self.a_sq) * inv)
-        return (a00, 0j, complex(a10), a11)
+        if self.alphas.ndim == 1:
+            return _amplitudes(self.p, self.alphas, self.a_sq, self.b_sq, self.denom, z)
+        rows = zip(self.alphas, *(a.tolist() for a in (self.a_sq, self.b_sq, self.denom, z)))
+        return np.array([_amplitudes(self.p, *row) for row in rows])
 
 
-def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
+def _q(z_abs: float, denom: float) -> float:
+    return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
+
+
+def _amplitudes(p: int, alphas, a_sq: float, b_sq: float, denom: float, z: complex):
+    inv = 1.0 / math.sqrt(denom)
+    a00 = complex(math.copysign(math.sqrt(b_sq), alphas[p]) * inv)
+    a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
+    a11 = complex(math.sqrt(a_sq) * inv)
+    return (a00, 0j, complex(a10), a11)
+
+
+def _resolve(p: int, z_abs, profile) -> ClosedForm:
     """The :class:`ClosedForm` of ``profile`` at |z|, or over a 1-D |z| array.
 
     ``z_abs`` may be a :class:`PowerTable`, whose powers are then shared.
     Over one |z| the series are added in Python floats, which is cheapest
     for one state; over an array, one |z| column at a time, in the same
-    order.  Raises DegenerateProfileError where D is not positive: no
-    normalizable state exists there.
+    order.  Over an array ``profile`` may also be a sequence of profiles,
+    one per |z|: a stack of states, each resolved at its own |z|, where an
+    undefined z-dependent-exact rule raises as it does for one state.
+    Raises DegenerateProfileError where D is not positive: no normalizable
+    state exists there.
     """
-    if p != profile.p:
-        raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
+    # a closed form past the float range comes out inf or nan, which the callers classify
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _closed_form(p, z_abs, profile)
+
+
+def _closed_form(p: int, z_abs, profile) -> ClosedForm:
+    """:func:`_resolve` under the caller's numpy error state."""
     powers = PowerTable.of(z_abs)
     zs = powers.zs
-    try:
-        alphas = profile.coefficients(z_abs)
-    except NoRealSolutionError as exc:
-        if exc.alphas is None:
-            raise
-        alphas = exc.alphas  # go on with the rows where the rule is defined
-    alphas = alphas.reshape(len(zs), p + 1)
-    # alpha_0 and alpha_p do not depend on |z| in any kind
-    alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
-    # an A^2 past the float range comes out inf or nan, which the callers classify
-    with np.errstate(over="ignore", invalid="ignore"):
-        # numpy's power here, not libm's: the digits of A^2 are pinned to it
-        z2n = np.power(zs[:, None], _even_exponents(p))
-        # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
-        a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
+    if isinstance(profile, AlphaProfile):
+        _check_order(p, profile)
+        try:
+            alphas = profile.coefficients(z_abs)
+        except NoRealSolutionError as exc:
+            if exc.alphas is None:
+                raise
+            alphas = exc.alphas  # go on with the rows where the rule is defined
+        alphas = alphas.reshape(len(zs), p + 1)
+        # alpha_0 and alpha_p do not depend on |z| in any kind
+        alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
+        b_coef, d_coef = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2
+    else:
+        if powers.scalar or len(profile) != len(zs):
+            raise ValueError(f"a stack of {len(zs)} |z| values needs one profile each")
+        for row in profile:
+            _check_order(p, row)
+        alphas = np.array([row.coefficients(z) for row, z in zip(profile, powers.values)])
+        # the squares in Python floats, as for one state: libm's x**2 is not
+        # always numpy's x*x
+        ends = alphas[:, [0, p]].tolist()
+        b_coef = np.array([(a_p / p) ** 2 for _, a_p in ends])
+        d_coef = np.array([(a_0 - a_p / p) ** 2 for a_0, a_p in ends])
+    # numpy's power here, not libm's: the digits of A^2 are pinned to it
+    z2n = np.power(zs[:, None], _even_exponents(p))
+    # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
+    a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
     if powers.scalar:  # the fields of one state are floats
         zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
     weight_sum = _fold(_weight_series(p, powers, 0, p))
-    b_sq = (alpha_p / p) ** 2 * weight_sum
-    defect = (alpha_0 - alpha_p / p) ** 2 * powers.column(2 * p)
+    b_sq = b_coef * weight_sum
+    defect = d_coef * powers.column(2 * p)
     denom = a_sq + b_sq + defect
     vanishing = powers.first(denom <= 0.0)
     if vanishing is not None:
@@ -484,13 +523,53 @@ def _resolve(p: int, z_abs, profile: AlphaProfile) -> ClosedForm:
     return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, weight_sum)
 
 
+def _check_order(p: int, profile: AlphaProfile) -> None:
+    if p != profile.p:
+        raise ValueError(f"order mismatch: p={p} but profile.p={profile.p}")
+
+
 def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
     """Normalization factor Q(|z|) of the coherent state; see :class:`ClosedForm`."""
     return _resolve(p, z_abs, profile).q
 
 
+def _z_and_abs(z):
+    """``z`` as a complex and its |z|, or a 1-D array of z (a stack) and theirs.
+
+    Each |z| is Python's own: numpy's complex abs differs from it in the
+    last bit for about a third of all z.
+    """
+    if isinstance(z, np.ndarray) and z.ndim:
+        if z.ndim != 1 or not z.size:
+            raise ValueError(f"a stack of states needs a nonempty 1-D z array, got {z.shape}")
+        z = z.astype(complex, copy=False)
+        return z, np.array([abs(v) for v in z.tolist()])
+    z = complex(z)
+    return z, abs(z)
+
+
+def _default_cutoff(z_abs, p: int) -> int:
+    """:func:`default_n_max` at the largest |z|, so no row is built below its own."""
+    return default_n_max(float(z_abs.max()) if isinstance(z_abs, np.ndarray) else z_abs, p)
+
+
+def _col(x):
+    """One factor per row as a column over a stack; a scalar as it is."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def _each(f, *args):
+    """``f(*args)``, or over arrays with one entry per row an array of f per row.
+
+    f takes Python floats, so a row's value is the one of its state alone.
+    """
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(f, *(a.tolist() for a in args))))
+    return f(*args)
+
+
 def _form_and_towers(
-    p: int, z: complex, profile: AlphaProfile, n_max: int, state: "PsusyCoherentState | None"
+    p: int, z, z_abs, profile, n_max: int, state: "PsusyCoherentState | None"
 ) -> tuple[ClosedForm, np.ndarray, np.ndarray]:
     """The closed form of ``profile`` at |z|, |z> and |z^(p)> on n_max levels.
 
@@ -498,10 +577,13 @@ def _form_and_towers(
     (p, z, profile) on n_max levels; otherwise they are made here.
     """
     if state is None:
-        form = _resolve(p, abs(z), profile)
+        form = _resolve(p, z_abs, profile)
         coh = coherent_vector(z, n_max)
         return form, coh, _derivative_tower(coh, p, n_max)
-    if (state.p, state.z, state.n_max) != (p, z, n_max) or state.profile != profile:
+    if not isinstance(profile, AlphaProfile):
+        profile = tuple(profile)
+    same = (state.p, state.n_max) == (p, n_max) and np.array_equal(state.z, z)
+    if not same or state.profile != profile:
         raise ValueError(
             f"state (p={state.p}, z={state.z}, n_max={state.n_max}) is not the state of "
             f"this call (p={p}, z={z}, n_max={n_max}) and its profile"
@@ -511,8 +593,8 @@ def _form_and_towers(
 
 def beta_coefficients(
     p: int,
-    z: complex,
-    profile: AlphaProfile,
+    z,
+    profile,
     n_cut: int,
     *,
     state: "PsusyCoherentState | None" = None,
@@ -528,19 +610,23 @@ def beta_coefficients(
     the first term vanishing for n < p (reciprocal factorial convention).
     ``state``, when given, must be the state of (p, z, profile) on n_cut + 1
     boson levels; its closed form and vectors are read, not made again.
+    A stack (a 1-D z array, one profile each) gives one such array per row.
     """
     if n_cut < p:
         raise ValueError(f"n_cut={n_cut} must be at least p={p}")
-    z = complex(z)
-    form, coh, dcoh = _form_and_towers(p, z, profile, n_cut + 1, state)
+    z, z_abs = _z_and_abs(z)
+    form, coh, dcoh = _form_and_towers(p, z, z_abs, profile, n_cut + 1, state)
     alphas, q = form.alphas, form.q
 
-    beta = np.zeros((p + 1, n_cut + 1), dtype=complex)
+    # alphas.T[k] is alpha_k, a float or one per row
+    alphas = alphas.T
+    beta = np.zeros(np.shape(z) + (p + 1, n_cut + 1), dtype=complex)
     beta_pp = alphas[p] * q
-    beta[0] = alphas[0] * q * np.conj(z) ** p * coh
-    beta[0] -= (beta_pp / p) * dcoh
+    beta[..., 0, :] = _col(alphas[0] * q * np.power(np.conj(z), p)) * coh
+    beta[..., 0, :] -= _col(beta_pp / p) * dcoh
     for k in range(1, p + 1):
-        beta[k, k:] = alphas[k] * q * z ** (p - k) * coh[: n_cut + 1 - k]
+        seed = alphas[k] * q * np.power(z, p - k)
+        beta[..., k, k:] = _col(seed) * coh[..., : n_cut + 1 - k]
     return beta
 
 
@@ -550,12 +636,16 @@ class PsusyCoherentState:
 
     ``closed_form`` is the profile resolved at |z|; ``coherent`` (|z>) and
     ``derivative`` (|z^(p)>) are the read-only boson vectors of length n_max
-    that ``full_vector`` is assembled from.
+    that ``full_vector`` is assembled from.  A stack of k states of one
+    order p holds a z array, a tuple of k profiles, a closed form over
+    rows, ``full_vector`` of shape (k, n_max (p+1)) and boson vectors of
+    shape (k, n_max); ``q_norm`` is then an array and ``qubit_amps`` a
+    (k, 4) array.
     """
 
     p: int
-    z: complex
-    profile: AlphaProfile
+    z: complex | np.ndarray
+    profile: AlphaProfile | tuple[AlphaProfile, ...]
     closed_form: ClosedForm
     n_max: int
     full_vector: np.ndarray
@@ -563,18 +653,18 @@ class PsusyCoherentState:
     derivative: np.ndarray
 
     @property
-    def q_norm(self) -> float:
+    def q_norm(self):
         return self.closed_form.q
 
     @property
-    def qubit_amps(self) -> tuple[complex, complex, complex, complex]:
+    def qubit_amps(self):
         return self.closed_form.amplitudes(self.z)
 
 
 def build_state(
     p: int,
-    z: complex,
-    profile: AlphaProfile,
+    z,
+    profile,
     n_max: int | None = None,
     tail_tol: float | None = DEFAULT_TAIL_TOL,
 ) -> PsusyCoherentState:
@@ -583,26 +673,45 @@ def build_state(
     ``n_max`` defaults to the truncation rule of :func:`default_n_max`; the
     tail bound is enforced unless ``tail_tol`` is None (useful only for
     convergence studies).
-    """
-    z = complex(z)
-    if n_max is None:
-        n_max = default_n_max(z, p)
-    form = _resolve(p, abs(z), profile)
-    alphas, q = form.alphas, form.q
 
-    coh = coherent_vector(z, n_max, tail_tol=tail_tol)
-    dcoh = _derivative_tower(coh, p, n_max)
-    columns = np.empty((n_max, p + 1), dtype=complex)
-    columns[:, 0] = alphas[0] * np.conj(z) ** p * coh - (alphas[p] / p) * dcoh
-    # column k is alpha_k z^(p-k) |z>; the scalar stays the first factor of
-    # each product, as numpy's complex multiply is not bitwise commutative
-    coefs = np.array([alphas[k] * z ** (p - k) for k in range(1, p + 1)])
-    columns[:, 1:] = np.multiply.outer(coefs, coh).T
-    full = q * columns.reshape(-1)
+    A 1-D complex ``z`` array with one profile of order p per entry builds a
+    stack of states on one cutoff: by default the largest default_n_max of
+    its rows, with the tail checked for each row.  Each row is
+    bit-identical to the state of its z and profile built alone at that
+    n_max.
+    """
+    z, z_abs = _z_and_abs(z)
+    stacked = isinstance(z, np.ndarray)
+    if stacked:
+        profile = tuple(profile)
+    if n_max is None:
+        n_max = _default_cutoff(z_abs, p)
+    full_shape = (len(z), -1) if stacked else -1
+
+    # a closed form or vector past the float range comes out inf or nan: the
+    # tail check or the finiteness check below classifies it
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _closed_form(p, z_abs, profile)
+        alphas, q = form.alphas, form.q
+        coh = coherent_vector(z, n_max, tail_tol=tail_tol)
+        dcoh = _derivative_tower(coh, p, n_max)
+        columns = np.empty(coh.shape + (p + 1,), dtype=complex)
+        # alphas.T[k] is alpha_k, a float or one per row.  conj(z)^p over rows
+        # by np.power: the array ** squares by a fast path that rounds
+        # otherwise.  For one z the scalar ** gives np.power's bits, cheaper.
+        lead = alphas.T[0] * (np.power(np.conj(z), p) if stacked else np.conj(z) ** p)
+        columns[..., 0] = _col(lead) * coh - _col(alphas.T[p] / p) * dcoh
+        # column k is alpha_k z^(p-k) |z>; the scalar stays the first factor of
+        # each product, as numpy's complex multiply is not bitwise commutative
+        coefs = alphas[..., 1:] * np.power(_col(z), np.arange(p - 1, -1, -1))
+        columns[..., 1:] = (coefs[..., :, None] * coh[..., None, :]).swapaxes(-1, -2)
+        full = _col(q) * columns.reshape(full_shape)
     # checked here, before any LAPACK call reads the vector
     if not np.isfinite(full).all():
+        if stacked:  # name the first row that left the range
+            z_abs = z_abs[np.isfinite(full).all(axis=-1).argmin()]
         raise FloatRangeError(
-            f"the state vector of order p={p} at |z|={abs(z):.4g} leaves the float range"
+            f"the state vector of order p={p} at |z|={z_abs:.4g} leaves the float range"
         )
     for vector in (full, coh, dcoh):
         vector.setflags(write=False)
@@ -644,27 +753,28 @@ def qubit_bases(
     this z, otherwise the state is a product with |0>_f and f1 is undefined.
     ``state``, when given, must be the state of (p, z, profile) on n_max
     boson levels; its closed form and vectors are read, not made again.
+    Over a stack each basis vector has one row per state.
     """
-    z = complex(z)
+    z, z_abs = _z_and_abs(z)
     if n_max is None:
-        n_max = default_n_max(z, p)
-    form, coh, dcoh = _form_and_towers(p, z, profile, n_max, state)
+        n_max = _default_cutoff(z_abs, p)
+    form, coh, dcoh = _form_and_towers(p, z, z_abs, profile, n_max, state)
 
     # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
-    f1_raw = np.zeros(p + 1, dtype=complex)
-    f1_raw[1:] = form.alphas[1:] * z ** (p - np.arange(1, p + 1))
-    if form.a_sq <= 0.0:
+    f1_raw = np.zeros(np.shape(z) + (p + 1,), dtype=complex)
+    f1_raw[..., 1:] = form.alphas[..., 1:] * np.power(_col(z), p - np.arange(1, p + 1))
+    if np.any(form.a_sq <= 0.0):
         raise DegenerateProfileError(
             "all of alpha_1..alpha_p vanish at this z: the state is a product "
             "with the parafermion vacuum and the f1 basis vector is undefined"
         )
 
-    gauss = math.exp(-0.5 * abs(z) ** 2)
+    gauss = _col(_each(lambda r: math.exp(-0.5 * r**2), z_abs))
     b1 = gauss * coh
-    b0 = gauss * (np.conj(z) ** p * coh - dcoh) / math.sqrt(form.weight_sum)
-    f0 = np.zeros(p + 1, dtype=complex)
-    f0[0] = 1.0
-    f1 = f1_raw / math.sqrt(form.a_sq)
+    b0 = gauss * (_col(np.power(np.conj(z), p)) * coh - dcoh) / _col(np.sqrt(form.weight_sum))
+    f0 = np.zeros(f1_raw.shape, dtype=complex)
+    f0[..., 0] = 1.0
+    f1 = f1_raw / _col(np.sqrt(form.a_sq))
     for arr in (b0, b1, f0, f1):
         arr.setflags(write=False)
     return QubitBases(b0, b1, f0, f1)

@@ -27,6 +27,7 @@ from .coherent import (
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
+    _col,
     _fold,
     _resolve,
     _weight_series,
@@ -144,8 +145,13 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     return _result(form.concurrence, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
 
 
-def concurrence_pure(amps) -> float:
-    """C = 2 |a00 a11 - a01 a10| for normalized pure-state amplitudes."""
+def concurrence_pure(amps):
+    """C = 2 |a00 a11 - a01 a10| for normalized pure-state amplitudes.
+
+    A (k, 4) array of amplitudes gives an array of k concurrences.
+    """
+    if isinstance(amps, np.ndarray) and amps.ndim == 2:
+        return np.array([concurrence_pure(row) for row in amps.tolist()])
     a00, a01, a10, a11 = (complex(a) for a in amps)
     norm_sq = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
     if abs(norm_sq - 1.0) > 1e-8:
@@ -154,22 +160,30 @@ def concurrence_pure(amps) -> float:
 
 
 def density_from_amplitudes(amps) -> np.ndarray:
-    """Pure-state projector in the ordered basis {|00>, |01>, |10>, |11>}."""
-    vec = np.asarray(amps, dtype=complex).reshape(4)
-    return np.outer(vec, vec.conj())
+    """Pure-state projector in the ordered basis {|00>, |01>, |10>, |11>}.
+
+    A (k, 4) array of amplitudes gives a (k, 4, 4) stack of projectors.
+    """
+    vec = np.asarray(amps, dtype=complex)
+    if vec.ndim != 2:
+        vec = vec.reshape(4)
+    return vec[..., :, None] * vec.conj()[..., None, :]
 
 
 def _validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if rho.shape[-2:] != (4, 4) or rho.ndim > 3:
+        raise ValueError(f"density matrix must be 4x4 or a stack of them, got shape {rho.shape}")
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    trace = complex(rho.trace())
-    if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
-        raise ValueError("density matrix trace differs from 1 beyond 1e-10")
-    # eigvalsh sorts ascending: the first eigenvalue is the smallest
-    if np.linalg.eigvalsh(rho)[0] < -1e-10:
+    # checked per matrix in Python floats, cheaper than numpy calls on a few
+    traces = rho.trace(0, -2, -1).tolist()
+    for trace in traces if rho.ndim == 3 else (traces,):
+        if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
+            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+    # eigvalsh sorts ascending: the first eigenvalue of each matrix is its smallest
+    smallest = np.linalg.eigvalsh(rho).T[0].tolist()
+    if min(smallest if rho.ndim == 3 else (smallest,)) < -1e-10:
         raise ValueError("density matrix is not positive semidefinite within 1e-10")
     return rho
 
@@ -182,20 +196,29 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     C = max(0, l1 - l2 - l3 - l4).  Eigenvalues within 1e-12 of zero
     relative to the spectral scale are clamped before the square root.  The
     four eigenvalues are finished in Python floats, cheaper than numpy
-    calls on four elements.
+    calls on four elements.  A (k, 4, 4) stack gives k values and a (k, 4)
+    array of lambdas, from one eigenvalue call.
     """
     rho = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
     evals = np.linalg.eigvals(rho @ rho_tilde).real.tolist()
+    if rho.ndim == 2:
+        lams = _wootters_lambdas(evals)
+        return _result(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]), ROUTE_WOOTTERS, lams)
+    lams = [_wootters_lambdas(row) for row in evals]
+    values = [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lams]
+    return _result(np.array(values), ROUTE_WOOTTERS, lambdas=np.array(lams))
+
+
+def _wootters_lambdas(evals: list[float]) -> tuple[float, float, float, float]:
+    """The decreasing square roots of four eigenvalues of rho rho~, dust clamped."""
     dust = _EIGENVALUE_DUST * max(max(map(abs, evals)), 1e-300)
     evals = [0.0 if abs(e) < dust else e for e in evals]
     if min(evals) < 0.0:
         raise ValueError(
             f"rho*rho~ has a negative eigenvalue {min(evals):.3e} beyond dust tolerance"
         )
-    lams = sorted(map(math.sqrt, evals), reverse=True)
-    value = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return _result(value, ROUTE_WOOTTERS, lambdas=tuple(lams))
+    return tuple(sorted(map(math.sqrt, evals), reverse=True))
 
 
 def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
@@ -209,16 +232,27 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
     values carry linear rounding error, so product states come out at
     ~1e-16 instead of the sqrt(eps) floor of a direct purity evaluation.
     Independent of every closed-form expression used by the other routes.
+    A stack of states gives one value per state, from one SVD call.
     """
-    psi = state.full_vector.reshape(state.n_max, state.p + 1)
+    vectors = state.full_vector
+    psi = vectors.reshape(vectors.shape[:-1] + (state.n_max, state.p + 1))
     mu = np.linalg.svd(psi, compute_uv=False) ** 2
-    trace = float(mu.sum())  # = Tr rho_f = ||psi||^2
-    if abs(trace - 1.0) > 1e-8:
-        raise TruncationError(
-            f"reduced density trace {trace:.10g} differs from 1 beyond 1e-8; "
-            "increase n_max"
-        )
-    mu = (mu / trace).tolist()
+    trace = mu.sum(axis=-1)  # = Tr rho_f = ||psi||^2
+    traces = trace.tolist()
+    for value in traces if vectors.ndim > 1 else (traces,):
+        if abs(value - 1.0) > 1e-8:
+            raise TruncationError(
+                f"reduced density trace {value:.10g} differs from 1 beyond 1e-8; "
+                "increase n_max"
+            )
+    spectra = (mu / _col(trace)).tolist()
+    if vectors.ndim == 1:
+        return _schmidt_concurrence(spectra)
+    return np.array(list(map(_schmidt_concurrence, spectra)))
+
+
+def _schmidt_concurrence(mu: list[float]) -> float:
+    """2 sqrt(sum_{i<j} mu_i mu_j) of a trace-normalized Schmidt spectrum ``mu``."""
     pairwise = 0.0
     for i, mu_i in enumerate(mu):
         for mu_j in mu[i + 1 :]:
@@ -226,10 +260,11 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
     return _clip_unit(2.0 * math.sqrt(pairwise), "concurrence")
 
 
-def concurrence_routes(state: PsusyCoherentState) -> dict[str, float]:
+def concurrence_routes(state: PsusyCoherentState) -> dict:
     """Concurrence of ``state`` by all four routes, keyed by route name.
 
-    The closed-form route reads the state's own :class:`ClosedForm`.
+    The closed-form route reads the state's own :class:`ClosedForm`.  For a
+    stack of states each route holds an array, one value per state.
     """
     amps = state.qubit_amps
     return {

@@ -52,18 +52,21 @@ class AnnihilatorA:
         """A|psi> in O(n_max * (p + 1)) time and memory.
 
         Terms raised past the boson cutoff are dropped, exactly as in the
-        truncated dense matrix.
+        truncated dense matrix.  A 2-D ``psi`` is a stack of vectors, one
+        per row, and gives one row each.
         """
         p, n_max = self.p, self.n_max
-        x = np.asarray(psi).reshape(n_max, p + 1)
+        psi = np.asarray(psi)
+        rows = psi.shape[:-1] if psi.ndim == 2 else ()
+        x = psi.reshape(rows + (n_max, p + 1))
         out = np.zeros(x.shape, dtype=np.result_type(x, float))
         # a ⊗ I: level n + 1 -> n with weight sqrt(n + 1), in every column.
-        out[:-1] = _ladder_table(_sqrt_levels, n_max - 1)[:, None] * x[1:]
+        out[..., :-1, :] = _ladder_table(_sqrt_levels, n_max - 1)[:, None] * x[..., 1:, :]
         # (a†)^(p-1) ⊗ |0><p|: level n -> n + p - 1 with weight
         # sqrt((n + p - 1)!/n!); the p! of (b†)^p cancels the 1/p!.
         kept = n_max - p + 1
-        out[p - 1 :, 0] += _ladder_table(_raise_weights, kept, p) * x[:kept, p]
-        return out.reshape(-1)
+        out[..., p - 1 :, 0] += _ladder_table(_raise_weights, kept, p) * x[..., :kept, p]
+        return out.reshape(rows + (-1,))
 
 
 def _raise_weights(n: int, p: int) -> np.ndarray:
@@ -118,13 +121,30 @@ def build_annihilator(p: int, n_max: int) -> AnnihilatorA:
     return AnnihilatorA(int(p), int(n_max))
 
 
-def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z: complex) -> float:
-    """2-norm of A|state> - z|state> for a normalized state vector."""
+def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z):
+    """2-norm of A|state> - z|state> for a normalized state vector.
+
+    A (k, dim) stack of states with a z array of k entries gives an array of
+    k residuals; each row's norms are taken as for the state alone.
+    """
     state = np.asarray(state)
     dim = a_op.n_max * (a_op.p + 1)
-    if state.shape != (dim,):
-        raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized: ||state|| = {norm:.6g}")
-    return float(np.linalg.norm(a_op.apply(state) - z * state))
+    stacked = state.ndim == 2 and state.shape[1] == dim
+    if not stacked and state.shape != (dim,):
+        raise ValueError(f"state has shape {state.shape}, expected ({dim},) or (k, {dim})")
+    norms = _norms(state)
+    for norm in norms.tolist() if stacked else (norms,):
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"state is not normalized: ||state|| = {norm:.6g}")
+    shift = np.asarray(z)[:, None] if stacked else z
+    return _norms(a_op.apply(state) - shift * state)
+
+
+def _norms(vectors: np.ndarray):
+    """The 2-norm of a vector as a float, or of each row of a stack as an array.
+
+    Each row's norm is the 1-D one: ``np.linalg.norm(axis=1)`` sums differently.
+    """
+    if vectors.ndim == 1:
+        return float(np.linalg.norm(vectors))
+    return np.array([np.linalg.norm(row) for row in vectors])

@@ -5,6 +5,9 @@ counts a check as passed when its residual is at most the tolerance.
 The per-state residuals (:func:`eigenstate_residual`,
 :func:`consistency_residuals`, :func:`route_spread`) and the sampler
 :func:`random_states` are public so the tests check the same quantities.
+The residuals also take a stack of states of one order p and give one
+value per state; the per-state suites check their random states so, one
+stack per order.
 """
 
 from __future__ import annotations
@@ -23,9 +26,22 @@ from .algebra import (
     coherent_vector,
     default_n_max,
 )
-from .coherent import AlphaProfile, beta_coefficients, bosonic_weight_sum, build_state, qubit_bases
+from .coherent import (
+    AlphaProfile,
+    _col,
+    beta_coefficients,
+    bosonic_weight_sum,
+    build_state,
+    qubit_bases,
+)
 from .entanglement import concurrence_routes, entanglement_of_formation
-from .model import build_annihilator, build_hamiltonian, degeneracy_profile, verify_eigenstate
+from .model import (
+    _norms,
+    build_annihilator,
+    build_hamiltonian,
+    degeneracy_profile,
+    verify_eigenstate,
+)
 
 __all__ = [
     "RunReport", "run_all", "SUITES",
@@ -50,8 +66,8 @@ class RunReport:
         return self.failed == 0
 
 
-def random_states(rng: np.random.Generator, count: int, p_max: int, z_max: float):
-    """Yield ``count`` random explicit-profile states, p <= p_max and |z| <= z_max."""
+def _draws(rng: np.random.Generator, count: int, p_max: int, z_max: float):
+    """(p, z, profile) of ``count`` random explicit-profile states."""
     for _ in range(count):
         p = int(rng.integers(1, p_max + 1))
         z = rng.uniform(0, z_max) * np.exp(2j * np.pi * rng.uniform())
@@ -59,49 +75,76 @@ def random_states(rng: np.random.Generator, count: int, p_max: int, z_max: float
         # keep alpha_p away from zero so every branch of the state is populated;
         # the sign takes the draw rng.choice([-1.0, 1.0]) would, at less cost
         alphas[p] = rng.uniform(0.2, 2.0) * (-1.0, 1.0)[rng.integers(0, 2)]
-        yield build_state(p, z, AlphaProfile.explicit(alphas))
+        yield p, z, AlphaProfile.explicit(alphas)
 
 
-def eigenstate_residual(state) -> float:
-    """||A|Z> - z|Z>|| of ``state``."""
+def random_states(rng: np.random.Generator, count: int, p_max: int, z_max: float):
+    """Yield ``count`` random explicit-profile states, p <= p_max and |z| <= z_max.
+
+    Each state is built alone, at its own default cutoff.
+    """
+    for p, z, profile in _draws(rng, count, p_max, z_max):
+        yield build_state(p, z, profile)
+
+
+def _random_stacks(rng: np.random.Generator, count: int, p_max: int, z_max: float):
+    """The draws of :func:`random_states` (same rng stream), one stack per order p."""
+    orders: dict[int, tuple[list, list]] = {}
+    for p, z, profile in _draws(rng, count, p_max, z_max):
+        zs, profiles = orders.setdefault(p, ([], []))
+        zs.append(z)
+        profiles.append(profile)
+    for p, (zs, profiles) in sorted(orders.items()):
+        yield build_state(p, np.array(zs), profiles)
+
+
+def eigenstate_residual(state):
+    """||A|Z> - z|Z>|| of ``state``; an array, one per state, over a stack."""
     return verify_eigenstate(build_annihilator(state.p, state.n_max), state.full_vector, state.z)
 
 
 def _tensor(b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """b ⊗ f of a boson and a parafermion vector, laid out as np.kron lays it."""
-    return np.multiply.outer(b, f).reshape(-1)
+    """b ⊗ f of a boson and a parafermion vector (or of each row of two
+    stacks), laid out as np.kron lays it."""
+    return (b[..., :, None] * f[..., None, :]).reshape(b.shape[:-1] + (-1,))
 
 
-def consistency_residuals(state) -> tuple[float, float, float, float]:
+def consistency_residuals(state):
     """Unit norm, a01 = 0, and the distance of the full vector from its
-    beta-tower assembly and from its qubit-basis reconstruction."""
+    beta-tower assembly and from its qubit-basis reconstruction.
+
+    Over a stack each of the four is an array, one value per state.
+    """
     p, z, profile, n_max = state.p, state.z, state.profile, state.n_max
+    full = state.full_vector
     # beta_{k,n} is the amplitude of |n-k>_b |k>_f
     beta = beta_coefficients(p, z, profile, n_max - 1, state=state)
-    from_beta = np.zeros((n_max, p + 1), dtype=complex)
+    from_beta = np.zeros(np.shape(z) + (n_max, p + 1), dtype=complex)
     for k in range(p + 1):
-        from_beta[: n_max - k, k] = beta[k, k:]
+        from_beta[..., : n_max - k, k] = beta[..., k, k:]
 
     bases = qubit_bases(p, z, profile, n_max, state=state)
-    a00, a01, a10, a11 = state.qubit_amps
+    amps = state.qubit_amps
+    # a (k, 4) array over a stack: its columns are the amplitudes of each state
+    a00, a01, a10, a11 = amps.T if isinstance(amps, np.ndarray) else amps
     recon = (
-        a00 * _tensor(bases.b0, bases.f0)
-        + a01 * _tensor(bases.b0, bases.f1)
-        + a10 * _tensor(bases.b1, bases.f0)
-        + a11 * _tensor(bases.b1, bases.f1)
+        _col(a00) * _tensor(bases.b0, bases.f0)
+        + _col(a01) * _tensor(bases.b0, bases.f1)
+        + _col(a10) * _tensor(bases.b1, bases.f0)
+        + _col(a11) * _tensor(bases.b1, bases.f1)
     )
     return (
-        abs(np.linalg.norm(state.full_vector) - 1.0),
+        abs(_norms(full) - 1.0),
         abs(a01),
-        float(np.linalg.norm(from_beta.reshape(-1) - state.full_vector)),
-        float(np.linalg.norm(recon - state.full_vector)),
+        _norms(from_beta.reshape(full.shape) - full),
+        _norms(recon - full),
     )
 
 
-def route_spread(state) -> float:
-    """Largest minus smallest concurrence over the four routes."""
-    values = concurrence_routes(state).values()
-    return max(values) - min(values)
+def route_spread(state):
+    """Largest minus smallest concurrence over the four routes; an array over a stack."""
+    spread = np.ptp(list(concurrence_routes(state).values()), axis=0)
+    return spread if spread.ndim else float(spread)
 
 
 def suite_parafermi_algebra(p_max: int, rng):
@@ -147,18 +190,19 @@ def suite_spectrum_degeneracy(p_max: int, rng):
 
 
 def suite_eigenstate_property(p_max: int, rng):
-    for state in random_states(rng, 20, p_max, 3.0):
-        yield eigenstate_residual(state)
+    for stack in _random_stacks(rng, 20, p_max, 3.0):
+        yield from eigenstate_residual(stack).tolist()
 
 
 def suite_state_consistency(p_max: int, rng):
-    for state in random_states(rng, 15, p_max, 2.5):
-        yield from consistency_residuals(state)
+    for stack in _random_stacks(rng, 15, p_max, 2.5):
+        for residuals in zip(*(r.tolist() for r in consistency_residuals(stack))):
+            yield from residuals
 
 
 def suite_concurrence_routes(p_max: int, rng):
-    for state in random_states(rng, 25, p_max, 3.0):
-        yield route_spread(state)
+    for stack in _random_stacks(rng, 25, p_max, 3.0):
+        yield from route_spread(stack).tolist()
 
 
 def suite_eof_curve(p_max: int, rng):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -201,6 +202,36 @@ def test_state_past_the_float_range_exits_1_with_one_line(tmp_path, z_argv):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: the boson truncation at |z|=1e+")
     assert "exceeds the float range" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--p", "3000000", "--profile", "PROFILE"],
+        ["grid", "--p-min", "300000", "--p-max", "300000", "--out", "OUT"],
+    ],
+    ids=["state", "grid"],
+)
+def test_huge_order_fails_at_once(tmp_path, argv):
+    # c_0 = p! leaves the float range from p = 171 on; forming (p!)^2 first
+    # took minutes for the state and seconds for the grid
+    profile = _write_profile(tmp_path, {"p": 3000000, "kind": "optimal-constant", "alpha_p": 1.0})
+    argv = [{"PROFILE": profile, "OUT": str(tmp_path / "g.csv")}.get(a, a) for a in argv]
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "psusyent.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert "weight coefficients of order" in proc.stderr
+    assert "exceed the float range" in proc.stderr
+    # the interpreter's start and numpy's import take most of it
+    assert elapsed < 3.0
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_state_missing_file_exits_1(tmp_path):

@@ -15,6 +15,7 @@ from psusyent import (
     DegenerateProfileError,
     FloatRangeError,
     NoRealSolutionError,
+    PowerTable,
     TruncationError,
     beta_coefficients,
     build_state,
@@ -199,6 +200,48 @@ def test_weight_sum_is_a_left_to_right_fold(p):
         exact_differs |= math.fsum(terms) != fold
     # from p = 5 on the cases include sums that exact summation rounds otherwise
     assert exact_differs or p < 5
+
+
+# ---------------------------------------------------------------- power table
+
+
+def test_power_table_keeps_one_read_only_column_per_exponent():
+    zs = np.array([0.0, 0.5, 1.5, 3.0])
+    table = PowerTable(zs)
+    assert not table.scalar and table.values == zs.tolist()
+    column = table.column(4)
+    assert table.column(4) is column
+    assert table.columns((2, 4))[1] is column
+    assert column.tolist() == [z**4 for z in zs.tolist()]
+    assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        column[0] = 1.0
+    assert PowerTable.of(table) is table
+
+
+def test_power_table_of_one_z_gives_python_floats():
+    table = PowerTable(1.7)
+    assert table.scalar and table.values == [1.7]
+    powers = table.columns(range(6))
+    assert all(type(x) is float for x in powers)
+    assert powers == [1.7**e for e in range(6)]
+    assert type(table.column(3)) is float and table.column(3) == 1.7**3
+    # a power past the float range is inf, not OverflowError
+    assert PowerTable(1e200).column(2) == math.inf
+
+
+def test_power_table_rejects_an_empty_array():
+    with pytest.raises(ValueError, match="at least one"):
+        PowerTable(np.array([]))
+
+
+def test_power_table_first():
+    table = PowerTable(np.array([0.5, 1.0, 2.0]))
+    assert table.first(np.array([False, True, True])) == 1.0
+    assert table.first(np.zeros(3, dtype=bool)) is None
+    one = PowerTable(2.5)
+    assert one.first(True) == 2.5
+    assert one.first(False) is None
 
 
 # ---------------------------------------------------------------- normalization
@@ -411,6 +454,14 @@ def test_build_state_rejects_a_non_finite_vector():
         build_state(166, 1.0, AlphaProfile.optimal_constant(166))
 
 
+def test_build_state_classifies_a_non_finite_vector_without_a_warning():
+    # as above, with numpy's own error state: the builder silences its overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="state vector of order p=166"):
+            build_state(166, 1.0, AlphaProfile.optimal_constant(166))
+
+
 def test_build_state_order_mismatch():
     with pytest.raises(ValueError):
         build_state(2, 0.5, AlphaProfile.explicit([1.0, 1.0]))
@@ -484,9 +535,29 @@ def test_verify_builds_each_state_vectors_once(monkeypatch, capsys):
     monkeypatch.setattr(np, "kron", counting("kron", np.kron))
     assert main(["verify", "--p-max", "4"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert 0 < counts["coherent_vector"] <= 80
-    assert 0 < counts["_derivative_tower"] <= 80
+    # 20 coherent-identity samples, and one stack per order in each of the
+    # three per-state suites (the 60 states built one by one made 80)
+    assert 0 < counts["coherent_vector"] <= 20 + 3 * 4
+    assert 0 < counts["_derivative_tower"] <= 20 + 3 * 4
     assert counts["kron"] == 0
+
+
+def test_verify_makes_one_svd_per_order(monkeypatch):
+    # the Schmidt route takes one SVD call per stack; 25 states alone made 25
+    calls = Counter()
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(20260810)
+    for suite in verify.SUITES:
+        calls.clear()
+        report = verify._run_suite(suite, 4, 1e-8, rng)
+        assert report.ok, report
+        assert calls["svd"] <= 4, report.name
 
 
 # ---------------------------------------------------------------- qubit bases
