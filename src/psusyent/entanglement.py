@@ -221,7 +221,7 @@ def _wootters_lambdas(evals: list[float]) -> tuple[float, float, float, float]:
     return tuple(sorted(map(math.sqrt, evals), reverse=True))
 
 
-def concurrence_schmidt_oracle(state: PsusyCoherentState) -> float:
+def concurrence_schmidt_oracle(state: PsusyCoherentState):
     """Concurrence from the partial trace over the boson space.
 
     Evaluates sqrt(2 (1 - Tr rho_f^2)) for the trace-normalized reduced
