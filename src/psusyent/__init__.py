@@ -31,7 +31,6 @@ from .coherent import (
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
-    weight_terms,
 )
 from .entanglement import (
     ConcurrenceResult,
@@ -105,5 +104,4 @@ __all__ = [
     "required_n_max",
     "run_all",
     "verify_eigenstate",
-    "weight_terms",
 ]

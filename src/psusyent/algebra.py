@@ -285,10 +285,18 @@ def derivative_coherent_vector(z: complex, p: int, n_max: int) -> np.ndarray:
 
     Amplitudes are sqrt(n!)/(n-p)! * z^(n-p) for n >= p and zero below;
     equivalently the n = m+p amplitude is the coherent amplitude at m times
-    sqrt((m+1)(m+2)...(m+p)).
+    sqrt((m+1)(m+2)...(m+p)).  Raises FloatRangeError where an amplitude
+    leaves the float range.
     """
     _check_derivative_order(p, n_max)
-    return _derivative_tower(coherent_vector(z, n_max - p), p, n_max)
+    # an amplitude past the float range comes out inf or nan, classified below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _derivative_tower(coherent_vector(z, n_max - p), p, n_max)
+    if not np.isfinite(out).all():
+        raise FloatRangeError(
+            f"the derivative tower of order p={p} at |z|={abs(z):.4g} leaves the float range"
+        )
+    return out
 
 
 def _check_derivative_order(p: int, n_max: int) -> None:

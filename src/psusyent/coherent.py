@@ -37,7 +37,6 @@ __all__ = [
     "QubitBases",
     "beta_coefficients",
     "normalization_q",
-    "weight_terms",
     "build_state",
     "qubit_bases",
     "qubit_amplitudes",
@@ -59,7 +58,7 @@ def _optimal_alphas(p: int, alpha_p: float) -> np.ndarray:
     """alpha_0 = alpha_p/p and alpha_k = p! alpha_p / (p (p-k)! sqrt(k!)).
 
     For 0 < k < p that is (alpha_p/p) sqrt(c_{p-k}), with c_n the weight
-    coefficient of :func:`weight_terms`.
+    coefficient of :func:`bosonic_weight_sum`.
     """
     alphas = (alpha_p / p) * np.sqrt([1.0, *_weight_coefficients(p)[:0:-1], 0.0])
     alphas[p] = alpha_p
@@ -78,10 +77,10 @@ class AlphaProfile:
       z-independent part of the concurrence.
     * ``z-dependent-exact``: as optimal-constant except at index p - m,
       where alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1) + w_m / p^2]
-      with w_m the weight term m of :func:`weight_terms`.  The positive root is
-      taken; concurrence depends only on the square.  The rule has no real
-      solution when the bracket is negative (possible for p <= 3 at small
-      |z|) or at z = 0.
+      with w_m the weight term m of :func:`bosonic_weight_sum`.  The positive
+      root is taken; concurrence depends only on the square.  The rule has
+      no real solution when the bracket is negative (possible for p <= 3 at
+      small |z|) or at z = 0.
     """
 
     p: int
@@ -381,22 +380,12 @@ def _weight_series(p: int, powers: PowerTable, first: int, stop: int) -> list:
     return [c * x for c, x in zip(coeffs, powers.columns(range(2 * first, 2 * stop, 2)))]
 
 
-def weight_terms(p: int, z_abs):
-    """Terms w_n = c_n |z|^(2n), n = 0..p-1, of the weight series.
+def bosonic_weight_sum(p: int, z_abs: float) -> float:
+    """Sum of the weight terms w_n = c_n |z|^(2n), n = 0..p-1, always >= p!.
 
     c_n = (p!)^2 / ((n!)^2 (p-n)!); the full series, with its n = p term
-    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  A 1-D |z| array (or a
-    :class:`PowerTable`) gives one row of terms per |z|.
-    """
-    powers = PowerTable.of(z_abs)
-    terms = _weight_series(p, powers, 0, p)
-    return terms if powers.scalar else np.column_stack(terms)
-
-
-def bosonic_weight_sum(p: int, z_abs: float) -> float:
-    """Sum of the weight series of :func:`weight_terms`, always >= p!.
-
-    The terms are added left to right, n = 0 first.
+    |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  The terms are added left to
+    right, n = 0 first.
     """
     return _fold(_weight_series(p, PowerTable.of(z_abs), 0, p))
 
@@ -533,26 +522,6 @@ def normalization_q(p: int, z_abs: float, profile: AlphaProfile) -> float:
     return _resolve(p, z_abs, profile).q
 
 
-def _z_and_abs(z):
-    """``z`` as a complex and its |z|, or a 1-D array of z (a stack) and theirs.
-
-    Each |z| is Python's own: numpy's complex abs differs from it in the
-    last bit for about a third of all z.
-    """
-    if isinstance(z, np.ndarray) and z.ndim:
-        if z.ndim != 1 or not z.size:
-            raise ValueError(f"a stack of states needs a nonempty 1-D z array, got {z.shape}")
-        z = z.astype(complex, copy=False)
-        return z, np.array([abs(v) for v in z.tolist()])
-    z = complex(z)
-    return z, abs(z)
-
-
-def _default_cutoff(z_abs, p: int) -> int:
-    """:func:`default_n_max` at the largest |z|, so no row is built below its own."""
-    return default_n_max(float(z_abs.max()) if isinstance(z_abs, np.ndarray) else z_abs, p)
-
-
 def _col(x):
     """One factor per row as a column over a stack; a scalar as it is."""
     return x[:, None] if isinstance(x, np.ndarray) else x
@@ -568,65 +537,30 @@ def _each(f, *args):
     return f(*args)
 
 
-def _form_and_towers(
-    p: int, z, z_abs, profile, n_max: int, state: "PsusyCoherentState | None"
-) -> tuple[ClosedForm, np.ndarray, np.ndarray]:
-    """The closed form of ``profile`` at |z|, |z> and |z^(p)> on n_max levels.
+def beta_coefficients(state: PsusyCoherentState) -> np.ndarray:
+    """Expansion coefficients beta_{k,n} of the state |Z> over |n-k>_b |k>_f.
 
-    A given ``state`` lends its own after a check that it is the state of
-    (p, z, profile) on n_max levels; otherwise they are made here.
-    """
-    if state is None:
-        form = _resolve(p, z_abs, profile)
-        coh = coherent_vector(z, n_max)
-        return form, coh, _derivative_tower(coh, p, n_max)
-    if not isinstance(profile, AlphaProfile):
-        profile = tuple(profile)
-    same = (state.p, state.n_max) == (p, n_max) and np.array_equal(state.z, z)
-    if not same or state.profile != profile:
-        raise ValueError(
-            f"state (p={state.p}, z={state.z}, n_max={state.n_max}) is not the state of "
-            f"this call (p={p}, z={z}, n_max={n_max}) and its profile"
-        )
-    return state.closed_form, state.coherent, state.derivative
-
-
-def beta_coefficients(
-    p: int,
-    z,
-    profile,
-    n_cut: int,
-    *,
-    state: "PsusyCoherentState | None" = None,
-) -> np.ndarray:
-    """Expansion coefficients beta_{k,n} of |Z> over |n-k>_b |k>_f.
-
-    Returns a (p+1) x (n_cut+1) array, row k holding beta_{k,n}.  Seeds are
+    Returns a (p+1) x n_max array, row k holding beta_{k,n}.  Seeds are
     beta_{0,0} = alpha_0 Q conj(z)^p and beta_{k,k} = alpha_k Q z^(p-k);
     the towers follow beta_{k,n} = z^(n-k)/sqrt((n-k)!) beta_{k,k} for
     k >= 1 and
     beta_{0,n} = -sqrt(n!)/(p (n-p)!) z^(n-p) beta_{p,p}
                  + z^n/sqrt(n!) beta_{0,0},
     the first term vanishing for n < p (reciprocal factorial convention).
-    ``state``, when given, must be the state of (p, z, profile) on n_cut + 1
-    boson levels; its closed form and vectors are read, not made again.
-    A stack (a 1-D z array, one profile each) gives one such array per row.
+    They are made from the state's closed form and boson vectors.  A stack
+    gives one such array per row.
     """
-    if n_cut < p:
-        raise ValueError(f"n_cut={n_cut} must be at least p={p}")
-    z, z_abs = _z_and_abs(z)
-    form, coh, dcoh = _form_and_towers(p, z, z_abs, profile, n_cut + 1, state)
-    alphas, q = form.alphas, form.q
-
-    # alphas.T[k] is alpha_k, a float or one per row
-    alphas = alphas.T
-    beta = np.zeros(np.shape(z) + (p + 1, n_cut + 1), dtype=complex)
+    p, z, n_max = state.p, state.z, state.n_max
+    coh, dcoh = state.coherent, state.derivative
+    # alphas[k] is alpha_k, a float or one per row
+    alphas, q = state.closed_form.alphas.T, state.closed_form.q
+    beta = np.zeros(np.shape(z) + (p + 1, n_max), dtype=complex)
     beta_pp = alphas[p] * q
     beta[..., 0, :] = _col(alphas[0] * q * np.power(np.conj(z), p)) * coh
     beta[..., 0, :] -= _col(beta_pp / p) * dcoh
     for k in range(1, p + 1):
         seed = alphas[k] * q * np.power(z, p - k)
-        beta[..., k, k:] = _col(seed) * coh[..., : n_cut + 1 - k]
+        beta[..., k, k:] = _col(seed) * coh[..., : n_max - k]
     return beta
 
 
@@ -680,12 +614,20 @@ def build_state(
     bit-identical to the state of its z and profile built alone at that
     n_max.
     """
-    z, z_abs = _z_and_abs(z)
-    stacked = isinstance(z, np.ndarray)
+    # each |z| is Python's own: numpy's complex abs differs from it in the
+    # last bit for about a third of all z
+    stacked = isinstance(z, np.ndarray) and z.ndim > 0
     if stacked:
+        if z.ndim != 1 or not z.size:
+            raise ValueError(f"a stack of states needs a nonempty 1-D z array, got {z.shape}")
+        z = z.astype(complex, copy=False)
+        z_abs = np.array([abs(v) for v in z.tolist()])
         profile = tuple(profile)
-    if n_max is None:
-        n_max = _default_cutoff(z_abs, p)
+    else:
+        z = complex(z)
+        z_abs = abs(z)
+    if n_max is None:  # at the largest |z|, so no row is built below its own default
+        n_max = default_n_max(float(z_abs.max()) if stacked else z_abs, p)
     full_shape = (len(z), -1) if stacked else -1
 
     # a closed form or vector past the float range comes out inf or nan: the
@@ -736,14 +678,7 @@ class QubitBases:
     f1: np.ndarray
 
 
-def qubit_bases(
-    p: int,
-    z: complex,
-    profile: AlphaProfile,
-    n_max: int | None = None,
-    *,
-    state: PsusyCoherentState | None = None,
-) -> QubitBases:
+def qubit_bases(state: PsusyCoherentState) -> QubitBases:
     """Build the orthonormal two-dimensional bases occupied by the state.
 
     b1 is the normalized coherent vector, b0 the normalized component of
@@ -751,15 +686,11 @@ def qubit_bases(
     identities), f0 the parafermion vacuum and f1 the normalized
     sum_{k>=1} alpha_k z^(p-k) |k>_f.  Needs some alpha_{k>=1} nonzero at
     this z, otherwise the state is a product with |0>_f and f1 is undefined.
-    ``state``, when given, must be the state of (p, z, profile) on n_max
-    boson levels; its closed form and vectors are read, not made again.
-    Over a stack each basis vector has one row per state.
+    They are made from the state's closed form and boson vectors.  Over a
+    stack each basis vector has one row per state.
     """
-    z, z_abs = _z_and_abs(z)
-    if n_max is None:
-        n_max = _default_cutoff(z_abs, p)
-    form, coh, dcoh = _form_and_towers(p, z, z_abs, profile, n_max, state)
-
+    p, z, form = state.p, state.z, state.closed_form
+    coh, dcoh = state.coherent, state.derivative
     # |f1_raw|^2 = sum_{k>=1} alpha_k^2 |z|^(2(p-k)) is the branch weight A^2
     f1_raw = np.zeros(np.shape(z) + (p + 1,), dtype=complex)
     f1_raw[..., 1:] = form.alphas[..., 1:] * np.power(_col(z), p - np.arange(1, p + 1))
@@ -769,7 +700,7 @@ def qubit_bases(
             "with the parafermion vacuum and the f1 basis vector is undefined"
         )
 
-    gauss = _col(_each(lambda r: math.exp(-0.5 * r**2), z_abs))
+    gauss = _col(_each(lambda r: math.exp(-0.5 * r**2), form.z_abs))
     b1 = gauss * coh
     b0 = gauss * (_col(np.power(np.conj(z), p)) * coh - dcoh) / _col(np.sqrt(form.weight_sum))
     f0 = np.zeros(f1_raw.shape, dtype=complex)

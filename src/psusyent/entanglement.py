@@ -279,7 +279,7 @@ def concurrence_optimal(p: int, z_abs):
     """Concurrence of the optimal-constant family, directly in closed form.
 
     C = sqrt(1 - (p!/p^2 - 1)^2 / (p!/p^2 + 1 + 2 sum_{n=1..p-1} w_n / p^2)^2)
-    with w_n the weight terms of :func:`weight_terms`; identically 1 for
+    with w_n the weight terms of :func:`bosonic_weight_sum`; identically 1 for
     p = 1 and increasing in |z| toward 1 for p >= 2.  Elementwise over a
     1-D |z| array or a :class:`PowerTable` over one; the series is added
     left to right, n = 1 first.

@@ -115,15 +115,15 @@ def consistency_residuals(state):
 
     Over a stack each of the four is an array, one value per state.
     """
-    p, z, profile, n_max = state.p, state.z, state.profile, state.n_max
+    p, z, n_max = state.p, state.z, state.n_max
     full = state.full_vector
     # beta_{k,n} is the amplitude of |n-k>_b |k>_f
-    beta = beta_coefficients(p, z, profile, n_max - 1, state=state)
+    beta = beta_coefficients(state)
     from_beta = np.zeros(np.shape(z) + (n_max, p + 1), dtype=complex)
     for k in range(p + 1):
         from_beta[..., : n_max - k, k] = beta[..., k, k:]
 
-    bases = qubit_bases(p, z, profile, n_max, state=state)
+    bases = qubit_bases(state)
     amps = state.qubit_amps
     # a (k, 4) array over a stack: its columns are the amplitudes of each state
     a00, a01, a10, a11 = amps.T if isinstance(amps, np.ndarray) else amps

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,16 @@ def test_default_n_max_rule():
 def test_derivative_rejects_too_small_n_max():
     with pytest.raises(ValueError):
         derivative_coherent_vector(1.0, 3, 3)
+
+
+def test_derivative_past_the_float_range_raises_without_a_warning():
+    # the order-166 ladder sqrt((m+1)...(m+166)) overflows from m = 6 on:
+    # the caller gets the classified error, not numpy's overflow warning
+    # and 28 non-finite amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="p=166"):
+            derivative_coherent_vector(1.0, 166, 200)
 
 
 @pytest.mark.parametrize("z_abs", [1e200, math.inf])

@@ -25,11 +25,10 @@ from psusyent import (
     normalization_q,
     qubit_amplitudes,
     qubit_bases,
-    weight_terms,
 )
 from psusyent import algebra, cli, coherent, entanglement, model, verify
 from psusyent.cli import main
-from psusyent.coherent import _resolve, bosonic_weight_sum
+from psusyent.coherent import _resolve, _weight_series, bosonic_weight_sum
 from psusyent.verify import consistency_residuals, random_states
 
 from conftest import random_explicit_profile, random_z
@@ -168,7 +167,7 @@ def test_profile_json_rejects_unknown_and_missing_fields():
 def test_weight_terms_match_exact_arithmetic(z_abs):
     z2 = Fraction(z_abs) ** 2
     for p in range(1, 13):
-        terms = weight_terms(p, z_abs)
+        terms = _weight_series(p, PowerTable(z_abs), 0, p)
         assert len(terms) == p
         for n, term in enumerate(terms):
             exact = Fraction(
@@ -179,7 +178,7 @@ def test_weight_terms_match_exact_arithmetic(z_abs):
         coeffs = [Fraction(math.factorial(p) ** 2, math.factorial(n) ** 2 * math.factorial(p - n))
                   for n in range(p)]
         assert terms == [float(c) * z_abs ** (2 * n) for n, c in enumerate(coeffs)]
-        rows = weight_terms(p, np.array([z_abs, 0.5]))
+        rows = np.column_stack(_weight_series(p, PowerTable(np.array([z_abs, 0.5])), 0, p))
         assert rows.shape == (2, p) and np.array_equal(rows[0], terms)
 
 
@@ -192,7 +191,7 @@ def test_weight_sum_is_a_left_to_right_fold(p):
     rows = _resolve(p, zs, profile).weight_sum
     exact_differs = False
     for z_abs, row in zip(zs.tolist(), rows.tolist()):
-        terms = weight_terms(p, z_abs)
+        terms = _weight_series(p, PowerTable(z_abs), 0, p)
         fold = functools.reduce(operator.add, terms)
         assert bosonic_weight_sum(p, z_abs) == fold
         assert _resolve(p, z_abs, profile).weight_sum == fold
@@ -274,7 +273,7 @@ def test_states_built_with_q_have_unit_norm(rng):
 
 def test_beta_seeds_p1_z0():
     profile = AlphaProfile.explicit([1.0, 1.0])
-    beta = beta_coefficients(1, 0.0, profile, 4)
+    beta = beta_coefficients(build_state(1, 0.0, profile, n_max=5, tail_tol=None))
     assert beta[0, 0] == 0.0  # carries conj(z)^p
     assert_allclose(beta[1, 1], 1 / math.sqrt(2))  # alpha_1 * Q(0)
 
@@ -282,19 +281,21 @@ def test_beta_seeds_p1_z0():
 def test_beta_tower_ratio():
     profile = AlphaProfile.explicit([0.4, 1.2])
     z = 0.9 - 0.3j
-    beta = beta_coefficients(1, z, profile, 5)
+    beta = beta_coefficients(build_state(1, z, profile, n_max=6, tail_tol=None))
     assert_allclose(beta[1, 3], z**2 / math.sqrt(2) * beta[1, 1], rtol=1e-13)
 
 
 def test_beta_zero_below_tower_start():
-    beta = beta_coefficients(3, 1.1, AlphaProfile.optimal_constant(3), 6)
+    state = build_state(3, 1.1, AlphaProfile.optimal_constant(3), n_max=7, tail_tol=None)
+    beta = beta_coefficients(state)
     for k in range(1, 4):
         assert np.all(beta[k, :k] == 0.0)
 
 
 def test_beta_requires_n_cut_at_least_p():
+    # the towers run over the state's n_max levels, and a state needs n_max > p
     with pytest.raises(ValueError):
-        beta_coefficients(3, 1.0, AlphaProfile.optimal_constant(3), 2)
+        build_state(3, 1.0, AlphaProfile.optimal_constant(3), n_max=3, tail_tol=None)
 
 
 def test_beta_assembly_matches_closed_form():
@@ -382,30 +383,6 @@ def test_state_towers_are_bit_exact(rng, p):
         for k in range(1, p + 1):
             columns[:, k] = alphas[k] * z ** (p - k) * coh
         assert np.array_equal(state.full_vector, q * columns.reshape(-1))
-
-
-def test_state_keyword_must_match_the_call():
-    profile = AlphaProfile.optimal_constant(3)
-    state = build_state(3, 1.2 - 0.4j, profile)
-    z, n_max = state.z, state.n_max
-    # the matching call reads the state's vectors: the same values as building them
-    beta = beta_coefficients(3, z, profile, n_max - 1, state=state)
-    assert np.array_equal(beta, beta_coefficients(3, z, profile, n_max - 1))
-    bases = qubit_bases(3, z, profile, n_max, state=state)
-    built = qubit_bases(3, z, profile, n_max)
-    for name in ("b0", "b1", "f0", "f1"):
-        assert np.array_equal(getattr(bases, name), getattr(built, name))
-    mismatches = [
-        (2, z, AlphaProfile.optimal_constant(2), n_max),
-        (3, z.conjugate(), profile, n_max),
-        (3, z, profile, n_max + 1),
-        (3, z, AlphaProfile.optimal_constant(3, alpha_p=2.0), n_max),
-    ]
-    for p, z_call, profile_call, n_call in mismatches:
-        with pytest.raises(ValueError, match="is not the state"):
-            beta_coefficients(p, z_call, profile_call, n_call - 1, state=state)
-        with pytest.raises(ValueError, match="is not the state"):
-            qubit_bases(p, z_call, profile_call, n_call, state=state)
 
 
 def _reference_states(rng, count, p_max, z_max):
@@ -565,7 +542,7 @@ def test_verify_makes_one_svd_per_order(monkeypatch):
 
 def test_qubit_bases_orthonormal():
     profile = AlphaProfile.optimal_constant(2)
-    bases = qubit_bases(2, 1.5 + 0.5j, profile)
+    bases = qubit_bases(build_state(2, 1.5 + 0.5j, profile))
     assert abs(np.linalg.norm(bases.b0) - 1.0) < 1e-10
     assert abs(np.linalg.norm(bases.b1) - 1.0) < 1e-10
     assert abs(np.vdot(bases.b0, bases.b1)) < 1e-10
@@ -576,10 +553,10 @@ def test_qubit_bases_orthonormal():
 
 def test_qubit_bases_f1_special_cases():
     # p = 1: the sum has the single term k = 1
-    bases = qubit_bases(1, 0.7 - 0.2j, AlphaProfile.explicit([0.5, 2.0]))
+    bases = qubit_bases(build_state(1, 0.7 - 0.2j, AlphaProfile.explicit([0.5, 2.0])))
     assert_allclose(bases.f1, [0.0, 1.0], atol=1e-14)
     # z = 0: only the k = p term carries |z|^0
-    bases0 = qubit_bases(3, 0.0, AlphaProfile.optimal_constant(3))
+    bases0 = qubit_bases(build_state(3, 0.0, AlphaProfile.optimal_constant(3)))
     expected = np.zeros(4)
     expected[3] = 1.0
     assert_allclose(bases0.f1, expected, atol=1e-14)
@@ -587,7 +564,7 @@ def test_qubit_bases_f1_special_cases():
 
 def test_qubit_bases_degenerate_without_upper_alphas():
     with pytest.raises(DegenerateProfileError):
-        qubit_bases(2, 1.0, AlphaProfile.explicit([1.0, 0.0, 0.0]))
+        qubit_bases(build_state(2, 1.0, AlphaProfile.explicit([1.0, 0.0, 0.0])))
 
 
 def test_amplitudes_reconstruct_full_vector():

@@ -9,6 +9,7 @@ from psusyent import (
     AlphaProfile,
     FloatRangeError,
     TruncationError,
+    beta_coefficients,
     build_annihilator,
     build_state,
     concurrence_pure,
@@ -17,6 +18,7 @@ from psusyent import (
     concurrence_wootters,
     default_n_max,
     density_from_amplitudes,
+    qubit_bases,
     verify_eigenstate,
 )
 from psusyent.verify import consistency_residuals, eigenstate_residual, route_spread
@@ -75,6 +77,20 @@ def test_stack_rows_are_the_states_alone_bit_for_bit(p, zs, profiles):
             assert np.array_equal(row, getattr(alone.closed_form, name)), name
         assert stack.q_norm[i] == alone.q_norm
         assert tuple(amps[i].tolist()) == alone.qubit_amps
+
+
+@pytest.mark.parametrize("p, zs, profiles", STACKS)
+def test_stacked_betas_and_bases_are_the_states_alone_bit_for_bit(p, zs, profiles):
+    stack = build_state(p, zs, profiles)
+    beta = beta_coefficients(stack)
+    bases = qubit_bases(stack)
+    assert beta.shape == (len(zs), p + 1, stack.n_max)
+    for i, (z, profile) in enumerate(zip(zs.tolist(), profiles)):
+        alone = build_state(p, z, profile, n_max=stack.n_max)
+        assert np.array_equal(beta[i], beta_coefficients(alone))
+        alone_bases = qubit_bases(alone)
+        for name in ("b0", "b1", "f0", "f1"):
+            assert np.array_equal(getattr(bases, name)[i], getattr(alone_bases, name)), name
 
 
 @pytest.mark.parametrize("p, zs, profiles", STACKS)
