@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -43,6 +44,9 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-14
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# |z|^n / sqrt(n!) peaks near exp(|z|^2/2) / (2 pi |z|^2)^(1/4), which stays
+# in the float range up to |z| ~ 37.7 (about 1e296 at 37)
+_FINITE_Z_ABS = 37.0
 
 
 def float_factorial(n: int) -> float:
@@ -262,6 +266,8 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     tail bound and a TruncationError carrying the required n_max is raised
     on failure.  A 1-D complex ``z`` array gives one row per z, each
     checked on its own and bit-identical to the vector of that z alone.
+    Raises FloatRangeError, naming |z|, where an amplitude leaves the
+    float range.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -276,7 +282,16 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
         rest = np.divide(
             z[:, None] if stacked else z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[..., 1:]
         )
-        np.multiply.accumulate(rest, -1, out=rest)
+        # only past _FINITE_Z_ABS (or at a nan z) can the product overflow;
+        # entering numpy's error state and checking the result there would
+        # cost about as much as building a short vector
+        far = not (np.abs(z) <= _FINITE_Z_ABS).all() if stacked else not abs(z) <= _FINITE_Z_ABS
+        with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
+            np.multiply.accumulate(rest, -1, out=rest)
+        if far and not np.isfinite(amps).all():
+            if stacked:  # name the first row that left the range
+                z = z[np.isfinite(amps).all(axis=-1).argmin()]
+            raise FloatRangeError(f"the coherent vector at |z|={abs(z):.4g} leaves the float range")
     return amps
 
 

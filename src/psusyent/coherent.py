@@ -143,6 +143,8 @@ class AlphaProfile:
         the error's ``alphas`` holds every row, with alpha_{p-m} = nan on the
         undefined ones.
         """
+        if self.kind == KIND_EXPLICIT and not isinstance(z_abs, (np.ndarray, PowerTable)):
+            return np.array(self.alphas)  # one |z|: nothing to resolve
         powers = PowerTable.of(z_abs)
         if self.kind == KIND_EXPLICIT:
             base = np.array(self.alphas)
@@ -430,12 +432,18 @@ class ClosedForm:
         (Q exp(|z|^2/2) = 1/sqrt(D) cancels all exponentials).  a00 keeps the
         sign of alpha_p so that the amplitudes reconstruct the tensor state
         exactly; its magnitude is B/sqrt(D).  Over rows, with one z each,
-        this is a (rows, 4) complex array.
+        this is a (rows, 4) complex array, each row the amplitudes of its
+        state alone: the columns take the same IEEE operations.
         """
-        if self.alphas.ndim == 1:
-            return _amplitudes(self.p, self.alphas, self.a_sq, self.b_sq, self.denom, z)
-        rows = zip(self.alphas, *(a.tolist() for a in (self.a_sq, self.b_sq, self.denom, z)))
-        return np.array([_amplitudes(self.p, *row) for row in rows])
+        p, alphas = self.p, self.alphas
+        if alphas.ndim == 1:
+            return _amplitudes(p, alphas, self.a_sq, self.b_sq, self.denom, z)
+        inv = 1.0 / np.sqrt(self.denom)
+        amps = np.zeros((len(alphas), 4), dtype=complex)
+        amps[:, 0] = np.copysign(np.sqrt(self.b_sq), alphas[:, p]) * inv
+        amps[:, 2] = np.power(np.conj(z), p) * (alphas[:, 0] - alphas[:, p] / p) * inv
+        amps[:, 3] = np.sqrt(self.a_sq) * inv
+        return amps
 
 
 def _q(z_abs: float, denom: float) -> float:

@@ -148,15 +148,31 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
 def concurrence_pure(amps):
     """C = 2 |a00 a11 - a01 a10| for normalized pure-state amplitudes.
 
-    A (k, 4) array of amplitudes gives an array of k concurrences.
+    A (k, 4) array of amplitudes gives an array of k concurrences, each
+    the one of its row alone: the columns are taken through the same real
+    operations as Python's complex ``*``, ``-`` and ``abs`` (``hypot``).
     """
     if isinstance(amps, np.ndarray) and amps.ndim == 2:
-        return np.array([concurrence_pure(row) for row in amps.tolist()])
+        return _concurrence_pure_rows(amps)
     a00, a01, a10, a11 = (complex(a) for a in amps)
     norm_sq = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
     if abs(norm_sq - 1.0) > 1e-8:
         raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq:.8g}")
     return _clip_unit(2.0 * abs(a00 * a11 - a01 * a10), "concurrence")
+
+
+def _concurrence_pure_rows(amps: np.ndarray) -> np.ndarray:
+    """:func:`concurrence_pure` of each row of a (k, 4) array."""
+    (r00, r01, r10, r11), (i00, i01, i10, i11) = amps.real.T, amps.imag.T
+    m00, m01, m10, m11 = np.hypot(amps.real, amps.imag).T
+    norm_sq = m00**2 + m01**2 + m10**2 + m11**2
+    off = np.abs(norm_sq - 1.0) > 1e-8
+    if off.any():
+        raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq[off][0]:.8g}")
+    # a00 a11 - a01 a10, each complex product written out as Python forms it
+    re = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
+    im = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)
+    return _clip_unit(2.0 * np.hypot(re, im), "concurrence")
 
 
 def density_from_amplitudes(amps) -> np.ndarray:
@@ -195,19 +211,27 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     decreasingly sorted square roots of the eigenvalues of rho rho~ and
     C = max(0, l1 - l2 - l3 - l4).  Eigenvalues within 1e-12 of zero
     relative to the spectral scale are clamped before the square root.  The
-    four eigenvalues are finished in Python floats, cheaper than numpy
-    calls on four elements.  A (k, 4, 4) stack gives k values and a (k, 4)
-    array of lambdas, from one eigenvalue call.
+    four eigenvalues of one matrix are finished in Python floats, cheaper
+    than numpy calls on four elements.  A (k, 4, 4) stack gives k values and
+    a (k, 4) array of lambdas, from one eigenvalue call and the same steps
+    on the (k, 4) eigenvalues, so each row is its matrix's alone.
     """
     rho = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
-    evals = np.linalg.eigvals(rho @ rho_tilde).real.tolist()
+    evals = np.linalg.eigvals(rho @ rho_tilde).real
     if rho.ndim == 2:
-        lams = _wootters_lambdas(evals)
+        lams = _wootters_lambdas(evals.tolist())
         return _result(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]), ROUTE_WOOTTERS, lams)
-    lams = [_wootters_lambdas(row) for row in evals]
-    values = [max(0.0, l1 - l2 - l3 - l4) for l1, l2, l3, l4 in lams]
-    return _result(np.array(values), ROUTE_WOOTTERS, lambdas=np.array(lams))
+    # the steps of _wootters_lambdas on the (k, 4) eigenvalues, one row per matrix
+    dust = _EIGENVALUE_DUST * np.maximum(np.abs(evals).max(axis=1), 1e-300)
+    evals = np.where(np.abs(evals) < dust[:, None], 0.0, evals)
+    smallest = evals.min(axis=1)
+    if (smallest < 0.0).any():
+        raise _negative_eigenvalue(smallest[smallest < 0.0][0])
+    lams = np.sort(np.sqrt(evals), axis=1)[:, ::-1]
+    values = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
+    # where, not np.maximum: max(0.0, x) is 0.0 for x = -0.0 and nan alike
+    return _result(np.where(values > 0.0, values, 0.0), ROUTE_WOOTTERS, lambdas=lams)
 
 
 def _wootters_lambdas(evals: list[float]) -> tuple[float, float, float, float]:
@@ -215,10 +239,12 @@ def _wootters_lambdas(evals: list[float]) -> tuple[float, float, float, float]:
     dust = _EIGENVALUE_DUST * max(max(map(abs, evals)), 1e-300)
     evals = [0.0 if abs(e) < dust else e for e in evals]
     if min(evals) < 0.0:
-        raise ValueError(
-            f"rho*rho~ has a negative eigenvalue {min(evals):.3e} beyond dust tolerance"
-        )
+        raise _negative_eigenvalue(min(evals))
     return tuple(sorted(map(math.sqrt, evals), reverse=True))
+
+
+def _negative_eigenvalue(value: float) -> ValueError:
+    return ValueError(f"rho*rho~ has a negative eigenvalue {value:.3e} beyond dust tolerance")
 
 
 def concurrence_schmidt_oracle(state: PsusyCoherentState):
@@ -245,10 +271,20 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState):
                 f"reduced density trace {value:.10g} differs from 1 beyond 1e-8; "
                 "increase n_max"
             )
-    spectra = (mu / _col(trace)).tolist()
+    spectra = mu / _col(trace)
     if vectors.ndim == 1:
-        return _schmidt_concurrence(spectra)
-    return np.array(list(map(_schmidt_concurrence, spectra)))
+        return _schmidt_concurrence(spectra.tolist())
+    # the products mu_i mu_j in _schmidt_concurrence's pair order, added in
+    # that order by the running sum
+    left, right = _pairs(spectra.shape[1])
+    pairwise = np.add.accumulate(spectra[:, left] * spectra[:, right], axis=1)[:, -1]
+    return _clip_unit(2.0 * np.sqrt(pairwise), "concurrence")
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n columns, in row-major order."""
+    return np.triu_indices(n, 1)
 
 
 def _schmidt_concurrence(mu: list[float]) -> float:

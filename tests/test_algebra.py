@@ -226,6 +226,19 @@ def test_derivative_past_the_float_range_raises_without_a_warning():
             derivative_coherent_vector(1.0, 166, 200)
 
 
+def test_coherent_vector_past_the_float_range_raises_without_a_warning():
+    # z^n/sqrt(n!) peaks near e^(|z|^2/2): past the float range from |z| ~ 37.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=r"\|z\|=40 leaves"):
+            coherent_vector(40.0, 3000)
+        with pytest.raises(FloatRangeError, match=r"\|z\|=40 leaves"):
+            coherent_vector(np.array([1.0, 40.0j, 50.0]), 3000)
+        # up to the bound below which the vector is not checked, it stays finite
+        for z in (37.0, -37.0j, 37.0 * np.exp(0.7j), np.array([37.0, 36.9j])):
+            assert np.isfinite(coherent_vector(z, 4000)).all()
+
+
 @pytest.mark.parametrize("z_abs", [1e200, math.inf])
 def test_truncation_past_the_float_range_raises(z_abs):
     # |z|^2 is inf: default_n_max had math.ceil(inf) and required_n_max

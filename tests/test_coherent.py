@@ -397,15 +397,19 @@ def _reference_states(rng, count, p_max, z_max):
 
 @pytest.mark.parametrize("seed", [20260810, 5])
 def test_random_states_keep_the_sampler_stream(seed):
-    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    draws = zip(random_states(ours, 200, 8, 3.0), _reference_states(reference, 200, 8, 3.0))
-    count = 0
-    for state, (p, z, alphas) in draws:
-        assert (state.p, state.z) == (p, complex(z))
-        assert state.profile.alphas == tuple(alphas.tolist())
-        count += 1
-    assert count == 200
-    assert ours.bit_generator.state == reference.bit_generator.state
+    # verify draws at p_max 1..4; at p_max = 1, integers(1, 2) consumes no bits
+    for p_max in (1, 4, 8):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = zip(
+            random_states(ours, 200, p_max, 3.0), _reference_states(reference, 200, p_max, 3.0)
+        )
+        count = 0
+        for state, (p, z, alphas) in draws:
+            assert (state.p, state.z) == (p, complex(z))
+            assert state.profile.alphas == tuple(alphas.tolist())
+            count += 1
+        assert count == 200
+        assert ours.bit_generator.state == reference.bit_generator.state, p_max
 
 
 def test_build_state_truncation_enforced():
@@ -535,6 +539,24 @@ def test_verify_makes_one_svd_per_order(monkeypatch):
         report = verify._run_suite(suite, 4, 1e-8, rng)
         assert report.ok, report
         assert calls["svd"] <= 4, report.name
+
+
+def test_verify_checks_each_stack_without_a_call_per_row(monkeypatch):
+    # norms, Wootters lambdas and Schmidt sums are array operations over a
+    # stack; one call per row made 85, 25 and 25 at --p-max 4
+    calls = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    for name in ("_wootters_lambdas", "_schmidt_concurrence"):
+        monkeypatch.setattr(entanglement, name, counting(name, getattr(entanglement, name)))
+    assert all(report.ok for report in verify.run_all(4, 1e-8))
+    assert calls == Counter()
 
 
 # ---------------------------------------------------------------- qubit bases

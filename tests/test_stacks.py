@@ -1,6 +1,7 @@
 """Stacks of states: one order p, one row per state, equal to the states alone."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from psusyent import (
     qubit_bases,
     verify_eigenstate,
 )
+from psusyent.model import _norms
 from psusyent.verify import consistency_residuals, eigenstate_residual, route_spread
 
 from conftest import random_explicit_profile, random_z
@@ -108,16 +110,52 @@ def test_stacked_residuals_and_routes_match_the_states_alone(p, zs, profiles):
     assert wootters.lambdas.shape == (len(zs), 4)
     for i, (z, profile) in enumerate(zip(zs.tolist(), profiles)):
         alone = build_state(p, z, profile, n_max=stack.n_max)
-        assert abs(residuals[i] - eigenstate_residual(alone)) <= 1e-15
+        assert residuals[i] == eigenstate_residual(alone)
         for stacked, single in zip(consistency, consistency_residuals(alone)):
-            assert abs(stacked[i] - single) <= 1e-15
-        assert abs(spreads[i] - route_spread(alone)) <= 1e-15
+            assert stacked[i] == single
+        assert spreads[i] == route_spread(alone)
         for name, value in concurrence_routes(alone).items():
-            assert abs(routes[name][i] - value) <= 1e-15, name
+            assert routes[name][i] == value, name
         single = concurrence_wootters(density_from_amplitudes(alone.qubit_amps))
-        assert abs(wootters.value[i] - single.value) <= 1e-15
-        assert np.max(np.abs(wootters.lambdas[i] - single.lambdas)) <= 1e-15
-        assert abs(schmidt[i] - concurrence_schmidt_oracle(alone)) <= 1e-15
+        assert wootters.value[i] == single.value
+        assert tuple(wootters.lambdas[i].tolist()) == single.lambdas
+        assert schmidt[i] == concurrence_schmidt_oracle(alone)
+        assert pure[i] == concurrence_pure(alone.qubit_amps)
+
+
+def test_route_rows_are_the_rows_alone_for_any_states():
+    # complex a00 and a11, mixed densities and full Schmidt rank, which no
+    # coherent state gives: numpy's complex multiply and abs round otherwise
+    # than Python's, and np.sum adds many pairs in another order
+    rng = np.random.default_rng(14)
+    for p, n_max in ((3, 5), (8, 12)):
+        # a product state plus noise: every Schmidt value nonzero, C below 1
+        shape = (50, n_max * (p + 1))
+        vectors = np.zeros(shape, dtype=complex)
+        vectors[:, 0] = 1.0
+        vectors += 0.2 / shape[1] ** 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        schmidt = concurrence_schmidt_oracle(SimpleNamespace(p=p, n_max=n_max, full_vector=vectors))
+        for i, row in enumerate(vectors):
+            alone = SimpleNamespace(p=p, n_max=n_max, full_vector=row)
+            assert schmidt[i] == concurrence_schmidt_oracle(alone)
+    amps = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+    amps /= np.linalg.norm(amps, axis=1)[:, None]
+    pure = concurrence_pure(amps)
+    mixing = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+    rho = mixing @ mixing.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    for densities in (density_from_amplitudes(amps), rho):
+        wootters = concurrence_wootters(densities)
+        for i, matrix in enumerate(densities):
+            single = concurrence_wootters(matrix)
+            assert wootters.value[i] == single.value
+            assert tuple(wootters.lambdas[i].tolist()) == single.lambdas
+    for i, row in enumerate(amps):
+        assert pure[i] == concurrence_pure(row)
+    amps[3] *= 1.1
+    with pytest.raises(ValueError, match=r"sum \|a\|\^2 = 1.21"):
+        concurrence_pure(amps)
 
 
 def test_stack_cutoff_is_the_largest_default_of_its_rows():
@@ -182,3 +220,10 @@ def test_verify_eigenstate_checks_each_row_of_a_stack():
         verify_eigenstate(a_op, scaled, stack.z)
     with pytest.raises(ValueError, match="shape"):
         verify_eigenstate(a_op, stack.full_vector[:, :-1], stack.z)
+    # each row's norm is the norm of the row alone, bit for bit: strided
+    # views, rows from 1e-20 to 1e5, one row, and rows of length 1
+    scales = 10.0 ** np.linspace(-20.0, 5.0, 6)[:, None]
+    wide = (rng.normal(size=(6, 301)) + 1j * rng.normal(size=(6, 301))) * scales
+    strided = (wide[:, ::3], wide[::2, 1::2], np.asfortranarray(wide), wide.real)
+    for vectors in (wide, *strided, wide[:1], wide[:, :1]):
+        assert np.array_equal(_norms(vectors), [np.linalg.norm(row) for row in vectors])
