@@ -27,9 +27,9 @@ from .coherent import (
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
+    _closed_form,
     _col,
     _fold,
-    _resolve,
     _weight_series,
 )
 from .errors import FloatRangeError, TruncationError
@@ -138,41 +138,28 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
         z_abs = np.abs(z)
     else:
         z_abs = abs(complex(z))
-    form = _resolve(p, z_abs, profile)
+    # past the float range C comes out nan (inf/inf), which _result classifies
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _closed_form(p, z_abs, profile)
+        value = form.concurrence
     if form.alphas.ndim == 1:
-        return _result(form.concurrence, ROUTE_CLOSED_FORM)
+        return _result(value, ROUTE_CLOSED_FORM)
     # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
-    return _result(form.concurrence, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
+    return _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
 
 
 def concurrence_pure(amps):
     """C = 2 |a00 a11 - a01 a10| for normalized pure-state amplitudes.
 
-    A (k, 4) array of amplitudes gives an array of k concurrences, each
-    the one of its row alone: the columns are taken through the same real
-    operations as Python's complex ``*``, ``-`` and ``abs`` (``hypot``).
+    A (k, 4) array of amplitudes gives k concurrences, one per row.
     """
     if isinstance(amps, np.ndarray) and amps.ndim == 2:
-        return _concurrence_pure_rows(amps)
+        return np.array([concurrence_pure(row) for row in amps.tolist()])
     a00, a01, a10, a11 = (complex(a) for a in amps)
     norm_sq = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
     if abs(norm_sq - 1.0) > 1e-8:
         raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq:.8g}")
     return _clip_unit(2.0 * abs(a00 * a11 - a01 * a10), "concurrence")
-
-
-def _concurrence_pure_rows(amps: np.ndarray) -> np.ndarray:
-    """:func:`concurrence_pure` of each row of a (k, 4) array."""
-    (r00, r01, r10, r11), (i00, i01, i10, i11) = amps.real.T, amps.imag.T
-    m00, m01, m10, m11 = np.hypot(amps.real, amps.imag).T
-    norm_sq = m00**2 + m01**2 + m10**2 + m11**2
-    off = np.abs(norm_sq - 1.0) > 1e-8
-    if off.any():
-        raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq[off][0]:.8g}")
-    # a00 a11 - a01 a10, each complex product written out as Python forms it
-    re = (r00 * r11 - i00 * i11) - (r01 * r10 - i01 * i10)
-    im = (r00 * i11 + i00 * r11) - (r01 * i10 + i01 * r10)
-    return _clip_unit(2.0 * np.hypot(re, im), "concurrence")
 
 
 def density_from_amplitudes(amps) -> np.ndarray:
@@ -190,16 +177,19 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim > 3:
         raise ValueError(f"density matrix must be 4x4 or a stack of them, got shape {rho.shape}")
+    # before the checks below: nan passes every tolerance comparison, and inf
+    # makes the Hermitian difference nan
+    if not np.isfinite(rho).all():
+        raise FloatRangeError("density matrix has a nan or inf entry")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian within 1e-10")
+    stack = rho.reshape(-1, 4, 4)
     # checked per matrix in Python floats, cheaper than numpy calls on a few
-    traces = rho.trace(0, -2, -1).tolist()
-    for trace in traces if rho.ndim == 3 else (traces,):
+    for trace in stack.trace(0, -2, -1).tolist():
         if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
             raise ValueError("density matrix trace differs from 1 beyond 1e-10")
     # eigvalsh sorts ascending: the first eigenvalue of each matrix is its smallest
-    smallest = np.linalg.eigvalsh(rho).T[0].tolist()
-    if min(smallest if rho.ndim == 3 else (smallest,)) < -1e-10:
+    if min(np.linalg.eigvalsh(stack)[:, 0].tolist()) < -1e-10:
         raise ValueError("density matrix is not positive semidefinite within 1e-10")
     return rho
 
@@ -210,41 +200,33 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y); the lambdas are the
     decreasingly sorted square roots of the eigenvalues of rho rho~ and
     C = max(0, l1 - l2 - l3 - l4).  Eigenvalues within 1e-12 of zero
-    relative to the spectral scale are clamped before the square root.  The
-    four eigenvalues of one matrix are finished in Python floats, cheaper
-    than numpy calls on four elements.  A (k, 4, 4) stack gives k values and
-    a (k, 4) array of lambdas, from one eigenvalue call and the same steps
-    on the (k, 4) eigenvalues, so each row is its matrix's alone.
+    relative to the spectral scale are clamped before the square root.  A
+    (k, 4, 4) stack gives k values and a (k, 4) array of lambdas, from one
+    eigenvalue call.
     """
     rho = _validate_density(rho)
     rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
     evals = np.linalg.eigvals(rho @ rho_tilde).real
     if rho.ndim == 2:
-        lams = _wootters_lambdas(evals.tolist())
-        return _result(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]), ROUTE_WOOTTERS, lams)
-    # the steps of _wootters_lambdas on the (k, 4) eigenvalues, one row per matrix
-    dust = _EIGENVALUE_DUST * np.maximum(np.abs(evals).max(axis=1), 1e-300)
-    evals = np.where(np.abs(evals) < dust[:, None], 0.0, evals)
-    smallest = evals.min(axis=1)
-    if (smallest < 0.0).any():
-        raise _negative_eigenvalue(smallest[smallest < 0.0][0])
-    lams = np.sort(np.sqrt(evals), axis=1)[:, ::-1]
-    values = lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3]
-    # where, not np.maximum: max(0.0, x) is 0.0 for x = -0.0 and nan alike
-    return _result(np.where(values > 0.0, values, 0.0), ROUTE_WOOTTERS, lambdas=lams)
+        value, lams = _wootters_concurrence(evals.tolist())
+        return _result(value, ROUTE_WOOTTERS, lams)
+    values, lams = zip(*map(_wootters_concurrence, evals.tolist()))
+    return _result(np.array(values), ROUTE_WOOTTERS, np.array(lams))
 
 
-def _wootters_lambdas(evals: list[float]) -> tuple[float, float, float, float]:
-    """The decreasing square roots of four eigenvalues of rho rho~, dust clamped."""
+def _wootters_concurrence(evals: list[float]) -> tuple[float, tuple[float, float, float, float]]:
+    """(C, lambdas) from four eigenvalues of rho rho~, finished in Python floats.
+
+    Cheaper than numpy calls on four elements; a stack calls it once per row.
+    """
     dust = _EIGENVALUE_DUST * max(max(map(abs, evals)), 1e-300)
     evals = [0.0 if abs(e) < dust else e for e in evals]
     if min(evals) < 0.0:
-        raise _negative_eigenvalue(min(evals))
-    return tuple(sorted(map(math.sqrt, evals), reverse=True))
-
-
-def _negative_eigenvalue(value: float) -> ValueError:
-    return ValueError(f"rho*rho~ has a negative eigenvalue {value:.3e} beyond dust tolerance")
+        raise ValueError(
+            f"rho*rho~ has a negative eigenvalue {min(evals):.3e} beyond dust tolerance"
+        )
+    l1, l2, l3, l4 = lams = tuple(sorted(map(math.sqrt, evals), reverse=True))
+    return max(0.0, l1 - l2 - l3 - l4), lams
 
 
 def concurrence_schmidt_oracle(state: PsusyCoherentState):

@@ -523,38 +523,38 @@ def test_verify_builds_each_state_vectors_once(monkeypatch, capsys):
     assert counts["kron"] == 0
 
 
+def _count_calls(monkeypatch, calls: Counter, module, names) -> None:
+    """Count each call to one of ``names`` in ``module`` into ``calls``."""
+    for name in names:
+        function = getattr(module, name)
+
+        def wrapper(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_verify_makes_one_svd_per_order(monkeypatch):
-    # the Schmidt route takes one SVD call per stack; 25 states alone made 25
+    # the Schmidt route, the Wootters route and its density check make one
+    # svd, eigvals and eigvalsh call per stack; 25 states alone made 25 each
     calls = Counter()
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    _count_calls(monkeypatch, calls, np.linalg, ("svd", "eigvals", "eigvalsh"))
     rng = np.random.default_rng(20260810)
     for suite in verify.SUITES:
         calls.clear()
         report = verify._run_suite(suite, 4, 1e-8, rng)
         assert report.ok, report
-        assert calls["svd"] <= 4, report.name
+        assert max(calls.values(), default=0) <= 4, (report.name, calls)
 
 
 def test_verify_checks_each_stack_without_a_call_per_row(monkeypatch):
-    # norms, Wootters lambdas and Schmidt sums are array operations over a
-    # stack; one call per row made 85, 25 and 25 at --p-max 4
+    # norms and Schmidt sums are array operations over a stack; one call per
+    # row made 85 and 25 at --p-max 4.  The Wootters route finishes its four
+    # eigenvalues per row by design, in the single-state kernel.
     calls = Counter()
-
-    def counting(name, function):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return function(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
-    for name in ("_wootters_lambdas", "_schmidt_concurrence"):
-        monkeypatch.setattr(entanglement, name, counting(name, getattr(entanglement, name)))
+    _count_calls(monkeypatch, calls, np.linalg, ("norm",))
+    _count_calls(monkeypatch, calls, entanglement, ("_schmidt_concurrence",))
     assert all(report.ok for report in verify.run_all(4, 1e-8))
     assert calls == Counter()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,24 @@ def test_wootters_rejects_invalid_density():
         concurrence_wootters(non_psd)
     with pytest.raises(ValueError):
         concurrence_wootters(np.eye(3) / 3.0)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        np.full((4, 4), np.nan, dtype=complex),
+        np.full((4, 4), np.inf, dtype=complex),
+        np.stack([np.eye(4) / 4.0, np.full((4, 4), np.nan), np.eye(4) / 4.0]),
+    ],
+    ids=["nan", "inf", "stack-with-one-nan"],
+)
+def test_wootters_classifies_a_non_finite_density(rho):
+    # nan passes every tolerance comparison and inf makes the Hermitian
+    # difference nan; neither may reach eigvalsh or warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError):
+            concurrence_wootters(rho)
 
 
 def _wootters_written_out(rho):
@@ -339,6 +358,19 @@ def test_closed_form_overflow_raises_instead_of_nan():
     # alpha^2 |z|^(2n) overflows at p = 150, |z| = 5
     with np.errstate(all="ignore"), pytest.raises(FloatRangeError):
         concurrence_closed_form(150, 5.0, AlphaProfile.optimal_constant(150))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [AlphaProfile.optimal_constant(166), AlphaProfile.z_dependent_exact(166, 1)],
+    ids=["optimal-constant", "z-dependent-exact"],
+)
+def test_closed_form_of_inf_over_inf_raises_without_a_warning(profile):
+    # A^2 and B^2 are both inf at p = 166, |z| = 5, so C = 2AB/D is inf/inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError):
+            concurrence_closed_form(166, 5.0, profile)
 
 
 @pytest.mark.parametrize("z", [1e-170, np.array([1e-170, 1.0])])
