@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import math
@@ -186,11 +187,19 @@ def default_n_max(z: complex, p: int) -> int:
     Keeps the dropped Poisson tail below 1e-14 for |z| <= 5, which in turn
     holds every inner-product identity used downstream to 1e-10 or better.
     """
-    zabs = abs(z)
+    zabs = _checked_abs(z)
     try:
         return max(32, math.ceil(zabs * zabs + 10.0 * zabs + p + 20))
     except OverflowError:
         raise _truncation_range_error(zabs) from None
+
+
+def _checked_abs(z) -> float:
+    """Python's |z|; a nan z raises FloatRangeError first (CPython's complex
+    abs of it keeps a stale libm errno and may raise OverflowError)."""
+    if cmath.isnan(z):
+        raise FloatRangeError(f"z = {z} has a nan part: no state exists there")
+    return abs(z)
 
 
 def _truncation_range_error(z_abs: float) -> FloatRangeError:
@@ -247,13 +256,13 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
     return hi
 
 
-def _check_tail(z: complex, n_max: int, tail_tol: float) -> None:
-    tail = coherent_tail(abs(z), n_max)
+def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:
+    tail = coherent_tail(z_abs, n_max)
     if tail >= tail_tol:
-        needed = required_n_max(abs(z), tail_tol)
+        needed = required_n_max(z_abs, tail_tol)
         raise TruncationError(
             f"truncation n_max={n_max} leaves tail {tail:.3e} >= {tail_tol:.1e} "
-            f"at |z|={abs(z):.4g}; need n_max >= {needed}",
+            f"at |z|={z_abs:.4g}; need n_max >= {needed}",
             required_n_max=needed,
         )
 
@@ -272,9 +281,10 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     stacked = isinstance(z, np.ndarray) and z.ndim
+    rows_abs = [_checked_abs(v) for v in (z.tolist() if stacked else (z,))]
     if tail_tol is not None:
-        for z_row in z.tolist() if stacked else (z,):
-            _check_tail(z_row, n_max, tail_tol)
+        for z_abs in rows_abs:
+            _check_tail(z_abs, n_max, tail_tol)
     amps = np.empty(z.shape + (n_max,) if stacked else n_max, dtype=complex)
     amps[..., 0] = 1.0
     if n_max > 1:
@@ -282,16 +292,16 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
         rest = np.divide(
             z[:, None] if stacked else z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[..., 1:]
         )
-        # only past _FINITE_Z_ABS (or at a nan z) can the product overflow;
+        # only past _FINITE_Z_ABS can the product overflow (a nan z raised above);
         # entering numpy's error state and checking the result there would
         # cost about as much as building a short vector
-        far = not (np.abs(z) <= _FINITE_Z_ABS).all() if stacked else not abs(z) <= _FINITE_Z_ABS
+        far = not max(rows_abs) <= _FINITE_Z_ABS
         with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
             np.multiply.accumulate(rest, -1, out=rest)
         if far and not np.isfinite(amps).all():
-            if stacked:  # name the first row that left the range
-                z = z[np.isfinite(amps).all(axis=-1).argmin()]
-            raise FloatRangeError(f"the coherent vector at |z|={abs(z):.4g} leaves the float range")
+            # name the first row that left the range
+            z_abs = rows_abs[np.isfinite(amps).all(axis=-1).argmin()]
+            raise FloatRangeError(f"the coherent vector at |z|={z_abs:.4g} leaves the float range")
     return amps
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TAIL_TOL,
+    _checked_abs,
     _derivative_tower,
     coherent_vector,
     default_n_max,
@@ -152,31 +153,28 @@ class AlphaProfile:
             base = _optimal_alphas(self.p, self.alpha_p)
         alphas = base[None, :] if powers.scalar else base[None, :].repeat(len(powers.zs), axis=0)
         if self.kind == KIND_Z_EXACT:
-            column, undefined = self._exceptional_alpha(powers)
+            # one |z| runs as a one-row column
+            rows = PowerTable(powers.zs) if powers.scalar else powers
+            column, undefined = self._exceptional_alpha(rows)
             alphas[:, self.p - self.m] = column
             if undefined:
                 raise NoRealSolutionError(undefined, alphas=None if powers.scalar else alphas)
         return alphas[0] if powers.scalar else alphas
 
-    def _exceptional_alpha(self, powers: "PowerTable") -> tuple[float | np.ndarray, str | None]:
-        """alpha_{p-m} per |z|, nan where the rule is undefined, and why if anywhere."""
+    def _exceptional_alpha(self, powers: "PowerTable") -> tuple[np.ndarray, str | None]:
+        """alpha_{p-m} per |z| of a table over an array, nan where the rule is
+        undefined, and why if anywhere; FloatRangeError past the float range."""
         p, m = self.p, self.m
-        (w_m,) = _weight_series(p, powers, m, m + 1)
-        bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
-        if powers.scalar:
-            z_abs = powers.values[0]
-            if z_abs == 0.0 or bracket < 0.0:
-                return math.nan, self._undefined_reason(z_abs, bracket)
-            z_m = powers.column(m)  # 0.0 where |z|^m underflows
-            alpha = abs(self.alpha_p) * math.sqrt(bracket) / z_m if z_m else math.inf
-            if not math.isfinite(alpha):
-                raise self._float_range_error()
-            return alpha, None
         zs = powers.zs
-        undefined = (zs == 0.0) | (bracket < 0.0)
-        solved = ~undefined
-        alpha = np.full(len(zs), np.nan)
-        alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / powers.column(m)[solved]
+        # an underflowed |z|^m, an inf or nan |z| or an overflowed term gives an
+        # inf or nan alpha here, which the finiteness check below classifies
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            (w_m,) = _weight_series(p, powers, m, m + 1)
+            bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
+            undefined = (zs == 0.0) | (bracket < 0.0)
+            solved = ~undefined
+            alpha = np.full(len(zs), np.nan)
+            alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / powers.column(m)[solved]
         if not np.isfinite(alpha[solved]).all():
             raise self._float_range_error()
         if solved.all():
@@ -433,24 +431,17 @@ class ClosedForm:
         sign of alpha_p so that the amplitudes reconstruct the tensor state
         exactly; its magnitude is B/sqrt(D).  Over rows, with one z each,
         this is a (rows, 4) complex array, each row the amplitudes of its
-        state alone: the columns take the same IEEE operations.
+        state alone.
         """
-        p, alphas = self.p, self.alphas
-        if alphas.ndim == 1:
-            return _amplitudes(p, alphas, self.a_sq, self.b_sq, self.denom, z)
-        inv = 1.0 / np.sqrt(self.denom)
-        amps = np.zeros((len(alphas), 4), dtype=complex)
-        amps[:, 0] = np.copysign(np.sqrt(self.b_sq), alphas[:, p]) * inv
-        amps[:, 2] = np.power(np.conj(z), p) * (alphas[:, 0] - alphas[:, p] / p) * inv
-        amps[:, 3] = np.sqrt(self.a_sq) * inv
-        return amps
+        amplitudes = functools.partial(_amplitudes, self.p)
+        return _each(amplitudes, self.a_sq, self.b_sq, self.denom, self.alphas, z)
 
 
 def _q(z_abs: float, denom: float) -> float:
     return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
 
 
-def _amplitudes(p: int, alphas, a_sq: float, b_sq: float, denom: float, z: complex):
+def _amplitudes(p: int, a_sq: float, b_sq: float, denom: float, alphas, z: complex):
     inv = 1.0 / math.sqrt(denom)
     a00 = complex(math.copysign(math.sqrt(b_sq), alphas[p]) * inv)
     a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
@@ -629,11 +620,11 @@ def build_state(
         if z.ndim != 1 or not z.size:
             raise ValueError(f"a stack of states needs a nonempty 1-D z array, got {z.shape}")
         z = z.astype(complex, copy=False)
-        z_abs = np.array([abs(v) for v in z.tolist()])
+        z_abs = np.array([_checked_abs(v) for v in z.tolist()])
         profile = tuple(profile)
     else:
         z = complex(z)
-        z_abs = abs(z)
+        z_abs = _checked_abs(z)
     if n_max is None:  # at the largest |z|, so no row is built below its own default
         n_max = default_n_max(float(z_abs.max()) if stacked else z_abs, p)
     full_shape = (len(z), -1) if stacked else -1
@@ -646,10 +637,9 @@ def build_state(
         coh = coherent_vector(z, n_max, tail_tol=tail_tol)
         dcoh = _derivative_tower(coh, p, n_max)
         columns = np.empty(coh.shape + (p + 1,), dtype=complex)
-        # alphas.T[k] is alpha_k, a float or one per row.  conj(z)^p over rows
-        # by np.power: the array ** squares by a fast path that rounds
-        # otherwise.  For one z the scalar ** gives np.power's bits, cheaper.
-        lead = alphas.T[0] * (np.power(np.conj(z), p) if stacked else np.conj(z) ** p)
+        # alphas.T[k] is alpha_k, a float or one per row.  conj(z)^p by
+        # np.power: the array ** squares by a fast path that rounds otherwise
+        lead = alphas.T[0] * np.power(np.conj(z), p)
         columns[..., 0] = _col(lead) * coh - _col(alphas.T[p] / p) * dcoh
         # column k is alpha_k z^(p-k) |z>; the scalar stays the first factor of
         # each product, as numpy's complex multiply is not bitwise commutative
@@ -673,7 +663,7 @@ def qubit_amplitudes(
 ) -> tuple[complex, complex, complex, complex]:
     """Two-qubit amplitudes (a00, a01, a10, a11); see :meth:`ClosedForm.amplitudes`."""
     z = complex(z)
-    return _resolve(p, abs(z), profile).amplitudes(z)
+    return _resolve(p, _checked_abs(z), profile).amplitudes(z)
 
 
 @dataclass(frozen=True)

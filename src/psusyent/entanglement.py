@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import float_factorial
+from .algebra import _checked_abs, float_factorial
 from .coherent import (
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
     _closed_form,
-    _col,
     _fold,
     _weight_series,
 )
@@ -137,7 +136,7 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     elif isinstance(z, np.ndarray) and z.ndim:
         z_abs = np.abs(z)
     else:
-        z_abs = abs(complex(z))
+        z_abs = _checked_abs(complex(z))
     # past the float range C comes out nan (inf/inf), which _result classifies
     with np.errstate(over="ignore", invalid="ignore"):
         form = _closed_form(p, z_abs, profile)
@@ -240,33 +239,19 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState):
     values carry linear rounding error, so product states come out at
     ~1e-16 instead of the sqrt(eps) floor of a direct purity evaluation.
     Independent of every closed-form expression used by the other routes.
-    A stack of states gives one value per state, from one SVD call.
+    One state is a stack of one; a stack gives a value per state from one SVD.
     """
-    vectors = state.full_vector
-    psi = vectors.reshape(vectors.shape[:-1] + (state.n_max, state.p + 1))
+    psi = state.full_vector.reshape(-1, state.n_max, state.p + 1)
     mu = np.linalg.svd(psi, compute_uv=False) ** 2
-    trace = mu.sum(axis=-1)  # = Tr rho_f = ||psi||^2
-    traces = trace.tolist()
-    for value in traces if vectors.ndim > 1 else (traces,):
+    trace = mu.sum(axis=-1)  # = Tr rho_f = ||psi||^2, one per row
+    for value in trace.tolist():
         if abs(value - 1.0) > 1e-8:
             raise TruncationError(
                 f"reduced density trace {value:.10g} differs from 1 beyond 1e-8; "
                 "increase n_max"
             )
-    spectra = mu / _col(trace)
-    if vectors.ndim == 1:
-        return _schmidt_concurrence(spectra.tolist())
-    # the products mu_i mu_j in _schmidt_concurrence's pair order, added in
-    # that order by the running sum
-    left, right = _pairs(spectra.shape[1])
-    pairwise = np.add.accumulate(spectra[:, left] * spectra[:, right], axis=1)[:, -1]
-    return _clip_unit(2.0 * np.sqrt(pairwise), "concurrence")
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < j of n columns, in row-major order."""
-    return np.triu_indices(n, 1)
+    values = [_schmidt_concurrence(row) for row in (mu / trace[:, None]).tolist()]
+    return np.array(values) if state.full_vector.ndim > 1 else values[0]
 
 
 def _schmidt_concurrence(mu: list[float]) -> float:

@@ -97,22 +97,16 @@ def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
     """Sorted (energy, multiplicity) pairs of the Hamiltonian spectrum.
 
     H is diagonal in the Fock basis, so its spectrum is its sorted diagonal.
-    Eigenvalues closer than 1e-9 * omega are grouped into one level.  Away
-    from the truncation boundary the multiplicities are n+1 for the levels
-    n = 0..p-1 and p+1 from level p on.
+    A step of more than 1e-9 * omega between sorted eigenvalues starts a new
+    level, reported at its mean.  Away from the truncation boundary the
+    multiplicities are n+1 for the levels n = 0..p-1 and p+1 from level p on.
     """
     if h.n_max < 2 * h.p + 2:
         raise ValueError("degeneracy profile needs n_max >= 2p + 2")
     evals = np.sort(h.energies)
-    gap = 1e-9 * h.omega
-    profile: list[tuple[float, int]] = []
-    group_start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[group_start] > gap:
-            group = evals[group_start:i]
-            profile.append((float(np.mean(group)), len(group)))
-            group_start = i
-    return profile
+    levels = np.split(evals, np.flatnonzero(np.diff(evals) > 1e-9 * h.omega) + 1)
+    # np.add.reduce over the count is np.mean's own arithmetic
+    return [(float(np.add.reduce(level) / len(level)), len(level)) for level in levels]
 
 
 def build_annihilator(p: int, n_max: int) -> AnnihilatorA:
@@ -143,14 +137,13 @@ def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z):
 def _norms(vectors: np.ndarray):
     """The 2-norm of a vector as a float, or of each row of a stack as an array.
 
-    Each row's norm is the 1-D one, bit for bit: ``np.linalg.norm`` of a
-    contiguous complex vector is sqrt(x.real . x.real + x.imag . x.imag), and
-    ``vecdot`` runs the same BLAS ``ddot`` on each row, at the same strides
-    once the rows are contiguous (``np.linalg.norm(axis=1)`` sums
-    differently).
+    Each norm is ``np.linalg.norm``'s of the vector or row, bit for bit: for
+    a contiguous complex vector that is sqrt(x.real . x.real + x.imag .
+    x.imag), and ``vecdot`` runs the same BLAS ``ddot`` on each row, at the
+    same strides once the rows are contiguous (``np.linalg.norm(axis=1)``
+    sums differently).
     """
-    if vectors.ndim == 1:
-        return float(np.linalg.norm(vectors))
     vectors = np.ascontiguousarray(vectors)  # as np.linalg.norm ravels a row
     re, im = vectors.real, vectors.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return norms if vectors.ndim > 1 else float(norms)

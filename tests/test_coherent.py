@@ -122,6 +122,23 @@ def test_coefficients_over_a_z_array():
         profiles[0].coefficients(np.array([]))
 
 
+@pytest.mark.parametrize("p, m", [(8, 1), (4, 2)])
+@pytest.mark.parametrize("z_abs", [5e-324, 1e152, math.inf, math.nan])
+@pytest.mark.parametrize("rows", [False, True])
+def test_exceptional_alpha_past_the_float_range_raises_without_a_warning(p, m, z_abs, rows):
+    # |z|^m underflows at 5e-324, w_m overflows at 1e152 for (8, 1), and inf
+    # or nan |z| has no finite root.  Over an array these leaked numpy's
+    # "divide by zero", "overflow" and "invalid value" warnings.
+    profile = AlphaProfile.z_dependent_exact(p, m)
+    z = np.array([1.0, z_abs]) if rows else z_abs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError):
+            profile.coefficients(z)
+        with pytest.raises(FloatRangeError):
+            entanglement.concurrence_closed_form(p, z, profile)
+
+
 def test_z_dependent_exact_m_range():
     with pytest.raises(ValueError):
         AlphaProfile.z_dependent_exact(2, 2)
@@ -443,6 +460,37 @@ def test_build_state_classifies_a_non_finite_vector_without_a_warning():
             build_state(166, 1.0, AlphaProfile.optimal_constant(166))
 
 
+NAN_Z_ENTRIES = {
+    "build_state": lambda: build_state(1, complex(math.nan), AlphaProfile.optimal_constant(1)),
+    "build_state row": lambda: build_state(
+        1, np.array([0.5, complex(math.nan)]), [AlphaProfile.optimal_constant(1)] * 2, n_max=32
+    ),
+    "default_n_max": lambda: algebra.default_n_max(math.nan, 3),
+    "coherent_vector": lambda: coherent_vector(complex(0.5, math.nan), 16),
+    "concurrence_closed_form": lambda: entanglement.concurrence_closed_form(
+        1, math.nan, AlphaProfile.optimal_constant(1)
+    ),
+    "qubit_amplitudes": lambda: qubit_amplitudes(1, math.nan, AlphaProfile.optimal_constant(1)),
+}
+
+
+@pytest.mark.parametrize("stale_errno", [False, True])
+@pytest.mark.parametrize("entry", sorted(NAN_Z_ENTRIES))
+def test_a_nan_z_is_classified(entry, stale_errno):
+    # complex abs of a nan keeps the ERANGE a caught libm overflow leaves
+    # behind, and raises OverflowError from it; math.ceil of a nan |z| raises
+    # a bare ValueError; without either the amplitudes came out nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="nan"):
+            if stale_errno:
+                try:
+                    math.exp(1000.0)
+                except OverflowError:
+                    pass
+            NAN_Z_ENTRIES[entry]()
+
+
 def test_build_state_order_mismatch():
     with pytest.raises(ValueError):
         build_state(2, 0.5, AlphaProfile.explicit([1.0, 1.0]))
@@ -549,12 +597,11 @@ def test_verify_makes_one_svd_per_order(monkeypatch):
 
 
 def test_verify_checks_each_stack_without_a_call_per_row(monkeypatch):
-    # norms and Schmidt sums are array operations over a stack; one call per
-    # row made 85 and 25 at --p-max 4.  The Wootters route finishes its four
-    # eigenvalues per row by design, in the single-state kernel.
+    # norms are one vecdot pair over a stack; np.linalg.norm per row made 85
+    # calls at --p-max 4.  The routes finish each row in the single-state
+    # kernel by design.
     calls = Counter()
     _count_calls(monkeypatch, calls, np.linalg, ("norm",))
-    _count_calls(monkeypatch, calls, entanglement, ("_schmidt_concurrence",))
     assert all(report.ok for report in verify.run_all(4, 1e-8))
     assert calls == Counter()
 

@@ -71,6 +71,28 @@ def test_degeneracy_profiles(p, prefix):
     assert all(m == p + 1 for m in mults[p:plateau_end])
 
 
+def _grouped_levels(h):
+    """Each run of sorted eigenvalues within 1e-9 omega of its first, at its mean."""
+    evals = np.sort(h.energies)
+    gap = 1e-9 * h.omega
+    profile = []
+    group_start = 0
+    for i in range(1, len(evals) + 1):
+        if i == len(evals) or evals[i] - evals[group_start] > gap:
+            group = evals[group_start:i]
+            profile.append((float(np.mean(group)), len(group)))
+            group_start = i
+    return profile
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.3, 1.7, 1e-3, 123.456, 0.7])
+def test_degeneracy_profile_matches_grouping_oracle(omega):
+    for p in range(1, 9):
+        for n_max in (2 * p + 2, 2 * p + 8, 40, 100):
+            h = build_hamiltonian(omega, p, n_max)
+            assert degeneracy_profile(h) == _grouped_levels(h), (p, n_max)
+
+
 def test_degeneracy_requires_wide_truncation():
     h = build_hamiltonian(1.0, 3, 6)
     with pytest.raises(ValueError):
