@@ -123,8 +123,8 @@ class AlgebraReport:
 def _rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     # Normalized by the relation's own scale: entries of high matrix powers
     # grow like p!, so raw absolute residuals are meaningless across p.
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    scale = max(1.0, float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale
 
 
 def check_algebra(ops: ParafermiOps, tol: float = 1e-12) -> AlgebraReport:
@@ -158,7 +158,7 @@ def check_algebra(ops: ParafermiOps, tol: float = 1e-12) -> AlgebraReport:
         "multilinear": _rel_residual(
             multilinear, (p * (p + 1) * (p + 2) / 6.0) * powers[p - 1]
         ),
-        "su2_ladder": _rel_residual(bd @ b - b @ bd, 2.0 * j3),
+        "su2_ladder": _rel_residual(comm, 2.0 * j3),
         "su2_j3": max(
             _rel_residual(j3 @ bd - bd @ j3, bd),
             _rel_residual(j3 @ b - b @ j3, -b),
@@ -209,16 +209,17 @@ def _truncation_range_error(z_abs: float) -> FloatRangeError:
 def coherent_tail(z_abs: float, n_max: int) -> float:
     """Dropped weight sum_{n >= n_max} |z|^{2n} / n! of a coherent vector.
 
-    Raises FloatRangeError when n_max or log(n_max!) is past the float range.
+    Raises FloatRangeError for a nan |z|, and when n_max or log(n_max!) is
+    past the float range.
     """
+    if math.isnan(z_abs):
+        # nan fails every comparison below, and the series would sum to 0.0
+        raise FloatRangeError("|z| is nan: no state exists there")
     lam = z_abs * z_abs
     if lam == 0.0:
         return 0.0
     # log of the leading term; the ratio test bounds the remainder.
-    try:
-        log_term = n_max * math.log(lam) - math.lgamma(n_max + 1)
-    except OverflowError:
-        raise _truncation_range_error(z_abs) from None
+    log_term = _log_leading_term(z_abs, lam, n_max)
     if log_term < -700.0:
         return 0.0
     if log_term > _LOG_FLOAT_MAX:
@@ -232,6 +233,17 @@ def coherent_tail(z_abs: float, n_max: int) -> float:
         n += 1
         term *= lam / n
     return total
+
+
+def _log_leading_term(z_abs: float, lam: float, n_max: int) -> float:
+    """log(lam^n_max / n_max!), lam = |z|^2 > 0: the tail's leading term.
+
+    Raises FloatRangeError when n_max or log(n_max!) is past the float range.
+    """
+    try:
+        return n_max * math.log(lam) - math.lgamma(n_max + 1)
+    except OverflowError:
+        raise _truncation_range_error(z_abs) from None
 
 
 def required_n_max(z_abs: float, tail_tol: float) -> int:
@@ -257,6 +269,15 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
 
 
 def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:
+    lam = z_abs * z_abs
+    # Below lam = (n_max + 1)/2 each tail term is under half the one before,
+    # so the tail is under twice its leading term.  A leading term under
+    # tail_tol/e bounds it below 0.74 tail_tol, and the series is not summed.
+    # A leading term of 1 or more is left to the series, so exp stays in range.
+    if 0.0 < lam and 2.0 * lam < n_max + 1:
+        log_term = _log_leading_term(z_abs, lam, n_max)
+        if log_term < 0.0 and math.exp(log_term) < tail_tol / math.e:
+            return
     tail = coherent_tail(z_abs, n_max)
     if tail >= tail_tol:
         needed = required_n_max(z_abs, tail_tol)

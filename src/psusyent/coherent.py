@@ -291,7 +291,8 @@ class PowerTable:
     use, so the functions handed the same table share its powers: ``grid``
     builds one per |z| chunk for all its orders p.  Built from one |z| given
     as a number, it has a single row and its powers are Python floats,
-    computed on each request, which is cheapest for one state.
+    computed on each request, which is cheapest for one state.  A nan |z|
+    raises FloatRangeError: every closed form would come out nan there.
     """
 
     __slots__ = ("zs", "values", "scalar", "_columns")
@@ -301,8 +302,13 @@ class PowerTable:
             if not z_abs.size:
                 raise ValueError("need at least one |z|, got an empty array")
             self.zs, self.scalar = z_abs.astype(float, copy=False).reshape(-1), False
+            nan = np.isnan(self.zs).any()
         else:
-            self.zs, self.scalar = np.array([float(z_abs)]), True
+            z_abs = float(z_abs)
+            self.zs, self.scalar = np.array([z_abs]), True
+            nan = math.isnan(z_abs)
+        if nan:
+            raise FloatRangeError("|z| is nan: no state exists there")
         self.values = self.zs.tolist()
         self._columns: dict[int, np.ndarray] = {}
 

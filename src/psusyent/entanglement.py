@@ -62,8 +62,10 @@ _EIGENVALUE_DUST = 1e-12
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# sigma_y x sigma_y is the anti-diagonal (-1, 1, 1, -1), so the spin flip
+# (sigma_y x sigma_y) rho* (sigma_y x sigma_y) is rho* with both indices
+# reversed and entry (i, j) signed by s_i s_j
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,9 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     eigenvalue call.
     """
     rho = _validate_density(rho)
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
+    # + 0.0 turns the -0.0 entries of the product into the +0.0 the two
+    # matmuls by sigma_y x sigma_y would give
+    rho_tilde = rho.conj()[..., ::-1, ::-1] * _FLIP_SIGNS + 0.0
     evals = np.linalg.eigvals(rho @ rho_tilde).real
     if rho.ndim == 2:
         value, lams = _wootters_concurrence(evals.tolist())

@@ -104,9 +104,13 @@ def degeneracy_profile(h: PsusyHamiltonian) -> list[tuple[float, int]]:
     if h.n_max < 2 * h.p + 2:
         raise ValueError("degeneracy profile needs n_max >= 2p + 2")
     evals = np.sort(h.energies)
-    levels = np.split(evals, np.flatnonzero(np.diff(evals) > 1e-9 * h.omega) + 1)
-    # np.add.reduce over the count is np.mean's own arithmetic
-    return [(float(np.add.reduce(level) / len(level)), len(level)) for level in levels]
+    steps = (np.flatnonzero(np.diff(evals) > 1e-9 * h.omega) + 1).tolist()
+    bounds = [0, *steps, len(evals)]
+    # np.add.reduce over the count is np.mean's own arithmetic; np.add.reduceat
+    # sums a level of 8 or more energies in another order
+    return [
+        (float(np.add.reduce(evals[a:b]) / (b - a)), b - a) for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def build_annihilator(p: int, n_max: int) -> AnnihilatorA:

@@ -11,6 +11,7 @@ from psusyent import (
     algebra,
     build_state,
     model,
+    verify,
     build_boson,
     build_parafermi,
     check_algebra,
@@ -71,6 +72,51 @@ def test_multilinear_p2_is_4b():
     assert_allclose(lhs, 4 * b, atol=1e-14)
 
 
+def _check_algebra_written_out(ops):
+    """check_algebra's residuals as it formed them before it shared [b†, b]
+    with su2_ladder and reduced with ndarray.max."""
+    p, b, bd, j3 = ops.p, ops.b, ops.b_dag, ops.j3
+
+    def rel(lhs, rhs):
+        return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+
+    zero = np.zeros_like(b)
+    comm = bd @ b - b @ bd
+    powers = [np.eye(p + 1, dtype=complex)]
+    for _ in range(p + 1):
+        powers.append(powers[-1] @ b)
+    multilinear = sum(powers[p - k] @ bd @ powers[k] for k in range(p + 1))
+    return {
+        "nilpotency": max(
+            rel(powers[p + 1], zero), rel(np.linalg.matrix_power(bd, p + 1), zero)
+        ),
+        "double_commutator_b": rel(comm @ b - b @ comm, -2.0 * b),
+        "double_commutator_b_dag": rel(comm @ bd - bd @ comm, 2.0 * bd),
+        "multilinear": rel(multilinear, (p * (p + 1) * (p + 2) / 6.0) * powers[p - 1]),
+        "su2_ladder": rel(bd @ b - b @ bd, 2.0 * j3),
+        "su2_j3": max(rel(j3 @ bd - bd @ j3, bd), rel(j3 @ b - b @ j3, -b)),
+    }
+
+
+def test_check_algebra_residuals_equal_the_written_out_relations():
+    for p in range(1, 13):
+        ops = build_parafermi(p)
+        expected = {k: v.hex() for k, v in _check_algebra_written_out(ops).items()}
+        assert {k: v.hex() for k, v in check_algebra(ops).residuals.items()} == expected, p
+
+
+def test_boson_truncation_suite_equals_its_written_out_residuals():
+    expected = []
+    for n_max in (2, 8, 32):
+        ops = build_boson(n_max)
+        comm = ops.a @ ops.a_dag - ops.a_dag @ ops.a
+        block = comm[: n_max - 1, : n_max - 1] - np.eye(n_max - 1)
+        number = np.max(np.abs(ops.a_dag @ ops.a - ops.number_op))
+        expected += [float(np.max(np.abs(block))), float(number)]
+    observed = list(verify.suite_boson_truncation(4, None))
+    assert [r.hex() for r in observed] == [r.hex() for r in expected]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_nilpotency_exact_and_bp_nonzero(p):
     b = build_parafermi(p).b
@@ -114,6 +160,35 @@ def test_coherent_norm_is_exp_z_squared(z):
     vec = coherent_vector(z, default_n_max(z, 1), tail_tol=1e-14)
     expz2 = math.exp(abs(z) ** 2)
     assert abs(np.vdot(vec, vec).real - expz2) / expz2 < 1e-12
+
+
+def test_coherent_vector_prefix_is_bit_identical():
+    rng = np.random.default_rng(61)
+    zs = [*verify._Z_SAMPLES, *(complex(*xy) for xy in rng.uniform(-5.0, 5.0, (20, 2)))]
+    for z in zs:
+        longest = coherent_vector(z, 140)
+        for n in (1, 2, 32, 63, 64, 65, 100, 129, 140):
+            assert longest[:n].tobytes() == coherent_vector(z, n).tobytes(), (z, n)
+
+
+def test_coherent_identities_suite_equals_its_per_order_vectors():
+    # the suite as written before it read each order's |z> from one longest vector
+    p_max = 8
+    expected = []
+    for z in verify._Z_SAMPLES:
+        for p in range(1, p_max + 1):
+            n_max = default_n_max(z, p)
+            coh = coherent_vector(z, n_max)
+            dcoh = algebra._derivative_tower(coh, p, n_max)
+            expz2 = math.exp(abs(z) ** 2)
+            closed = (verify.bosonic_weight_sum(p, abs(z)) + abs(z) ** (2 * p)) * expz2
+            expected += [
+                abs(np.vdot(coh, coh) - expz2) / expz2,
+                abs(np.vdot(coh, dcoh) - np.conj(z) ** p * expz2) / expz2,
+                abs(np.vdot(dcoh, dcoh) - closed) / closed,
+            ]
+    observed = list(verify.suite_coherent_identities(p_max, None))
+    assert [r.hex() for r in observed] == [r.hex() for r in expected]
 
 
 def test_derivative_vector_examples():
@@ -202,6 +277,58 @@ def test_required_n_max_at_large_z():
 def test_required_n_max_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         required_n_max(1.0, 0.0)
+
+
+def _check_tail_written_out(z_abs, n_max, tail_tol):
+    """The tail check as it ran before its bound-first skip: the series summed
+    on every call."""
+    tail = coherent_tail(z_abs, n_max)
+    if tail >= tail_tol:
+        needed = required_n_max(z_abs, tail_tol)
+        raise TruncationError(
+            f"truncation n_max={n_max} leaves tail {tail:.3e} >= {tail_tol:.1e} "
+            f"at |z|={z_abs:.4g}; need n_max >= {needed}",
+            required_n_max=needed,
+        )
+
+
+def _check_tail_outcome(check, z_abs, n_max, tail_tol):
+    try:
+        check(z_abs, n_max, tail_tol)
+    except TruncationError as exc:
+        return str(exc), exc.required_n_max
+    return None
+
+
+def test_check_tail_verdict_equals_the_summed_series():
+    rng = np.random.default_rng(2766)
+    cases = []
+    for z_abs in [0.0, 1e-300, 0.3, 1.0, 2.5, 5.0, 6.5, 12.0, *rng.uniform(0.0, 9.0, 60).tolist()]:
+        for tail_tol in (1e-14, 1e-10, 1e-3, 0.9, 5.0):
+            if z_abs == 0.0:
+                cases += [(z_abs, n, tail_tol) for n in (1, 2, 32)]
+                continue
+            needed = required_n_max(z_abs, tail_tol)
+            # around the crossing, below it where |z|^2 >= (n+1)/2, and far above it
+            near = {needed - 1, needed, needed + 1, max(1, int(z_abs * z_abs) // 2), 4 * needed}
+            cases += [(z_abs, n, tail_tol) for n in near if n >= 1]
+    assert any(2.0 * z * z >= n + 1 for z, n, _ in cases)
+    skipped = 0
+    for z_abs, n_max, tail_tol in cases:
+        old = _check_tail_outcome(_check_tail_written_out, z_abs, n_max, tail_tol)
+        assert _check_tail_outcome(algebra._check_tail, z_abs, n_max, tail_tol) == old
+        assert (old is not None) == (coherent_tail(z_abs, n_max) >= tail_tol)
+        skipped += old is None and 0.0 < 2.0 * z_abs * z_abs < n_max + 1
+    assert skipped > 100
+
+
+def test_check_tail_sums_no_series_at_the_default_cutoff(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "coherent_tail", lambda *args: calls.append(args) or 0.0)
+    for z in (0.7, 1.0 + 0.5j, 2.0 - 1.0j, 3.0, 4.0j):
+        for p in range(1, 9):
+            algebra._check_tail(abs(z), default_n_max(z, p), algebra.DEFAULT_TAIL_TOL)
+    assert calls == []
 
 
 def test_default_n_max_rule():

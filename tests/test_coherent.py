@@ -471,6 +471,16 @@ NAN_Z_ENTRIES = {
         1, math.nan, AlphaProfile.optimal_constant(1)
     ),
     "qubit_amplitudes": lambda: qubit_amplitudes(1, math.nan, AlphaProfile.optimal_constant(1)),
+    # the entries that take |z|: the tail bound summed to 0.0 and the closed
+    # forms came out nan, without a warning
+    "coherent_tail": lambda: algebra.coherent_tail(math.nan, 40),
+    "required_n_max": lambda: algebra.required_n_max(math.nan, 1e-14),
+    "concurrence_optimal": lambda: entanglement.concurrence_optimal(3, math.nan),
+    "concurrence_optimal row": lambda: entanglement.concurrence_optimal(
+        3, np.array([1.0, math.nan])
+    ),
+    "normalization_q": lambda: normalization_q(3, math.nan, AlphaProfile.optimal_constant(3)),
+    "bosonic_weight_sum": lambda: coherent.bosonic_weight_sum(3, math.nan),
 }
 
 

@@ -21,6 +21,7 @@ from psusyent import (
     entanglement_of_formation,
 )
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
+from psusyent import verify
 from psusyent.verify import random_states, route_spread
 
 from conftest import random_explicit_profile, random_z
@@ -137,12 +138,21 @@ def test_wootters_classifies_a_non_finite_density(rho):
             concurrence_wootters(rho)
 
 
+_SY_SY = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+
+
 def _wootters_written_out(rho):
     """(C, lambdas) by the numpy formulation the route used before it
-    finished its four eigenvalues in Python floats."""
-    sy_sy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+    finished its four eigenvalues in Python floats and before it formed the
+    spin flip as a signed index reversal; a list of them over a stack."""
     rho = np.asarray(rho, dtype=complex)
-    evals = np.real(np.linalg.eigvals(rho @ (sy_sy @ rho.conj() @ sy_sy)))
+    evals = np.real(np.linalg.eigvals(rho @ (_SY_SY @ rho.conj() @ _SY_SY)))
+    if rho.ndim == 3:
+        return [_wootters_finished(row) for row in evals]
+    return _wootters_finished(evals)
+
+
+def _wootters_finished(evals):
     dust = 1e-12 * max(float(np.max(np.abs(evals))), 1e-300)
     evals[np.abs(evals) < dust] = 0.0
     assert np.min(evals) >= 0.0
@@ -168,6 +178,28 @@ def test_wootters_kernel_is_bit_identical_in_python_floats():
         assert all(type(lam) is float for lam in result.lambdas)
         assert list(result.lambdas) == sorted(result.lambdas, reverse=True)
         assert (result.value, result.lambdas) == _wootters_written_out(rho)
+
+
+def test_wootters_spin_flip_is_byte_equal_to_the_sigma_y_matmuls():
+    rng = np.random.default_rng(2245)
+    mixing = rng.normal(size=(12, 4, 4)) + 1j * rng.normal(size=(12, 4, 4))
+    mixed = mixing @ mixing.conj().swapaxes(-1, -2)
+    mixed /= np.trace(mixed, axis1=1, axis2=2).real[:, None, None]
+    stacks = [
+        density_from_amplitudes(stack.qubit_amps)
+        for stack in verify._random_stacks(rng, 160, 8, 3.0)
+    ]
+    assert len(stacks) == 8  # one per order p = 1..8
+    for densities in (*stacks, mixed):
+        result = concurrence_wootters(densities)
+        expected = _wootters_written_out(densities)
+        assert result.value.tobytes() == np.array([c for c, _ in expected]).tobytes()
+        assert result.lambdas.tobytes() == np.array([lams for _, lams in expected]).tobytes()
+        for matrix, (value, lams) in zip(densities, expected):
+            single = concurrence_wootters(matrix)
+            assert np.array([single.value, *single.lambdas]).tobytes() == (
+                np.array([value, *lams]).tobytes()
+            )
 
 
 def test_schmidt_kernel_is_bit_identical_in_python_floats():
