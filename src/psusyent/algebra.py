@@ -309,15 +309,17 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     amps = np.empty(z.shape + (n_max,) if stacked else n_max, dtype=complex)
     amps[..., 0] = 1.0
     if n_max > 1:
-        # amplitude n is amplitude n-1 times z/sqrt(n), accumulated in place
-        rest = np.divide(
-            z[:, None] if stacked else z, _ladder_table(_sqrt_levels, n_max - 1), out=amps[..., 1:]
-        )
-        # only past _FINITE_Z_ABS can the product overflow (a nan z raised above);
-        # entering numpy's error state and checking the result there would
-        # cost about as much as building a short vector
+        # only past _FINITE_Z_ABS can the quotient or the product overflow (a
+        # nan z raised above); entering numpy's error state and checking the
+        # result there would cost about as much as building a short vector
         far = not max(rows_abs) <= _FINITE_Z_ABS
         with np.errstate(over="ignore", invalid="ignore") if far else contextlib.nullcontext():
+            # amplitude n is amplitude n-1 times z/sqrt(n), accumulated in place
+            rest = np.divide(
+                z[:, None] if stacked else z,
+                _ladder_table(_sqrt_levels, n_max - 1),
+                out=amps[..., 1:],
+            )
             np.multiply.accumulate(rest, -1, out=rest)
         if far and not np.isfinite(amps).all():
             # name the first row that left the range

@@ -145,7 +145,9 @@ def _state_json(p: int, z: complex, q_norm: float, amps, routes: dict, eof: floa
         numbers += (amp.real, amp.imag)
     numbers += [routes[name] for name in _ROUTES]
     numbers += (eof, residual)
-    return _STATE_TEMPLATE % (p, *map(_json_float, numbers))
+    # json writes a finite float as its repr
+    fill = float.__repr__ if all(map(math.isfinite, numbers)) else _json_float
+    return _STATE_TEMPLATE % (p, *map(fill, numbers))
 
 
 class _GridChunk:
@@ -269,27 +271,78 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", required=True, help="output CSV path")
     for subparser in (p_verify, p_state, p_grid):
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
+        # full option string -> its store action, for _read
+        subparser.options = {
+            flag: action
+            for action in subparser._actions
+            if isinstance(action, argparse._StoreAction)
+            for flag in action.option_strings
+        }
     # command name -> its parser, the names argparse accepts in argv[0]
     parser.commands = sub.choices
     return parser
+
+
+def _read(options: dict, tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives ``tokens``, read through the command's actions.
+
+    Only a well-formed argv is read: (full option string, value) pairs, each
+    option once, each value a token argparse takes as a value (one that
+    does not start with -, or a negative number).  Each value goes through its
+    action's ``type`` and ``choices``; an absent option gets its default,
+    through ``type`` when the default is a str.  None for anything else,
+    including a value or default its action rejects and a missing required
+    option: argparse then reads and reports it.
+    """
+    if len(tokens) % 2:
+        return None
+    given = {}
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        action = options.get(flag)
+        if action is None or action in given:
+            return None
+        if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+            return None
+        given[action] = text
+    args = argparse.Namespace()
+    for action in options.values():
+        text = given.get(action)
+        if text is None:
+            if action.required:
+                return None
+            text = action.default
+            if not isinstance(text, str):
+                setattr(args, action.dest, text)
+                continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action in given and action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
     """``parser.parse_args(argv)``, reading each token once.
 
     The parent parser hands everything after a command name to that
-    command's parser; an argv that starts with one goes to it directly, and
-    leftover tokens get the parent's own message.  Any other argv (none, -h,
-    an unknown command, --) takes the full parse, which reports it.
+    command's parser.  An argv that starts with one is read by :func:`_read`
+    when it is well formed, else by that command's parser, and leftover
+    tokens get the parent's own message.  Any other argv (none, -h, an
+    unknown command, --) takes the full parse, which reports it.
     """
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    args = _read(command.options, argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     args.command = argv[0]
     return args
 

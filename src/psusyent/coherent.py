@@ -420,7 +420,10 @@ class ClosedForm:
 
     @property
     def q(self):
-        """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows."""
+        """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows.
+
+        Raises FloatRangeError where D is inf or nan.
+        """
         return _each(_q, self.z_abs, self.denom)
 
     @property
@@ -437,17 +440,28 @@ class ClosedForm:
         sign of alpha_p so that the amplitudes reconstruct the tensor state
         exactly; its magnitude is B/sqrt(D).  Over rows, with one z each,
         this is a (rows, 4) complex array, each row the amplitudes of its
-        state alone.
+        state alone.  Raises FloatRangeError where D is inf or nan.
         """
         amplitudes = functools.partial(_amplitudes, self.p)
         return _each(amplitudes, self.a_sq, self.b_sq, self.denom, self.alphas, z)
 
 
+def _check_denom(z_abs: float, denom: float) -> None:
+    """FloatRangeError where D is inf or nan: Q and the amplitudes would come out 0 or nan."""
+    if not denom < math.inf:
+        raise FloatRangeError(
+            f"the normalization denominator at |z|={z_abs:.4g} leaves the float range"
+        )
+
+
 def _q(z_abs: float, denom: float) -> float:
+    _check_denom(z_abs, denom)
     return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
 
 
 def _amplitudes(p: int, a_sq: float, b_sq: float, denom: float, alphas, z: complex):
+    # a finite D holds a finite |z|^(2p), so conj(z)^p below cannot overflow
+    _check_denom(abs(z), denom)
     inv = 1.0 / math.sqrt(denom)
     a00 = complex(math.copysign(math.sqrt(b_sq), alphas[p]) * inv)
     a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
@@ -639,8 +653,9 @@ def build_state(
     # tail check or the finiteness check below classifies it
     with np.errstate(over="ignore", invalid="ignore"):
         form = _closed_form(p, z_abs, profile)
-        alphas, q = form.alphas, form.q
         coh = coherent_vector(z, n_max, tail_tol=tail_tol)
+        # after the tail check, which classifies a |z| too far out for n_max first
+        alphas, q = form.alphas, form.q
         dcoh = _derivative_tower(coh, p, n_max)
         columns = np.empty(coh.shape + (p + 1,), dtype=complex)
         # alphas.T[k] is alpha_k, a float or one per row.  conj(z)^p by

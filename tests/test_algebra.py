@@ -366,6 +366,20 @@ def test_coherent_vector_past_the_float_range_raises_without_a_warning():
             assert np.isfinite(coherent_vector(z, 4000)).all()
 
 
+@pytest.mark.parametrize(
+    "z",
+    [complex(math.inf, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0),
+     np.array([1.0, complex(math.inf, 0.0)])],
+)
+def test_coherent_vector_at_an_infinite_z_raises_without_a_warning(z):
+    # z/sqrt(n) of an infinite z has a nan part: numpy warned in the divide,
+    # which ran before the |z| gate of the float-range check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=r"\|z\|=inf leaves"):
+            coherent_vector(z, 16)
+
+
 @pytest.mark.parametrize("z_abs", [1e200, math.inf])
 def test_truncation_past_the_float_range_raises(z_abs):
     # |z|^2 is inf: default_n_max had math.ceil(inf) and required_n_max

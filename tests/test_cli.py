@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -380,7 +381,41 @@ PARSE_CORPUS = [
     ["sta"],
     ["--"],
     ["--", "verify"],
+    # a repeated option, and an option string as a value
+    ["state", "--p", "1", "--p", "2", "--profile", "x.json"],
+    ["state", "--p", "1", "--profile", "--p"],
+    # - and the empty string as values
+    ["state", "--p", "1", "--profile", "-"],
+    ["state", "--p", "1", "--profile", ""],
+    ["state", "--p", "", "--profile", "x.json"],
+    ["verify", "--tol", "-"],
+    # negative numbers argparse's own matcher does not take
+    ["state", "--p", "1", "--z-re", "-inf", "--z-im", "-.5", "--profile", "x.json"],
+    ["state", "--p", "1", "--z-re", "-.5", "--z-im", "-1e-3", "--profile", "x.json"],
+    ["verify", "--tol", "-1e-3"],
+    # a value that starts with - and holds a space
+    ["state", "--p", "1", "--profile", "-a b"],
+    ["state", "--p", "1", "--z-re", "- 1", "--profile", "x.json"],
+    # a choice miss and a non-integer order
+    ["grid", "--profile-kind", "Optimal-Constant", "--out", "x.csv"],
+    ["grid", "--p-max", "2.5", "--out", "x.csv"],
+    ["verify", "--p-max", "x"],
+    # a missing required option, and a trailing option with no value
+    ["grid", "--p-max", "2"],
+    ["state", "--p", "1", "--profile"],
+    ["grid", "--out", "x.csv", "--m"],
 ]
+# one argv of each benchmark workload's shape
+WORKLOAD_ARGV = [
+    ["state", "--p", "3", "--z-re", "-1.234567890123456", "--z-im", "0.500000000000000",
+     "--profile", "work/profile_p3_1.json"],
+    ["grid", "--p-min", "2", "--p-max", "5", "--z-max", "3.21", "--z-step", "0.02",
+     "--profile-kind", "z-dependent-exact", "--m", "2", "--out", "work/grid_1.csv"],
+    ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "5.97", "--z-step", "0.02",
+     "--profile-kind", "optimal-constant", "--out", "work/grid_2.csv"],
+    ["verify", "--p-max", "3"],
+]
+PARSE_CORPUS += WORKLOAD_ARGV
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -398,6 +433,20 @@ def test_parse_matches_the_full_parse(argv, capsys):
     parser = cli.build_parser()
     expected = _parse_outcome(parser.parse_args, argv, capsys)
     assert _parse_outcome(lambda a: cli._parse(parser, a), argv, capsys) == expected
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGV, ids=["state", "grid-z-exact", "grid", "verify"])
+def test_well_formed_argv_is_read_without_argparse(argv, monkeypatch):
+    # read through the command's own actions; argparse parses only what
+    # that read leaves to it
+    parser = cli.build_parser()
+    expected = parser.parse_args(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed argv reached argparse")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert cli._parse(parser, argv) == expected
 
 
 def _random_state_record(rng) -> dict:

@@ -460,6 +460,40 @@ def test_build_state_classifies_a_non_finite_vector_without_a_warning():
             build_state(166, 1.0, AlphaProfile.optimal_constant(166))
 
 
+_EXPLICIT_3 = AlphaProfile.explicit((1.0, 0.5, 0.2, 1.0))
+DENOMINATOR_PAST_THE_FLOAT_RANGE = {
+    # A^2 and B^2 overflow, so D = inf: the amplitudes came out 0, with sum |a|^2 = 0
+    "amplitudes, D = inf": lambda: qubit_amplitudes(3, 1e60 * (1 + 1j), _EXPLICIT_3),
+    # D = inf and a nan amplitude, silently
+    "amplitudes, nan": lambda: qubit_amplitudes(3, 1e80 * (1 + 1j), _EXPLICIT_3),
+    # conj(z)^p overflowed in numpy's scalar power
+    "amplitudes, conj(z)^p": lambda: qubit_amplitudes(3, 1e103 * (1 + 1j), _EXPLICIT_3),
+    # the defect is 0 * |z|^2 = 0 * inf, and so was a10
+    "amplitudes, infinite z": lambda: qubit_amplitudes(
+        1, complex(math.inf, 0.0), AlphaProfile.optimal_constant(1)
+    ),
+    # the exceptional alpha^2 is inf where |z|^2 underflows: A^2 = inf * 0
+    "q, tiny z": lambda: normalization_q(8, 1e-300, AlphaProfile.z_dependent_exact(8, 1)),
+    "q, defect 0 * inf": lambda: normalization_q(2, 1e152, AlphaProfile.optimal_constant(2)),
+    # A^2, B^2 and |z|^(2p) all overflow at p = 99
+    "q, order 99": lambda: normalization_q(99, 37.6, AlphaProfile.optimal_constant(99)),
+    "q over rows": lambda: _resolve(2, np.array([1.0, 1e152]), AlphaProfile.optimal_constant(2)).q,
+    "amplitudes over rows": lambda: _resolve(
+        3, np.array([1.0, 1e60]), AlphaProfile.optimal_constant(3)
+    ).amplitudes(np.array([1.0, 1e60 + 0j])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DENOMINATOR_PAST_THE_FLOAT_RANGE))
+def test_closed_form_past_the_float_range_raises_without_a_warning(entry):
+    # D is inf or nan at each point: Q and the amplitudes came out 0 or nan,
+    # or leaked numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="leaves the float range"):
+            DENOMINATOR_PAST_THE_FLOAT_RANGE[entry]()
+
+
 NAN_Z_ENTRIES = {
     "build_state": lambda: build_state(1, complex(math.nan), AlphaProfile.optimal_constant(1)),
     "build_state row": lambda: build_state(
