@@ -75,8 +75,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_state(args: argparse.Namespace) -> int:
     try:
-        with open(args.profile, encoding="utf-8") as fh:
-            profile_obj = json.load(fh)
+        with open(args.profile, "rb") as fh:
+            data = fh.read()
+        # the text a text-mode read hands json: UTF-8, with universal newlines
+        profile_obj = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         print(f"error: cannot read profile: {exc}", file=sys.stderr)
         return 1

@@ -402,7 +402,8 @@ class ClosedForm:
 
     A^2 = sum_{n<p} alpha_{p-n}^2 |z|^(2n), B^2 = (alpha_p/p)^2 W with W the
     weight series sum (:func:`bosonic_weight_sum`), defect =
-    (alpha_0 - alpha_p/p)^2 |z|^(2p), and D = A^2 + B^2 + defect =
+    (alpha_0 - alpha_p/p)^2 |z|^(2p) (exactly 0 where alpha_0 = alpha_p/p,
+    however large |z|), and D = A^2 + B^2 + defect =
     exp(-|z|^2)/Q^2.  Over a 1-D |z| array every field but ``p`` holds one
     row per |z|, nan where a z-dependent-exact rule is undefined; so does
     the closed form of a stack of states, one profile per row.  Each row
@@ -422,7 +423,8 @@ class ClosedForm:
     def q(self):
         """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows.
 
-        Raises FloatRangeError where D is inf or nan.
+        Raises FloatRangeError where D is inf or nan, and where Q underflows
+        to 0 (from |z| ~ 38.6 on, where exp(-|z|^2/2) does).
         """
         return _each(_q, self.z_abs, self.denom)
 
@@ -440,7 +442,7 @@ class ClosedForm:
         sign of alpha_p so that the amplitudes reconstruct the tensor state
         exactly; its magnitude is B/sqrt(D).  Over rows, with one z each,
         this is a (rows, 4) complex array, each row the amplitudes of its
-        state alone.  Raises FloatRangeError where D is inf or nan.
+        state alone.  Raises FloatRangeError where :attr:`q` does.
         """
         amplitudes = functools.partial(_amplitudes, self.p)
         return _each(amplitudes, self.a_sq, self.b_sq, self.denom, self.alphas, z)
@@ -456,12 +458,20 @@ def _check_denom(z_abs: float, denom: float) -> None:
 
 def _q(z_abs: float, denom: float) -> float:
     _check_denom(z_abs, denom)
-    return math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
+    q = math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
+    if q == 0.0:  # Q > 0 everywhere: 0 is exp(-|z|^2/2) or the quotient underflowed
+        raise FloatRangeError(
+            f"the normalization factor Q at |z|={z_abs:.4g} leaves the float range: "
+            "it underflows to 0"
+        )
+    return q
 
 
 def _amplitudes(p: int, a_sq: float, b_sq: float, denom: float, alphas, z: complex):
-    # a finite D holds a finite |z|^(2p), so conj(z)^p below cannot overflow
-    _check_denom(abs(z), denom)
+    # the amplitudes exist where Q does: D finite and Q a positive float.  A
+    # finite D holds c_(p-1) |z|^(2(p-1)) and, at p = 1, a finite |z|, so
+    # conj(z)^p below cannot overflow
+    _q(abs(z), denom)
     inv = 1.0 / math.sqrt(denom)
     a00 = complex(math.copysign(math.sqrt(b_sq), alphas[p]) * inv)
     a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
@@ -521,7 +531,7 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
         zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
     weight_sum = _fold(_weight_series(p, powers, 0, p))
     b_sq = b_coef * weight_sum
-    defect = d_coef * powers.column(2 * p)
+    defect = _defect(d_coef, zs, powers.column(2 * p))
     denom = a_sq + b_sq + defect
     vanishing = powers.first(denom <= 0.0)
     if vanishing is not None:
@@ -529,6 +539,20 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
             f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
         )
     return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, weight_sum)
+
+
+def _defect(d_coef, z_abs, z2p):
+    """d_coef |z|^(2p), and d_coef |z| where d_coef is 0; one per row over rows.
+
+    d_coef = (alpha_0 - alpha_p/p)^2 is 0 in the optimal-constant and
+    z-dependent-exact kinds.  There the defect is exactly 0 at every finite
+    |z|, also where |z|^(2p) overflows and 0 * inf would make D nan; 0 * |z|
+    is +0.0 there, as 0 * |z|^(2p) is for every finite power, and nan at an
+    infinite |z|, where no state exists.
+    """
+    if isinstance(d_coef, np.ndarray):  # a stack: one coefficient per row
+        return np.multiply(d_coef, z2p, out=d_coef * z_abs, where=d_coef != 0.0)
+    return d_coef * (z2p if d_coef else z_abs)
 
 
 def _check_order(p: int, profile: AlphaProfile) -> None:
@@ -593,7 +617,7 @@ class PsusyCoherentState:
     order p holds a z array, a tuple of k profiles, a closed form over
     rows, ``full_vector`` of shape (k, n_max (p+1)) and boson vectors of
     shape (k, n_max); ``q_norm`` is then an array and ``qubit_amps`` a
-    (k, 4) array.
+    read-only (k, 4) array.  ``qubit_amps`` is formed on first read.
     """
 
     p: int
@@ -609,9 +633,12 @@ class PsusyCoherentState:
     def q_norm(self):
         return self.closed_form.q
 
-    @property
+    @functools.cached_property
     def qubit_amps(self):
-        return self.closed_form.amplitudes(self.z)
+        amps = self.closed_form.amplitudes(self.z)
+        if isinstance(amps, np.ndarray):
+            amps.setflags(write=False)  # shared by every reader of the stack
+        return amps
 
 
 def build_state(

@@ -27,6 +27,7 @@ from .coherent import (
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
+    _check_denom,
     _closed_form,
     _fold,
     _weight_series,
@@ -131,7 +132,8 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
     complex number, a 1-D array of |z| or a :class:`PowerTable` over one;
     over an array the result holds arrays, nan on rows where a
-    z-dependent-exact rule is undefined.
+    z-dependent-exact rule is undefined.  Raises FloatRangeError where C
+    is nan, and where only D overflows, which would make C 0.
     """
     if isinstance(z, PowerTable):
         z_abs = z
@@ -144,9 +146,16 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
         form = _closed_form(p, z_abs, profile)
         value = form.concurrence
     if form.alphas.ndim == 1:
-        return _result(value, ROUTE_CLOSED_FORM)
-    # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
-    return _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
+        result = _result(value, ROUTE_CLOSED_FORM)
+    else:
+        # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
+        result = _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
+    # where only D overflows, C = 2AB/D comes out 0 rather than nan: classified
+    # as Q classifies it, once the nan rows have raised with their own message
+    overflowed = PowerTable.of(z_abs).first(form.denom == math.inf)
+    if overflowed is not None:
+        _check_denom(overflowed, math.inf)
+    return result
 
 
 def concurrence_pure(amps):
@@ -185,10 +194,8 @@ def _validate_density(rho: np.ndarray) -> np.ndarray:
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian within 1e-10")
     stack = rho.reshape(-1, 4, 4)
-    # checked per matrix in Python floats, cheaper than numpy calls on a few
-    for trace in stack.trace(0, -2, -1).tolist():
-        if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 beyond 1e-10")
+    if not _unit_traces(stack):
+        raise ValueError("density matrix trace differs from 1 beyond 1e-10")
     # eigvalsh sorts ascending: the first eigenvalue of each matrix is its smallest
     if min(np.linalg.eigvalsh(stack)[:, 0].tolist()) < -1e-10:
         raise ValueError("density matrix is not positive semidefinite within 1e-10")
@@ -205,7 +212,37 @@ def concurrence_wootters(rho: np.ndarray) -> ConcurrenceResult:
     (k, 4, 4) stack gives k values and a (k, 4) array of lambdas, from one
     eigenvalue call.
     """
-    rho = _validate_density(rho)
+    return _wootters(_validate_density(rho))
+
+
+def _unit_traces(stack: np.ndarray) -> bool:
+    """Whether each matrix of a (k, 4, 4) stack has trace 1 within 1e-10; nan has not.
+
+    Checked per matrix in Python floats, cheaper than numpy calls on a few.
+    """
+    for trace in stack.trace(0, -2, -1).tolist():
+        if not (abs(trace.real - 1.0) <= 1e-10 and abs(trace.imag) <= 1e-10):
+            return False
+    return True
+
+
+def _checked_projector(amps) -> np.ndarray:
+    """``density_from_amplitudes(amps)``, with the verdict :func:`_validate_density` gives it.
+
+    A projector v v+ is Hermitian and positive semidefinite by construction,
+    so only its trace, sum |a_i|^2, is checked: within 1e-10 of 1 for each
+    row, each entry is at most 1 in size, and the Hermitian and eigenvalue
+    checks cannot fail.  Elsewhere, including at a nan or inf amplitude, the
+    full validation runs and raises what it raises for that projector.
+    """
+    rho = density_from_amplitudes(amps)
+    if rho.shape[-2:] != (4, 4) or not _unit_traces(rho.reshape(-1, 4, 4)):
+        _validate_density(rho)  # raises: its shape or trace check fails
+    return rho
+
+
+def _wootters(rho: np.ndarray) -> ConcurrenceResult:
+    """:func:`concurrence_wootters` of a 4x4 density matrix or a stack, unvalidated."""
     # + 0.0 turns the -0.0 entries of the product into the +0.0 the two
     # matmuls by sigma_y x sigma_y would give
     rho_tilde = rho.conj()[..., ::-1, ::-1] * _FLIP_SIGNS + 0.0
@@ -270,14 +307,16 @@ def _schmidt_concurrence(mu: list[float]) -> float:
 def concurrence_routes(state: PsusyCoherentState) -> dict:
     """Concurrence of ``state`` by all four routes, keyed by route name.
 
-    The closed-form route reads the state's own :class:`ClosedForm`.  For a
-    stack of states each route holds an array, one value per state.
+    The closed-form route reads the state's own :class:`ClosedForm`; the
+    Wootters route checks the projector of the state's amplitudes by its
+    trace alone (:func:`_checked_projector`).  For a stack of states each
+    route holds an array, one value per state.
     """
     amps = state.qubit_amps
     return {
         ROUTE_CLOSED_FORM: _clip_unit(state.closed_form.concurrence, "concurrence"),
         ROUTE_PURE: concurrence_pure(amps),
-        ROUTE_WOOTTERS: concurrence_wootters(density_from_amplitudes(amps)).value,
+        ROUTE_WOOTTERS: _wootters(_checked_projector(amps)).value,
         ROUTE_SCHMIDT: concurrence_schmidt_oracle(state),
     }
 

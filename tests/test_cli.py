@@ -510,6 +510,80 @@ def test_state_computes_eof_once_per_op(tmp_path, monkeypatch, capsys):
         assert calls == [record["concurrence"]["closed-form"]]
 
 
+def test_state_forms_the_amplitudes_once_per_op(tmp_path, monkeypatch, capsys):
+    # the routes and the record read the same amplitudes
+    calls = []
+    original = coherent._amplitudes
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(coherent, "_amplitudes", counting)
+    for p in (1, 3, 6):
+        profile = _write_profile(tmp_path, {"p": p, "kind": "optimal-constant", "alpha_p": 1.0})
+        calls.clear()
+        assert main(["state", "--p", str(p), "--z-re", "0.7", "--profile", profile]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
+def _text_mode_read(path: str):
+    """The profile as a text-mode read gives it to `state`, or that read's rc and stderr."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh), None
+    except OSError as exc:
+        return None, (1, f"error: cannot read profile: {exc}\n")
+    except (ValueError, RecursionError) as exc:
+        return None, (2, f"error: invalid profile JSON: {exc}\n")
+
+
+_PROFILE_LINES = ["{", '  "p": 3,', '  "kind": "optimal-constant",', '  "alpha_p": 1.0', "}"]
+PROFILE_BYTES = {
+    "lf": "\n".join(_PROFILE_LINES).encode() + b"\n",
+    "crlf": "\r\n".join(_PROFILE_LINES).encode() + b"\r\n",
+    "lone cr": "\r".join(_PROFILE_LINES).encode() + b"\r",
+    "cr cr lf": "\r\r\n".join(_PROFILE_LINES).encode(),
+    "bom": b"\xef\xbb\xbf" + "\n".join(_PROFILE_LINES).encode(),
+    "invalid utf-8": b'{"p": 3,\r\n "kind": "optimal-constant", "alpha_p": 1.0, "\xff": 0}',
+    "truncated utf-8": "\n".join(_PROFILE_LINES).encode() + b"\xe2\x82",
+    "empty": b"",
+    "malformed crlf": b'{\r\n  "p": 3,\r\n  "kind": "optimal-constant"\r\n  "alpha_p": 1.0\r\n}',
+    "cr in a string": b'{"p": 3, "kind": "optimal\r\n-constant", "alpha_p": 1.0}',
+    "not an object": b"[1,\r\n 2]",
+    "utf-8 text": '{"p": 3, "kind": "optimal-constant", "alpha_p": 1.0, "\u00e9": 0}'.encode(),
+}
+
+
+@pytest.mark.parametrize("case", [*PROFILE_BYTES, "directory", "missing"])
+def test_state_reads_the_profile_as_a_text_mode_read_does(tmp_path, capsys, case):
+    # the bytes are decoded and their line endings translated as universal
+    # newlines would: the same rc, stdout and stderr, with json's line and
+    # column in its messages
+    if case == "directory":
+        path = str(tmp_path)
+    elif case == "missing":
+        path = str(tmp_path / "missing.json")
+    else:
+        path = str(tmp_path / "profile.json")
+        Path(path).write_bytes(PROFILE_BYTES[case])
+    argv = ["state", "--p", "3", "--z-re", "0.4", "--z-im", "-1.1", "--profile"]
+    profile, failure = _text_mode_read(path)
+    if failure is None:
+        clean = _write_profile(tmp_path, profile, name="clean.json")
+        expected_rc = main(argv + [clean])
+        expected = capsys.readouterr()
+        expected = (expected_rc, expected.out, expected.err)
+    else:
+        expected = (failure[0], "", failure[1])
+    rc = main(argv + [path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == expected
+    if case == "malformed crlf":
+        assert "line 4 column 3" in captured.err
+
+
 def test_state_non_finite_vector_exits_1_with_one_line(tmp_path, capsys):
     # the order-166 |z^(p)> overflows; the vector used to reach the SVD, whose
     # LinAlgError was reported as a usage error

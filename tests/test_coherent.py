@@ -494,6 +494,53 @@ def test_closed_form_past_the_float_range_raises_without_a_warning(entry):
             DENOMINATOR_PAST_THE_FLOAT_RANGE[entry]()
 
 
+def test_defect_of_an_optimal_profile_is_exactly_zero_past_the_power_range():
+    # alpha_0 = alpha_p/p: the defect is 0 at every finite |z|, one state and
+    # each row of a stack, although |z|^(2p) is inf; it was 0 * inf = nan
+    profile = AlphaProfile.optimal_constant(2)
+    zs = np.array([1.0, 1e100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _resolve(2, 1e100, profile)
+        rows = _resolve(2, zs, profile)
+        stack = _resolve(2, zs, (profile, AlphaProfile.z_dependent_exact(2, 1)))
+    assert one.defect == 0.0 and math.copysign(1.0, one.defect) == 1.0
+    for form in (rows, stack):
+        assert form.defect.tobytes() == np.zeros(2).tobytes()
+        assert np.isfinite(form.denom).all()
+    assert one.denom == rows.denom[1] == 2e200
+    # at an infinite |z| no state exists: the defect stays 0 * inf = nan
+    with np.errstate(all="ignore"):
+        assert math.isnan(_resolve(2, math.inf, profile).defect)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: normalization_q(3, 40.0, AlphaProfile.optimal_constant(3)),
+        lambda: _resolve(3, np.array([1.0, 40.0]), AlphaProfile.optimal_constant(3)).q,
+        lambda: normalization_q(2, 1e100, AlphaProfile.optimal_constant(2)),
+        lambda: qubit_amplitudes(3, 40.0, AlphaProfile.optimal_constant(3)),
+    ],
+    ids=["q at 40", "q over rows", "q with the defect 0", "amplitudes at 40"],
+)
+def test_an_underflowed_q_raises_without_a_warning(compute):
+    # D is finite, but exp(-|z|^2/2) underflows to 0: Q came out 0.0 silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="Q at .* underflows to 0"):
+            compute()
+
+
+def test_stack_amplitudes_are_formed_once_and_read_only():
+    stack = build_state(3, np.array([0.5, 1.2j]), [AlphaProfile.optimal_constant(3)] * 2)
+    amps = stack.qubit_amps
+    assert stack.qubit_amps is amps
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0, 0] = 1.0
+
+
 NAN_Z_ENTRIES = {
     "build_state": lambda: build_state(1, complex(math.nan), AlphaProfile.optimal_constant(1)),
     "build_state row": lambda: build_state(

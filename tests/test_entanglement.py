@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from psusyent import (
     entanglement_of_formation,
 )
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
-from psusyent import verify
+from psusyent import entanglement, verify
 from psusyent.verify import random_states, route_spread
 
 from conftest import random_explicit_profile, random_z
@@ -202,6 +204,88 @@ def test_wootters_spin_flip_is_byte_equal_to_the_sigma_y_matmuls():
             )
 
 
+def test_wootters_keeps_its_full_validation(monkeypatch):
+    # a caller's matrix is checked in full, each failure with its own message
+    non_hermitian = np.eye(4) / 4.0 + 0j
+    non_hermitian[0, 1] = 0.1
+    cases = [
+        (non_hermitian, ValueError, "density matrix is not Hermitian within 1e-10"),
+        (np.diag([0.6, 0.6, -0.1, -0.1]), ValueError,
+         "density matrix is not positive semidefinite within 1e-10"),
+        (np.eye(4) / 2.0, ValueError, "density matrix trace differs from 1 beyond 1e-10"),
+        (np.full((4, 4), np.nan), FloatRangeError, "density matrix has a nan or inf entry"),
+        (np.full((4, 4), np.inf), FloatRangeError, "density matrix has a nan or inf entry"),
+        (np.eye(3) / 3.0, ValueError, "density matrix must be 4x4 or a stack of them"),
+    ]
+    for rho, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            concurrence_wootters(rho)
+    # a valid projector still takes the eigenvalue check
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    concurrence_wootters(density_from_amplitudes(BELL))
+    concurrence_wootters(density_from_amplitudes(np.stack([BELL, BELL])))
+    assert calls == [(1, 4, 4), (2, 4, 4)]
+
+
+def _verdict(check, amps):
+    """The projector ``check`` returns for ``amps``, or the class and text it raises."""
+    try:
+        return check(amps).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _projector_corpus():
+    rng = np.random.default_rng(2245_1998)
+    unit = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    corpus = list(unit) + [BELL, [1.0, 0.0, 0.0, 0.0], tuple(complex(a) for a in unit[0])]
+    # norms off 1 on both sides of the 1e-10 tolerance
+    for off in (1e-11, 1e-10, 1e-9):
+        for sign in (1.0, -1.0):
+            corpus += list(unit[:20] * math.sqrt(1.0 + sign * off))
+    for bad in (math.nan, math.inf, -math.inf, complex(math.inf, math.nan), complex(0.0, math.inf)):
+        for i in range(4):
+            row = unit[i].copy()
+            row[i] = bad
+            corpus.append(row)
+    # finite amplitudes whose products overflow: v v+ has inf entries
+    corpus += [unit[0] * 1e200, unit[1] * 1e155, np.full(4, 1e154)]
+    # stacks, one of them with one bad row each
+    corpus.append(unit[:7])
+    for bad_row in (unit[3] * math.sqrt(1.0 + 1e-9), unit[3] * math.nan, unit[3] * 1e200):
+        stack = unit[:7].copy()
+        stack[3] = bad_row
+        corpus.append(stack)
+    corpus.append(np.ones((16, 5)) / math.sqrt(5.0))  # rows that are not two-qubit amplitudes
+    return corpus
+
+
+def test_projector_check_gives_the_full_validation_verdict():
+    # the routes check a projector by its trace alone; on every entry of the
+    # corpus that gives the projector _validate_density returns, or the class
+    # and message it raises
+    def full(amps):
+        return entanglement._validate_density(density_from_amplitudes(amps))
+
+    outcomes = Counter()
+    with np.errstate(all="ignore"):  # inf amplitudes make inf * 0 in the product
+        for amps in _projector_corpus():
+            expected = _verdict(full, amps)
+            assert _verdict(entanglement._checked_projector, amps) == expected, amps
+            outcomes[expected if isinstance(expected, tuple) else "passes"] += 1
+    assert outcomes["passes"] >= 100
+    assert outcomes[(FloatRangeError, "density matrix has a nan or inf entry")] >= 20
+    assert outcomes[(ValueError, "density matrix trace differs from 1 beyond 1e-10")] >= 40
+
+
 def test_schmidt_kernel_is_bit_identical_in_python_floats():
     for state in _route_kernel_states():
         psi = state.full_vector.reshape(state.n_max, state.p + 1)
@@ -248,6 +332,30 @@ def test_concurrence_routes_keys_in_route_order():
     assert list(routes) == [ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_WOOTTERS, ROUTE_SCHMIDT]
     assert routes[ROUTE_CLOSED_FORM] == concurrence_closed_form(2, 1.2 + 0.4j, profile).value
     assert route_spread(state) < 1e-8
+
+
+def _route_states():
+    profiles = [AlphaProfile.optimal_constant(3), AlphaProfile.explicit([0.3, -1.0, 0.5, 1.0]),
+                AlphaProfile.z_dependent_exact(3, 1)]
+    stack = build_state(3, np.array([0.5 + 0.2j, 1.5, -2.0j]), profiles)
+    return [build_state(3, 1.2 - 0.4j, profiles[1]), stack]
+
+
+def test_routes_check_the_wootters_projector_without_eigvalsh(monkeypatch):
+    # v v+ is Hermitian and positive semidefinite by construction; the routes
+    # check its trace, and give the value of the fully validated route
+    states = _route_states()
+    expected = [
+        np.asarray(concurrence_wootters(density_from_amplitudes(s.qubit_amps)).value).tobytes()
+        for s in states
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("concurrence_routes called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for state, value in zip(states, expected):
+        assert np.asarray(concurrence_routes(state)[ROUTE_WOOTTERS]).tobytes() == value
 
 
 # ---------------------------------------------------------------- maximality analysis
@@ -403,6 +511,42 @@ def test_closed_form_of_inf_over_inf_raises_without_a_warning(profile):
         warnings.simplefilter("error")
         with pytest.raises(FloatRangeError):
             concurrence_closed_form(166, 5.0, profile)
+
+
+@pytest.mark.parametrize("p, z_abs", [(2, 1e100), (3, 1e60), (8, 1e20)])
+def test_closed_form_past_the_defect_power_range_is_the_optimal_value(p, z_abs):
+    # alpha_0 = alpha_p/p, so the defect is exactly 0 although |z|^(2p) is
+    # inf; it was 0 * inf = nan, and the closed form raised where
+    # concurrence_optimal gives its value
+    profile = AlphaProfile.optimal_constant(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimal = concurrence_optimal(p, z_abs)
+        closed = concurrence_closed_form(p, z_abs, profile).value
+        at_one = concurrence_closed_form(p, 1.0, profile).value
+        rows = concurrence_closed_form(p, np.array([1.0, z_abs]), profile).value
+        z_exact = concurrence_closed_form(p, z_abs, AlphaProfile.z_dependent_exact(p, 1)).value
+    assert math.isfinite(closed) and abs(closed - optimal) <= 1e-12
+    assert np.array_equal(rows, [at_one, closed])
+    assert 0.0 < z_exact <= 1.0
+
+
+@pytest.mark.parametrize(
+    "z", [1e60 * (1 + 1j), np.array([1.0, 1e60 * math.sqrt(2.0)])], ids=["one", "rows"]
+)
+def test_closed_form_where_only_the_denominator_overflows_raises(z):
+    # A^2 ~ 1e240 and B^2 ~ 4e240 are finite, but the defect (2/3)^2 |z|^6 is
+    # inf: C = 2AB/D came out 0.0, where the true C is about 1e-120
+    explicit = AlphaProfile.explicit((1.0, 0.5, 0.2, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=re.escape(
+            "the normalization denominator at |z|=1.414e+60 leaves the float range"
+        )):
+            concurrence_closed_form(3, z, explicit)
+        # a row where C is nan keeps its message, ahead of an earlier overflowed D
+        with pytest.raises(FloatRangeError, match="concurrence is nan"):
+            concurrence_closed_form(3, np.array([1.0, 1e60 * math.sqrt(2.0), 1e200]), explicit)
 
 
 @pytest.mark.parametrize("z", [1e-170, np.array([1e-170, 1.0])])
