@@ -391,9 +391,15 @@ def bosonic_weight_sum(p: int, z_abs: float) -> float:
 
     c_n = (p!)^2 / ((n!)^2 (p-n)!); the full series, with its n = p term
     |z|^(2p), is exp(-|z|^2) <z^(p)|z^(p)>.  The terms are added left to
-    right, n = 0 first.
+    right, n = 0 first.  Raises FloatRangeError where the sum overflows.
     """
-    return _fold(_weight_series(p, PowerTable.of(z_abs), 0, p))
+    powers = PowerTable.of(z_abs)
+    with np.errstate(over="ignore"):
+        total = _fold(_weight_series(p, powers, 0, p))
+    at = powers.first(total == math.inf)
+    if at is not None:
+        raise FloatRangeError(f"the weight sum (p={p}, |z|={at:.4g}) leaves the float range")
+    return total
 
 
 @dataclass(frozen=True)
@@ -404,10 +410,10 @@ class ClosedForm:
     weight series sum (:func:`bosonic_weight_sum`), defect =
     (alpha_0 - alpha_p/p)^2 |z|^(2p) (exactly 0 where alpha_0 = alpha_p/p,
     however large |z|), and D = A^2 + B^2 + defect =
-    exp(-|z|^2)/Q^2.  Over a 1-D |z| array every field but ``p`` holds one
-    row per |z|, nan where a z-dependent-exact rule is undefined; so does
-    the closed form of a stack of states, one profile per row.  Each row
-    is bit-identical to the closed form of its |z| and profile alone.
+    exp(-|z|^2)/Q^2, whose Q is formed on first read.  Over a 1-D |z| array
+    every field but ``p`` holds one row per |z| (a z-dependent-exact rule
+    undefined at any raises); so does the closed form of a stack of states,
+    one profile per row.  Each row is bit-identical to its |z| and profile alone.
     """
 
     p: int
@@ -419,7 +425,7 @@ class ClosedForm:
     denom: float | np.ndarray
     weight_sum: float | np.ndarray
 
-    @property
+    @functools.cached_property
     def q(self):
         """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows.
 
@@ -444,6 +450,7 @@ class ClosedForm:
         this is a (rows, 4) complex array, each row the amplitudes of its
         state alone.  Raises FloatRangeError where :attr:`q` does.
         """
+        self.q  # the amplitudes exist where Q does
         amplitudes = functools.partial(_amplitudes, self.p)
         return _each(amplitudes, self.a_sq, self.b_sq, self.denom, self.alphas, z)
 
@@ -468,10 +475,9 @@ def _q(z_abs: float, denom: float) -> float:
 
 
 def _amplitudes(p: int, a_sq: float, b_sq: float, denom: float, alphas, z: complex):
-    # the amplitudes exist where Q does: D finite and Q a positive float.  A
-    # finite D holds c_(p-1) |z|^(2(p-1)) and, at p = 1, a finite |z|, so
-    # conj(z)^p below cannot overflow
-    _q(abs(z), denom)
+    # read where Q exists: D finite and Q a positive float.  A finite D holds
+    # c_(p-1) |z|^(2(p-1)) and, at p = 1, a finite |z|, so conj(z)^p below
+    # cannot overflow
     inv = 1.0 / math.sqrt(denom)
     a00 = complex(math.copysign(math.sqrt(b_sq), alphas[p]) * inv)
     a10 = np.conj(z) ** p * (alphas[0] - alphas[p] / p) * inv
@@ -502,13 +508,7 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
     zs = powers.zs
     if isinstance(profile, AlphaProfile):
         _check_order(p, profile)
-        try:
-            alphas = profile.coefficients(z_abs)
-        except NoRealSolutionError as exc:
-            if exc.alphas is None:
-                raise
-            alphas = exc.alphas  # go on with the rows where the rule is defined
-        alphas = alphas.reshape(len(zs), p + 1)
+        alphas = profile.coefficients(z_abs).reshape(len(zs), p + 1)
         # alpha_0 and alpha_p do not depend on |z| in any kind
         alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
         b_coef, d_coef = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2

@@ -24,15 +24,19 @@ import numpy as np
 
 from .algebra import _checked_abs, float_factorial
 from .coherent import (
+    KIND_Z_EXACT,
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
     _check_denom,
+    _check_order,
     _closed_form,
     _fold,
+    _pow_or_inf,
+    _weight_coefficients,
     _weight_series,
 )
-from .errors import FloatRangeError, TruncationError
+from .errors import FloatRangeError, NoRealSolutionError, TruncationError
 
 __all__ = [
     "ConcurrenceResult",
@@ -116,12 +120,9 @@ def _reject(value: float, what: str):
     raise ValueError(f"{what} = {value!r} outside [0, 1] beyond tolerance")
 
 
-def _result(value, route: str, lambdas=None, undefined=None) -> ConcurrenceResult:
-    """Clip ``value`` to [0, 1]; entries marked ``undefined`` come out nan."""
-    if undefined is None:
-        return ConcurrenceResult(_clip_unit(value, "concurrence"), route, lambdas)
-    value = _clip_unit(np.where(undefined, 0.0, value), "concurrence")
-    return ConcurrenceResult(np.where(undefined, np.nan, value), route, lambdas)
+def _result(value, route: str, lambdas=None) -> ConcurrenceResult:
+    """Clip ``value`` to [0, 1]."""
+    return ConcurrenceResult(_clip_unit(value, "concurrence"), route, lambdas)
 
 
 def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResult:
@@ -131,9 +132,9 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     raises DegenerateProfileError where the denominator vanishes, at
     alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
     complex number, a 1-D array of |z| or a :class:`PowerTable` over one;
-    over an array the result holds arrays, nan on rows where a
-    z-dependent-exact rule is undefined.  Raises FloatRangeError where C
-    is nan, and where only D overflows, which would make C 0.
+    over an array the result holds arrays.  A z-dependent-exact profile gets
+    its exact C = 1 (:func:`_z_exact_concurrence`).  Raises FloatRangeError
+    where C is nan, and where only D overflows, which would make C 0.
     """
     if isinstance(z, PowerTable):
         z_abs = z
@@ -141,15 +142,13 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
         z_abs = np.abs(z)
     else:
         z_abs = _checked_abs(complex(z))
+    if profile.kind == KIND_Z_EXACT:
+        return _z_exact_concurrence(p, PowerTable.of(z_abs), profile)
     # past the float range C comes out nan (inf/inf), which _result classifies
     with np.errstate(over="ignore", invalid="ignore"):
         form = _closed_form(p, z_abs, profile)
         value = form.concurrence
-    if form.alphas.ndim == 1:
-        result = _result(value, ROUTE_CLOSED_FORM)
-    else:
-        # nan alphas mark the |z| rows where a z-dependent-exact rule is undefined
-        result = _result(value, ROUTE_CLOSED_FORM, undefined=np.isnan(form.alphas).any(axis=1))
+    result = _result(value, ROUTE_CLOSED_FORM)
     # where only D overflows, C = 2AB/D comes out 0 rather than nan: classified
     # as Q classifies it, once the nan rows have raised with their own message
     overflowed = PowerTable.of(z_abs).first(form.denom == math.inf)
@@ -158,15 +157,48 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     return result
 
 
+def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> ConcurrenceResult:
+    """C = 2AB/D = 1, as alpha_{p-m} makes A^2 = B^2 = (alpha_p/p)^2 W with no defect.
+
+    nan on the |z| rows where :meth:`AlphaProfile.coefficients` finds the rule
+    undefined; FloatRangeError where D = 2B^2 overflows, making C inf/inf.
+    """
+    _check_order(p, profile)
+    try:
+        alphas = profile.coefficients(powers)
+    except NoRealSolutionError as exc:
+        if exc.alphas is None:  # one |z|
+            raise
+        alphas = exc.alphas  # nan at alpha_{p-m} where the rule is undefined
+    defined = ~np.isnan(alphas[..., p - profile.m])
+    b = profile.alpha_p / p
+    # W <= sum c_n max(1, |z|)^(2(p-1)) on every row: the series is summed only
+    # where that bound on D comes within a factor 2 of the float range
+    top = max(1.0, _pow_or_inf(float(powers.zs.max()), 2 * p - 2))
+    if not 4.0 * b * b * sum(_weight_coefficients(p)) * top < math.inf:
+        with np.errstate(over="ignore"):
+            denom = 2.0 * (b * b * _fold(_weight_series(p, powers, 0, p)))
+        if (defined & (denom == math.inf)).any():
+            _reject(math.nan, "concurrence")
+    value = 1.0 if powers.scalar else np.where(defined, 1.0, np.nan)
+    return ConcurrenceResult(value, ROUTE_CLOSED_FORM)
+
+
 def concurrence_pure(amps):
     """C = 2 |a00 a11 - a01 a10| for normalized pure-state amplitudes.
 
-    A (k, 4) array of amplitudes gives k concurrences, one per row.
+    A (k, 4) array of amplitudes gives k concurrences, one per row.  Raises
+    FloatRangeError where sum |a|^2 overflows.
     """
     if isinstance(amps, np.ndarray) and amps.ndim == 2:
         return np.array([concurrence_pure(row) for row in amps.tolist()])
-    a00, a01, a10, a11 = (complex(a) for a in amps)
-    norm_sq = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
+    try:
+        a00, a01, a10, a11 = (complex(a) for a in amps)
+        norm_sq = abs(a00) ** 2 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2
+    except OverflowError:  # an amplitude or its square past the float range
+        norm_sq = math.inf
+    if norm_sq == math.inf:
+        raise FloatRangeError("amplitudes leave the float range: sum |a|^2 overflows")
     if abs(norm_sq - 1.0) > 1e-8:
         raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm_sq:.8g}")
     return _clip_unit(2.0 * abs(a00 * a11 - a01 * a10), "concurrence")

@@ -729,6 +729,76 @@ def test_grid_computes_each_power_once_per_chunk(tmp_path, monkeypatch, capsys, 
     assert 0 < count[0] <= 301 * 12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_z_exact_grid_rows_are_the_exact_value(tmp_path, capsys, m):
+    # the rule makes A = B with no defect, so C = 1 exactly: 1 - C is 0 and EoF
+    # is ln 2.  Summing A^2 and B^2 printed 1.11e-16 or 2.22e-16 for 1 - C on
+    # 101 of the 606 rows of the default --m 1 grid.
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-min", "0", "--z-max", "5",
+            "--z-step", "0.05", "--profile-kind", "z-dependent-exact", "--m", str(m)]
+    assert main([*argv, "--out", str(out)]) == 0
+    for r, line in enumerate(out.read_text().splitlines()[1:]):
+        p, z = 1 + r // 101, float(line.split(",")[1])
+        undefined = _exact_concurrence_sq(p, z, "z-dependent-exact", m) is None
+        assert line.endswith(",nan,nan,nan" if undefined else ",1,0,0.69314718056"), line
+
+
+def test_z_exact_grid_makes_two_powers_per_row(tmp_path, monkeypatch, capsys):
+    # |z|^m and |z|^(2m) of the exceptional alpha, shared by every order p;
+    # the float-range bound takes one power of the largest |z| per p, and the
+    # weight series is summed only where that bound overflows
+    count = [0]
+    libm_powers = coherent._libm_powers
+
+    def counting(values, exponents):
+        count[0] += len(values) * len(exponents)
+        return libm_powers(values, exponents)
+
+    monkeypatch.setattr(coherent, "_libm_powers", counting)
+    for m in ("1", "2", "3"):
+        count[0] = 0
+        argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
+                "--profile-kind", "z-dependent-exact", "--m", m, "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 0
+        assert 0 < count[0] <= 301 * 2
+
+
+def _dispatch_levels() -> list[str]:
+    """NPY_DISABLE_CPU_FEATURES values for each SIMD level this host dispatches to.
+
+    From the running numpy, as CI takes them: the dispatched features the
+    CPU has, in numpy's order, disabled from the top down, to the baseline.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return [" ".join(found[k:]) for k in range(len(found), -1, -1)]
+
+
+def test_z_exact_grid_digits_do_not_depend_on_the_simd_level(tmp_path):
+    # numpy picks its loops by CPU; A^2 by np.power made 36 of these 4,000
+    # rows differ between the AVX-512 and AVX2 levels
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    grids = {}
+    for disabled in _dispatch_levels():
+        out = tmp_path / f"grid_{len(grids)}.csv"
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "psusyent.cli", "grid", "--profile-kind", "z-dependent-exact",
+             "--m", "1", "--p-max", "8", "--z-min", "0.01", "--z-max", "5", "--z-step", "0.01",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), disabled
+        grids[disabled] = out.read_bytes()
+    default = grids[""]
+    assert len(default.splitlines()) == 1 + 8 * 500
+    differing = [level for level, data in grids.items() if data != default]
+    assert not differing, f"levels run: {list(grids)}; differing from the default: {differing}"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_grid_memory_does_not_grow_with_rows(tmp_path):
     # The child caps its own address space 40 MiB above what it has mapped

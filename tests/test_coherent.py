@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import operator
+import re
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -197,6 +198,17 @@ def test_weight_terms_match_exact_arithmetic(z_abs):
         assert terms == [float(c) * z_abs ** (2 * n) for n, c in enumerate(coeffs)]
         rows = np.column_stack(_weight_series(p, PowerTable(np.array([z_abs, 0.5])), 0, p))
         assert rows.shape == (2, p) and np.array_equal(rows[0], terms)
+
+
+@pytest.mark.parametrize("p, z_abs", [(2, 1e200), (3, math.inf), (8, 1e40)])
+@pytest.mark.parametrize("rows", [False, True])
+def test_weight_sum_past_the_float_range_raises(p, z_abs, rows):
+    # the sum came out inf silently
+    z = np.array([1.0, z_abs]) if rows else z_abs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=re.escape(f"(p={p}, |z|={z_abs:.4g})")):
+            bosonic_weight_sum(p, z)
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 8, 9, 12])
@@ -624,6 +636,32 @@ def test_state_command_resolves_profile_once(coefficient_calls, tmp_path, capsys
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["p"] == 3
     assert coefficient_calls == [abs(1.5 - 0.5j)]
+
+
+@pytest.mark.parametrize(
+    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.z_dependent_exact(3, 2)]
+)
+def test_state_command_forms_q_once(monkeypatch, tmp_path, capsys, profile):
+    # the vector, the q_norm field and the amplitudes' checks all read the
+    # state's one Q; each formed its own
+    calls = []
+    original = coherent._q
+
+    def counting(z_abs, denom):
+        calls.append(z_abs)
+        return original(z_abs, denom)
+
+    monkeypatch.setattr(coherent, "_q", counting)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile.to_dict()))
+    argv = ["state", "--p", "3", "--z-re", "1.5", "--z-im", "-0.5", "--profile", str(path)]
+    assert main(argv) == 0
+    assert calls == [abs(1.5 - 0.5j)]
+    # a stack forms Q once per row, in build_state
+    calls.clear()
+    stack = build_state(3, np.array([1.0, 1.2j]), [profile] * 2)
+    stack.q_norm, stack.qubit_amps
+    assert calls == [1.0, 1.2]
 
 
 def test_verify_reads_each_state_closed_form(coefficient_calls, capsys):

@@ -83,6 +83,21 @@ def test_pure_concurrence_rejects_unnormalized():
         concurrence_pure([1.0, 0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [(1e200, 0, 0, 1e200), (complex(1e308, 1e308), 0, 0, 0), (math.inf, 0, 0, 1.0)],
+    ids=["square overflows", "abs overflows", "infinite"],
+)
+def test_pure_concurrence_past_the_float_range_raises(amps):
+    # Python's abs(a) ** 2 raised a bare OverflowError at 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match="sum \\|a\\|\\^2 overflows"):
+            concurrence_pure(amps)
+        with pytest.raises(FloatRangeError):
+            concurrence_pure(np.array([BELL, amps]))
+
+
 # ---------------------------------------------------------------- Wootters 4x4
 
 
@@ -511,6 +526,20 @@ def test_closed_form_of_inf_over_inf_raises_without_a_warning(profile):
         warnings.simplefilter("error")
         with pytest.raises(FloatRangeError):
             concurrence_closed_form(166, 5.0, profile)
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_z_exact_closed_form_at_the_edge_of_the_float_range(rows):
+    # p = 3, m = 1: D = 2 (1/3)^2 (6 + 18|z|^2 + 9|z|^4).  At |z| = 6.3e76 the
+    # bound on D overflows but D is finite, so C = 1; at 7e76 9|z|^4 overflows
+    profile = AlphaProfile.z_dependent_exact(3, 1)
+    inside, past = (np.array([0.1, 1.0, z]) if rows else z for z in (6.3e76, 7e76))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = concurrence_closed_form(3, inside, profile).value
+        with pytest.raises(FloatRangeError, match="concurrence is nan"):
+            concurrence_closed_form(3, past, profile)
+    assert np.array_equal(value, [np.nan, 1.0, 1.0] if rows else 1.0, equal_nan=True)
 
 
 @pytest.mark.parametrize("p, z_abs", [(2, 1e100), (3, 1e60), (8, 1e20)])
