@@ -51,12 +51,12 @@ _FINITE_Z_ABS = 37.0
 
 
 def float_factorial(n: int) -> float:
-    """n! as a float; exact-integer conversion below 171, lgamma beyond."""
+    """n! as a float; FloatRangeError from n = 171 on, where it exceeds the float range."""
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
-    if n <= 170:
-        return float(math.factorial(n))
-    return math.exp(math.lgamma(n + 1))
+    if n > 170:
+        raise FloatRangeError(f"{n}! exceeds the float range")
+    return float(math.factorial(n))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

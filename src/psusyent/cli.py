@@ -91,8 +91,9 @@ def _cmd_state(args: argparse.Namespace) -> int:
     try:
         profile = AlphaProfile.from_dict(profile_obj)
         state = build_state(args.p, z, profile)
-        residual = eigenstate_residual(state)
+        # first: a state the cutoff truncates fails its Schmidt route (exit 1)
         routes = concurrence_routes(state)
+        residual = eigenstate_residual(state)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a numerical limit, not a malformed request
@@ -331,20 +332,15 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.
 
     The parent parser hands everything after a command name to that
     command's parser.  An argv that starts with one is read by :func:`_read`
-    when it is well formed, else by that command's parser, and leftover
-    tokens get the parent's own message.  Any other argv (none, -h, an
-    unknown command, --) takes the full parse, which reports it.
+    when it is well formed.  Any other argv (none, -h, an unknown command,
+    --, a malformed option list) takes the full parse, which reports it.
     """
     if argv is None:
         argv = sys.argv[1:]
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read(command.options, argv[1:])
+    args = None if command is None else _read(command.options, argv[1:])
     if args is None:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+        return parser.parse_args(argv)
     args.command = argv[0]
     return args
 

@@ -509,50 +509,43 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
     if isinstance(profile, AlphaProfile):
         _check_order(p, profile)
         alphas = profile.coefficients(z_abs).reshape(len(zs), p + 1)
-        # alpha_0 and alpha_p do not depend on |z| in any kind
-        alpha_0, alpha_p = float(alphas[0, 0]), float(alphas[0, p])
-        b_coef, d_coef = (alpha_p / p) ** 2, (alpha_0 - alpha_p / p) ** 2
     else:
         if powers.scalar or len(profile) != len(zs):
             raise ValueError(f"a stack of {len(zs)} |z| values needs one profile each")
         for row in profile:
             _check_order(p, row)
         alphas = np.array([row.coefficients(z) for row, z in zip(profile, powers.values)])
-        # the squares in Python floats, as for one state: libm's x**2 is not
-        # always numpy's x*x
-        ends = alphas[:, [0, p]].tolist()
-        b_coef = np.array([(a_p / p) ** 2 for _, a_p in ends])
-        d_coef = np.array([(a_0 - a_p / p) ** 2 for a_0, a_p in ends])
     # numpy's power here, not libm's: the digits of A^2 are pinned to it
     z2n = np.power(zs[:, None], _even_exponents(p))
     # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
     a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
+    w, z2p = _fold(_weight_series(p, powers, 0, p)), powers.column(2 * p)
     if powers.scalar:  # the fields of one state are floats
         zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
-    weight_sum = _fold(_weight_series(p, powers, 0, p))
-    b_sq = b_coef * weight_sum
-    defect = _defect(d_coef, zs, powers.column(2 * p))
-    denom = a_sq + b_sq + defect
+        b_sq, defect, denom = _denominator(p, a_sq, w, z2p, zs, float(alphas[0]), float(alphas[p]))
+    else:  # the same step once per row, so each row is its state's alone
+        step = functools.partial(_denominator, p)
+        b_sq, defect, denom = _each(step, a_sq, w, z2p, zs, alphas[:, 0], alphas[:, p]).T
     vanishing = powers.first(denom <= 0.0)
     if vanishing is not None:
         raise DegenerateProfileError(
             f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
         )
-    return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, weight_sum)
+    return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, w)
 
 
-def _defect(d_coef, z_abs, z2p):
-    """d_coef |z|^(2p), and d_coef |z| where d_coef is 0; one per row over rows.
+def _denominator(p: int, a_sq: float, w: float, z2p: float, z_abs: float, a_0: float, a_p: float):
+    """(B^2, defect, D) of one state from A^2, W, |z|^(2p), |z|, alpha_0 and alpha_p.
 
-    d_coef = (alpha_0 - alpha_p/p)^2 is 0 in the optimal-constant and
-    z-dependent-exact kinds.  There the defect is exactly 0 at every finite
-    |z|, also where |z|^(2p) overflows and 0 * inf would make D nan; 0 * |z|
-    is +0.0 there, as 0 * |z|^(2p) is for every finite power, and nan at an
-    infinite |z|, where no state exists.
+    The squares are libm's pow, inf past the float range, where D comes out
+    inf or nan for :attr:`ClosedForm.q` to classify.  Where alpha_0 = alpha_p/p
+    the defect is 0 * |z|: +0.0 at every finite |z|, also where 0 * |z|^(2p)
+    would be nan, and nan at an infinite |z|, where no state exists.
     """
-    if isinstance(d_coef, np.ndarray):  # a stack: one coefficient per row
-        return np.multiply(d_coef, z2p, out=d_coef * z_abs, where=d_coef != 0.0)
-    return d_coef * (z2p if d_coef else z_abs)
+    b_sq = _pow_or_inf(a_p / p, 2) * w
+    d_coef = _pow_or_inf(a_0 - a_p / p, 2)
+    defect = d_coef * (z2p if d_coef else z_abs)
+    return b_sq, defect, a_sq + b_sq + defect
 
 
 def _check_order(p: int, profile: AlphaProfile) -> None:

@@ -136,22 +136,21 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     its exact C = 1 (:func:`_z_exact_concurrence`).  Raises FloatRangeError
     where C is nan, and where only D overflows, which would make C 0.
     """
-    if isinstance(z, PowerTable):
-        z_abs = z
-    elif isinstance(z, np.ndarray) and z.ndim:
-        z_abs = np.abs(z)
-    else:
-        z_abs = _checked_abs(complex(z))
+    if isinstance(z, np.ndarray) and z.ndim:
+        z = np.abs(z)
+    elif not isinstance(z, PowerTable):
+        z = _checked_abs(complex(z))
+    powers = PowerTable.of(z)
     if profile.kind == KIND_Z_EXACT:
-        return _z_exact_concurrence(p, PowerTable.of(z_abs), profile)
+        return _z_exact_concurrence(p, powers, profile)
     # past the float range C comes out nan (inf/inf), which _result classifies
     with np.errstate(over="ignore", invalid="ignore"):
-        form = _closed_form(p, z_abs, profile)
+        form = _closed_form(p, powers, profile)
         value = form.concurrence
     result = _result(value, ROUTE_CLOSED_FORM)
     # where only D overflows, C = 2AB/D comes out 0 rather than nan: classified
     # as Q classifies it, once the nan rows have raised with their own message
-    overflowed = PowerTable.of(z_abs).first(form.denom == math.inf)
+    overflowed = powers.first(form.denom == math.inf)
     if overflowed is not None:
         _check_denom(overflowed, math.inf)
     return result

@@ -481,3 +481,11 @@ def test_tabled_vectors_and_annihilator_are_bit_identical(p, descending, fresh_l
             dim = n_max * (p + 1)
             for psi in (rng.normal(size=dim), rng.normal(size=dim) + 1j * rng.normal(size=dim)):
                 assert np.array_equal(a_op.apply(psi), _apply_written_out(p, n_max, psi))
+
+
+def test_float_factorial_stops_at_the_float_range():
+    # 170! ~ 7.3e306 is the largest factorial a float holds; ln 171! ~ 711.7 is
+    # past ln(max float) ~ 709.8, where the lgamma branch raised a bare OverflowError
+    assert algebra.float_factorial(170) == float(math.factorial(170))
+    with pytest.raises(FloatRangeError, match="171! exceeds the float range"):
+        algebra.float_factorial(171)

@@ -596,6 +596,42 @@ def test_state_non_finite_vector_exits_1_with_one_line(tmp_path, capsys):
     assert captured.err == "error: the state vector of order p=166 at |z|=1 leaves the float range\n"
 
 
+@pytest.mark.parametrize(
+    "profile_obj",
+    [
+        {"p": 3, "kind": "optimal-constant", "alpha_p": 1e200},
+        {"p": 3, "kind": "explicit", "alphas": [1.0, 0.5, 0.2, 1e200]},
+        {"p": 3, "kind": "z-dependent-exact", "alpha_p": 1e200, "m": 1},
+    ],
+    ids=["optimal-constant", "explicit", "z-dependent-exact"],
+)
+def test_state_alpha_p_past_the_square_range_exits_1_with_one_line(tmp_path, capsys,
+                                                                   profile_obj):
+    # (alpha_p/p)^2 overflows: the state ended in an OverflowError traceback
+    profile = _write_profile(tmp_path, profile_obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["state", "--p", "3", "--z-re", "1.5", "--profile", profile])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (
+        "error: the normalization denominator at |z|=1.5 leaves the float range\n"
+    )
+
+
+@pytest.mark.parametrize("p, z_re", [(120, "3"), (99, "5")])
+def test_state_truncated_by_the_cutoff_exits_1_with_one_line(tmp_path, capsys, p, z_re):
+    # the default cutoff drops more than 1e-8 of the norm: the Schmidt route's
+    # TruncationError comes before the eigen-residual's plain norm check (exit 2)
+    profile = _write_profile(tmp_path, {"p": p, "kind": "optimal-constant", "alpha_p": 1.0})
+    rc = main(["state", "--p", str(p), "--z-re", z_re, "--profile", profile])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: reduced density trace ")
+    assert captured.err.endswith("differs from 1 beyond 1e-8; increase n_max\n")
+
+
 def test_usage_error_leaves_shared_parser_correct(tmp_path, capsys):
     profile = _write_profile(tmp_path, {"p": 1, "kind": "explicit", "alphas": [1.0, 1.0]})
     with pytest.raises(SystemExit):

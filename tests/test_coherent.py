@@ -526,6 +526,36 @@ def test_defect_of_an_optimal_profile_is_exactly_zero_past_the_power_range():
         assert math.isnan(_resolve(2, math.inf, profile).defect)
 
 
+ALPHA_P_PAST_THE_SQUARE_RANGE = {
+    "optimal-constant": AlphaProfile.optimal_constant(3, 1e200),
+    "explicit": AlphaProfile.explicit((1.0, 0.5, 0.2, 1e200)),
+    "z-dependent-exact": AlphaProfile.z_dependent_exact(3, 1, 1e200),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHA_P_PAST_THE_SQUARE_RANGE))
+def test_an_alpha_p_past_the_square_range_raises_float_range_error(kind):
+    # (alpha_p/p)^2 overflows: Python's float ** raised a bare OverflowError,
+    # for one state and for every stack holding such a row
+    profile = ALPHA_P_PAST_THE_SQUARE_RANGE[kind]
+    zs = np.array([1.0, 1.5])
+    stack = (AlphaProfile.optimal_constant(3), profile)
+    calls = {
+        "build_state": lambda: build_state(3, 1.5, profile),
+        "build_state stack": lambda: build_state(3, zs.astype(complex), stack),
+        "q": lambda: normalization_q(3, 1.5, profile),
+        "q over |z|": lambda: normalization_q(3, zs, profile),
+        "q stack": lambda: normalization_q(3, zs, stack),
+        "concurrence": lambda: entanglement.concurrence_closed_form(3, 1.5, profile),
+        "concurrence over |z|": lambda: entanglement.concurrence_closed_form(3, zs, profile),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(FloatRangeError, match="float range"):
+                call()
+
+
 @pytest.mark.parametrize(
     "compute",
     [
