@@ -48,6 +48,8 @@ CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
 # is p, then abs_z as text, formatted once per |z| chunk, then C, 1 - C, EoF
 _Z_TEXT = "%.12g"
 _CSV_ROW_AFTER_P = ",%s,%.12g,%.12g,%.12g\n"
+# a z-dependent-exact row after abs_z, undefined or defined (C = 1, EoF = ln 2)
+_Z_EXACT_TAILS = (",nan,nan,nan\n", ",1,0,%.12g\n" % entanglement_of_formation(1.0))
 # |z| rows computed and written at a time, so memory does not grow with the grid
 GRID_CHUNK_ROWS = 4096
 
@@ -156,35 +158,44 @@ def _state_json(p: int, z: complex, q_norm: float, amps, routes: dict, eof: floa
 class _GridChunk:
     """One chunk of grid |z| rows and what depends only on |z|.
 
-    That is the libm power table and the abs_z text, shared by every order
+    That is the libm power table and the abs_z texts, shared by every order
     p whose block covers these rows.
     """
 
     def __init__(self, start: int, zs: np.ndarray):
         self.start = start
         self.powers = PowerTable(zs)
-        # the fields of each row after p
-        self._fields = np.empty((len(zs), 4), dtype=object)
-        self._fields[:, 0] = [_Z_TEXT % z for z in self.powers.values]
+        self.z_text = [_Z_TEXT % z for z in self.powers.values]
+        # the fields of every row after p, flat: abs_z, C, 1 - C, EoF
+        self._fields = [None] * (4 * len(zs))
+        self._fields[0::4] = self.z_text
 
     def csv(self, p: int, value: np.ndarray, eof: np.ndarray) -> str:
         """The CSV rows of order p over this chunk, with concurrences ``value``."""
         fields = self._fields
-        fields[:, 1] = value
-        fields[:, 2] = 1.0 - value
-        fields[:, 3] = eof
-        return ((str(p) + _CSV_ROW_AFTER_P) * len(fields)) % tuple(fields.ravel().tolist())
+        fields[1::4], fields[2::4] = value.tolist(), (1.0 - value).tolist()
+        fields[3::4] = eof.tolist()
+        return ((str(p) + _CSV_ROW_AFTER_P) * len(self.z_text)) % tuple(fields)
+
+    def fixed_csv(self, p: int, defined: np.ndarray) -> str:
+        """The z-dependent-exact rows of order p: C = 1 where ``defined``, else nan."""
+        head = str(p) + ","
+        # each run of rows with the same tail is one join of their abs_z texts
+        cuts = [0, *(np.flatnonzero(defined[1:] != defined[:-1]) + 1).tolist(), len(defined)]
+        tails = [_Z_EXACT_TAILS[d] for d in defined[cuts[:-1]].tolist()]
+        return "".join(head + (tail + head).join(self.z_text[start:stop]) + tail
+                       for start, stop, tail in zip(cuts, cuts[1:], tails))
 
 
-def _grid_block(p: int, powers: PowerTable, kind: str, profile: AlphaProfile | None):
-    """(concurrence, EoF) over a |z| chunk; nan where the z-exact rule is undefined."""
+def _grid_rows(p: int, chunk: _GridChunk, kind: str, profile: AlphaProfile | None) -> str:
+    """The CSV rows of order p over a |z| chunk; nan where the z-exact rule is undefined."""
     if kind == KIND_OPTIMAL:
-        value = concurrence_optimal(p, powers)
-        return value, entanglement_of_formation(value)
-    if profile is None:
-        return np.full(len(powers.zs), np.nan), np.full(len(powers.zs), np.nan)
-    result = concurrence_closed_form(p, powers, profile)
-    return result.value, result.eof
+        value = concurrence_optimal(p, chunk.powers)
+        return chunk.csv(p, value, entanglement_of_formation(value))
+    # only C is read, 1 or nan: the row text is fixed, so no EoF is evaluated
+    defined = (np.zeros(len(chunk.z_text), dtype=bool) if profile is None
+               else ~np.isnan(concurrence_closed_form(p, chunk.powers, profile).value))
+    return chunk.fixed_csv(p, defined)
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -209,8 +220,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                     if chunk is None or chunk.start != start:
                         steps = np.arange(start, min(start + GRID_CHUNK_ROWS, n_steps))
                         chunk = _GridChunk(start, args.z_min + steps * args.z_step)
-                    value, eof = _grid_block(p, chunk.powers, args.profile_kind, profile)
-                    fh.write(chunk.csv(p, value, eof))
+                    fh.write(_grid_rows(p, chunk, args.profile_kind, profile))
     except (OSError, ValueError, ArithmeticError) as exc:
         # remove the truncated sweep this call wrote; a device or a pipe is left alone
         if os.path.isfile(args.out):

@@ -35,6 +35,7 @@ from .coherent import (
     qubit_bases,
 )
 from .entanglement import concurrence_routes, entanglement_of_formation
+from .errors import TruncationError
 from .model import (
     _norms,
     build_annihilator,
@@ -104,8 +105,22 @@ def _random_stacks(rng: np.random.Generator, count: int, p_max: int, z_max: floa
 
 
 def eigenstate_residual(state):
-    """||A|Z> - z|Z>|| of ``state``; an array, one per state, over a stack."""
-    return verify_eigenstate(build_annihilator(state.p, state.n_max), state.full_vector, state.z)
+    """||A|Z> - z|Z>|| of ``state``; an array, one per state, over a stack.
+
+    Raises TruncationError where the cutoff leaves a state's norm short of 1
+    by more than :func:`verify_eigenstate` allows.
+    """
+    a_op = build_annihilator(state.p, state.n_max)
+    try:
+        return verify_eigenstate(a_op, state.full_vector, state.z)
+    except ValueError:
+        for norm in np.atleast_1d(_norms(state.full_vector)).tolist():
+            if norm < 1.0 - 1e-6:
+                raise TruncationError(
+                    f"state norm {norm:.10g} is short of 1 at n_max={state.n_max}; "
+                    "increase n_max"
+                ) from None
+        raise
 
 
 def _tensor(b: np.ndarray, f: np.ndarray) -> np.ndarray:

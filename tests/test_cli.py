@@ -722,6 +722,55 @@ def test_grid_rows_match_scalar_functions_and_exact_oracle(tmp_path, capsys, kin
     assert (undefined > 0) == (kind == "z-dependent-exact")
 
 
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize(
+    "kind,m",
+    [("optimal-constant", 1), ("z-dependent-exact", 1), ("z-dependent-exact", 2),
+     ("z-dependent-exact", 3)],
+)
+def test_grid_rows_equal_the_formatted_values(tmp_path, monkeypatch, capsys, kind, m,
+                                              chunk_rows):
+    # each row is the library's C and EoF at (p, |z|) formatted as a whole:
+    # the writer formats an optimal-constant block with one % and writes a
+    # z-exact row's fixed text; |z| = 0 is undefined for the z-exact rule,
+    # p <= 3 has undefined rows below its threshold and p <= m has no profile
+    monkeypatch.setattr(cli, "GRID_CHUNK_ROWS", chunk_rows)
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-min", "0", "--z-max", "3",
+            "--z-step", "0.1", "--profile-kind", kind, "--m", str(m), "--out", str(out)]
+    assert main(argv) == 0
+    rows = [CSV_HEADER]
+    for p in range(1, 11):
+        for i in range(31):
+            z = 0.0 + i * 0.1
+            c, eof = _scalar_row(p, z, kind, m)
+            rows.append("%d,%.12g,%.12g,%.12g,%.12g" % (p, z, c, 1.0 - c, eof))
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
+    # z-exact: every p <= m block, |z| = 0, and the low |z| rows of p = 2, 3
+    undefined = sum(row.endswith(",nan,nan,nan") for row in rows)
+    assert undefined == (0 if kind == "optimal-constant" else {1: 51, 2: 77, 3: 100}[m])
+
+
+def test_z_exact_grid_evaluates_no_eof(tmp_path, monkeypatch, capsys):
+    # a z-exact row's EoF is the fixed ln 2, or nan: none is evaluated, while
+    # each optimal-constant block still evaluates its own
+    calls = [0]
+    eof = entanglement.entanglement_of_formation
+
+    def counting(c):
+        calls[0] += 1
+        return eof(c)
+
+    monkeypatch.setattr(entanglement, "entanglement_of_formation", counting)
+    monkeypatch.setattr(cli, "entanglement_of_formation", counting)
+    argv = ["grid", "--p-max", "6", "--z-max", "3", "--out", str(tmp_path / "grid.csv")]
+    for m in ("1", "2"):
+        assert main([*argv, "--profile-kind", "z-dependent-exact", "--m", m]) == 0
+    assert calls[0] == 0
+    assert main(argv) == 0
+    assert calls[0] == 6
+
+
 @pytest.mark.parametrize(
     "kind,p_range,z_range",
     [

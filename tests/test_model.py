@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from psusyent import (
     AlphaProfile,
+    TruncationError,
     build_annihilator,
     build_boson,
     build_hamiltonian,
@@ -14,6 +15,7 @@ from psusyent import (
     degeneracy_profile,
     verify_eigenstate,
 )
+from psusyent.verify import eigenstate_residual
 
 from conftest import annihilator_matrix, hamiltonian_matrix, random_explicit_profile
 
@@ -172,6 +174,22 @@ def test_eigenstate_optimal_profile_p3():
     state = build_state(3, 2.0, AlphaProfile.optimal_constant(3))
     a_op = build_annihilator(3, state.n_max)
     assert verify_eigenstate(a_op, state.full_vector, 2.0) < 1e-8
+
+
+def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
+    # the default cutoff drops 3.6e-6 of this state's norm: a truncation
+    # defect, where an arbitrary unnormalized vector stays a plain ValueError
+    state = build_state(120, 3.0, AlphaProfile.optimal_constant(120))
+    with pytest.raises(TruncationError, match=r"state norm 0\.99999644\d* is short of 1"):
+        eigenstate_residual(state)
+    a_op = build_annihilator(120, state.n_max)
+    with pytest.raises(ValueError, match="not normalized") as err:
+        verify_eigenstate(a_op, state.full_vector, 3.0)
+    assert type(err.value) is ValueError
+    # in a stack, the short row raises it too
+    stack = build_state(120, np.array([1.0, 3.0]), [AlphaProfile.optimal_constant(120)] * 2)
+    with pytest.raises(TruncationError, match="short of 1"):
+        eigenstate_residual(stack)
 
 
 def test_annihilator_lowers_energy_by_omega(rng):
