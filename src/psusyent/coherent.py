@@ -372,14 +372,6 @@ def _weight_range_error(p: int) -> FloatRangeError:
     return FloatRangeError(f"weight coefficients of order p={p} exceed the float range")
 
 
-@functools.lru_cache(maxsize=None)
-def _even_exponents(p: int) -> np.ndarray:
-    """0, 2, ..., 2(p-1) as floats, made once per order."""
-    exponents = np.arange(0.0, 2.0 * p, 2.0)
-    exponents.setflags(write=False)
-    return exponents
-
-
 def _weight_series(p: int, powers: PowerTable, first: int, stop: int) -> list:
     """Weight terms c_n |z|^(2n), n = first..stop-1: a float or a |z| column each."""
     coeffs = _weight_coefficients(p)[first:stop]
@@ -503,33 +495,41 @@ def _resolve(p: int, z_abs, profile) -> ClosedForm:
 
 
 def _closed_form(p: int, z_abs, profile) -> ClosedForm:
-    """:func:`_resolve` under the caller's numpy error state."""
+    """:func:`_resolve` under the caller's numpy error state.
+
+    A |z| power comes from the table, a series is one :func:`_fold` (n = 0
+    first) and a square is a product, so one |z| and the rows round alike.
+    """
     powers = PowerTable.of(z_abs)
-    zs = powers.zs
     if isinstance(profile, AlphaProfile):
         _check_order(p, profile)
-        alphas = profile.coefficients(z_abs).reshape(len(zs), p + 1)
+        alphas = profile.coefficients(z_abs)
     else:
-        if powers.scalar or len(profile) != len(zs):
-            raise ValueError(f"a stack of {len(zs)} |z| values needs one profile each")
+        if powers.scalar or len(profile) != len(powers.zs):
+            raise ValueError(f"a stack of {len(powers.zs)} |z| values needs one profile each")
         for row in profile:
             _check_order(p, row)
         alphas = np.array([row.coefficients(z) for row, z in zip(profile, powers.values)])
-    # numpy's power here, not libm's: the digits of A^2 are pinned to it
-    z2n = np.power(zs[:, None], _even_exponents(p))
-    # alpha_p..alpha_1 in C order, so that each row sums as np.sum sums a 1-D array
-    a_sq = np.add.reduce(np.ascontiguousarray(np.square(alphas[:, p:0:-1]) * z2n), axis=1)
+    # ks[k] is alpha_k: a float over one |z|, else its column over the rows
+    zs, ks = (powers.values[0], alphas.tolist()) if powers.scalar else (powers.zs, alphas.T)
+    a_sq = _fold(a * a * x for a, x in zip(ks[p:0:-1], powers.columns(range(0, 2 * p, 2))))
     w, z2p = _fold(_weight_series(p, powers, 0, p)), powers.column(2 * p)
-    if powers.scalar:  # the fields of one state are floats
-        zs, alphas, a_sq = powers.values[0], alphas[0], float(a_sq[0])
-        b_sq, defect, denom = _denominator(p, a_sq, w, z2p, zs, float(alphas[0]), float(alphas[p]))
+    if powers.scalar:
+        b_sq, defect, denom = _denominator(p, a_sq, w, z2p, zs, ks[0], ks[p])
     else:  # the same step once per row, so each row is its state's alone
         step = functools.partial(_denominator, p)
-        b_sq, defect, denom = _each(step, a_sq, w, z2p, zs, alphas[:, 0], alphas[:, p]).T
-    vanishing = powers.first(denom <= 0.0)
+        b_sq, defect, denom = _each(step, a_sq, w, z2p, zs, ks[0], ks[p]).T
+    # D = 0 exactly only where alpha_p = 0 at z = 0; elsewhere it underflowed
+    vanishing = powers.first((ks[p] == 0.0) & (zs == 0.0))
     if vanishing is not None:
         raise DegenerateProfileError(
             f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
+        )
+    underflow = powers.first(denom <= 0.0)
+    if underflow is not None:
+        raise FloatRangeError(
+            f"the normalization denominator at |z|={underflow:.4g} leaves the float range: "
+            "it underflows to 0"
         )
     return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, w)
 
@@ -537,14 +537,14 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
 def _denominator(p: int, a_sq: float, w: float, z2p: float, z_abs: float, a_0: float, a_p: float):
     """(B^2, defect, D) of one state from A^2, W, |z|^(2p), |z|, alpha_0 and alpha_p.
 
-    The squares are libm's pow, inf past the float range, where D comes out
-    inf or nan for :attr:`ClosedForm.q` to classify.  Where alpha_0 = alpha_p/p
-    the defect is 0 * |z|: +0.0 at every finite |z|, also where 0 * |z|^(2p)
-    would be nan, and nan at an infinite |z|, where no state exists.
+    A square past the float range is inf, where D comes out inf or nan for
+    :attr:`ClosedForm.q` to classify.  Where alpha_0 = alpha_p/p the defect
+    is 0 * |z|: +0.0 at every finite |z|, also where 0 * |z|^(2p) would be
+    nan, and nan at an infinite |z|, where no state exists.
     """
-    b_sq = _pow_or_inf(a_p / p, 2) * w
-    d_coef = _pow_or_inf(a_0 - a_p / p, 2)
-    defect = d_coef * (z2p if d_coef else z_abs)
+    b = a_p / p
+    b_sq, d_sq = b * b * w, (a_0 - b) * (a_0 - b)
+    defect = d_sq * (z2p if d_sq else z_abs)
     return b_sq, defect, a_sq + b_sq + defect
 
 

@@ -131,13 +131,16 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     Zero exactly when alpha_p = 0 (then B = 0 and the state is a product);
     raises DegenerateProfileError where the denominator vanishes, at
     alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
-    complex number, a 1-D array of |z| or a :class:`PowerTable` over one;
-    over an array the result holds arrays.  A z-dependent-exact profile gets
+    complex number, a 1-D array of complex z or of real |z|, or a
+    :class:`PowerTable` over one; over an array the result holds arrays,
+    each row equal to its z alone.  A z-dependent-exact profile gets
     its exact C = 1 (:func:`_z_exact_concurrence`).  Raises FloatRangeError
-    where C is nan, and where only D overflows, which would make C 0.
+    where C is nan or D underflows, and where only D overflows, which would
+    make C 0.
     """
     if isinstance(z, np.ndarray) and z.ndim:
-        z = np.abs(z)
+        # each complex z's |z| is Python's, as build_state takes it
+        z = np.array([_checked_abs(v) for v in z.tolist()]) if np.iscomplexobj(z) else np.abs(z)
     elif not isinstance(z, PowerTable):
         z = _checked_abs(complex(z))
     powers = PowerTable.of(z)

@@ -1,0 +1,62 @@
+"""Exact rational closed form of one state: an oracle for the float one.
+
+Stdlib only.  From the order p, a float |z| and the resolved float
+coefficients alpha_0..alpha_p, :func:`closed_form` returns the branch
+weights as :class:`fractions.Fraction`s, exact for those floats:
+
+    A^2    = sum_{n<p} alpha_{p-n}^2 |z|^(2n)
+    W      = sum_{n<p} (p!)^2 / ((n!)^2 (p-n)!) |z|^(2n)
+    B^2    = (alpha_p/p)^2 W
+    defect = (alpha_0 - alpha_p/p)^2 |z|^(2p)
+    D      = A^2 + B^2 + defect
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import NamedTuple
+
+
+class ExactClosedForm(NamedTuple):
+    a_sq: Fraction
+    weight_sum: Fraction
+    b_sq: Fraction
+    defect: Fraction
+    denom: Fraction
+
+
+def closed_form(p: int, z_abs: float, alphas) -> ExactClosedForm:
+    """The exact A^2, W, B^2, defect and D of ``alphas`` at the float ``z_abs``."""
+    z_sq = Fraction(z_abs) ** 2
+    a = [Fraction(x) for x in alphas]
+    a_sq = _series([a[p - n] ** 2 for n in range(p)], z_sq)
+    # the weight coefficient (p!)^2 / ((n!)^2 (p-n)!) is the integer C(p, n)^2 (p-n)!
+    weights = [math.comb(p, n) ** 2 * math.factorial(p - n) for n in range(p)]
+    weight_sum = _series(weights, z_sq)
+    b = a[p] / p
+    b_sq = b * b * weight_sum
+    defect = (a[0] - b) ** 2 * z_sq**p
+    return ExactClosedForm(a_sq, weight_sum, b_sq, defect, a_sq + b_sq + defect)
+
+
+def _series(coefficients, z_sq: Fraction) -> Fraction:
+    """sum_n coefficients[n] z_sq^n, summed in integers over one common denominator."""
+    den = math.lcm(*(c.denominator for c in coefficients))
+    top, num_z, den_z = len(coefficients) - 1, z_sq.numerator, z_sq.denominator
+    total = sum(
+        c.numerator * (den // c.denominator) * num_z**n * den_z ** (top - n)
+        for n, c in enumerate(coefficients)
+    )
+    return Fraction(total, den * den_z**top)
+
+
+def ulps(value: float, exact: Fraction) -> float:
+    """|value - exact| in units of the last place of ``exact`` rounded to a float.
+
+    0 where both are 0, inf where only ``exact`` is 0.
+    """
+    error = float(abs(Fraction(value) - exact))
+    if not exact:
+        return math.inf if error else 0.0
+    return error / math.ulp(float(exact))

@@ -884,6 +884,65 @@ def test_z_exact_grid_digits_do_not_depend_on_the_simd_level(tmp_path):
     assert not differing, f"levels run: {list(grids)}; differing from the default: {differing}"
 
 
+# Runs seeded `state` ops through cli.main, as the state-mix benchmark draws
+# them, and prints the closed-form fields of each record (or its exit code).
+_STATE_OPS_CHILD = """
+import contextlib, io, json, math, os, random, sys
+from psusyent.cli import main
+
+rng = random.Random(int(sys.argv[1]))
+records = []
+for i in range(int(sys.argv[2])):
+    p, r = (rng.randint(5, 8), rng.uniform(3.5, 5.25)) if i % 5 == 4 else (
+        rng.randint(1, 4), rng.uniform(0.0, 3.0))
+    theta, alpha_p = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.2, 2.0) * rng.choice((-1, 1))
+    kind = rng.choice(("explicit", "optimal-constant", "z-dependent-exact") if p > 1 else
+                      ("explicit", "optimal-constant"))
+    profile = {"p": p, "kind": kind, "alpha_p": alpha_p}
+    if kind == "explicit":
+        profile = {"p": p, "kind": kind,
+                   "alphas": [rng.uniform(-2.0, 2.0) for _ in range(p)] + [alpha_p]}
+    elif kind == "z-dependent-exact":
+        profile["m"] = rng.randint(1, p - 1)
+    path = os.path.join(sys.argv[3], "profile.json")
+    with open(path, "w") as fh:
+        json.dump(profile, fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["state", "--p", str(p), "--z-re", repr(r * math.cos(theta)),
+                   "--z-im", repr(r * math.sin(theta)), "--profile", path])
+    if rc:
+        records.append(rc)
+        continue
+    record = json.loads(out.getvalue())
+    routes = record["concurrence"]
+    records.append([record["q_norm"], record["qubit_amps"],
+                    [routes[k] for k in ("closed-form", "pure-amplitude", "wootters-4x4")]])
+print(json.dumps(records))
+"""
+
+
+def test_state_closed_form_fields_do_not_depend_on_the_simd_level(tmp_path):
+    # A^2 by np.power made 50 of 4,000 seeded ops differ in these fields at
+    # numpy's baseline level.  eof (numpy's np.log) and the schmidt-oracle
+    # route and eigen-residual (numpy reductions and BLAS) still may differ.
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    runs = {}
+    for disabled in _dispatch_levels():
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", _STATE_OPS_CHILD, "2525", "200", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), disabled
+        runs[disabled] = json.loads(proc.stdout)
+    default = runs[""]
+    assert len(default) == 200 and sum(isinstance(r, list) for r in default) > 150
+    differing = {level: sum(a != b for a, b in zip(ops, default)) for level, ops in runs.items()}
+    assert not any(differing.values()), f"ops differing from the default level: {differing}"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_grid_memory_does_not_grow_with_rows(tmp_path):
     # The child caps its own address space 40 MiB above what it has mapped

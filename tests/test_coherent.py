@@ -32,6 +32,7 @@ from psusyent.cli import main
 from psusyent.coherent import _resolve, _weight_series, bosonic_weight_sum
 from psusyent.verify import consistency_residuals, random_states
 
+import oracle
 from conftest import random_explicit_profile, random_z
 
 BELL_Z_VALUES = [0.0, 0.4, 1.0, -1.3, 0.8j, 2.0 + 1.0j, -0.5 - 0.5j, 2.9, 1.7j, 0.1 - 2.2j]
@@ -178,6 +179,90 @@ def test_profile_json_rejects_unknown_and_missing_fields():
         AlphaProfile.from_dict([1, 2, 3])
 
 
+def _stack_past_the_float_range():
+    # at |z| 29 and 30, alpha_k = 1e123 leaves Q positive, yet alpha_k z^(p-k) |z>
+    # overflows before Q scales it
+    big = AlphaProfile.explicit([1e123] * 4)
+    zs = np.array([1.0, 29.0, 30.0], dtype=complex)
+    build_state(3, zs, [AlphaProfile.optimal_constant(3), big, big], n_max=1300, tail_tol=None)
+
+
+VALIDATION_ERRORS = {
+    "p not a positive integer": (
+        lambda: AlphaProfile(p=0, kind="optimal-constant", alpha_p=1.0),
+        "order p must be a positive integer, got 0",
+    ),
+    "explicit profile given alpha_p": (
+        lambda: AlphaProfile(p=1, kind="explicit", alphas=(1.0, 1.0), alpha_p=1.0),
+        "explicit profiles take 'alphas' only",
+    ),
+    "alphas on another kind": (
+        lambda: AlphaProfile(p=1, kind="optimal-constant", alphas=(1.0, 1.0)),
+        "optimal-constant profiles take 'alpha_p', not 'alphas'",
+    ),
+    "non-finite alpha_p": (
+        lambda: AlphaProfile.optimal_constant(2, math.inf),
+        "optimal-constant profile needs a finite alpha_p",
+    ),
+    "m on another kind": (
+        lambda: AlphaProfile(p=2, kind="optimal-constant", alpha_p=1.0, m=1),
+        "'m' is only meaningful for z-dependent-exact profiles",
+    ),
+    "from_dict unknown kind": (
+        lambda: AlphaProfile.from_dict({"p": 1, "kind": "squeezed"}),
+        "unknown profile kind 'squeezed'; expected one of "
+        "('explicit', 'optimal-constant', 'z-dependent-exact')",
+    ),
+    "from_dict non-number alpha_p": (
+        lambda: AlphaProfile.from_dict({"p": 1, "kind": "optimal-constant", "alpha_p": "1"}),
+        "'alpha_p' must be a number, got '1'",
+    ),
+    "from_dict non-integer m": (
+        lambda: AlphaProfile.from_dict(
+            {"p": 3, "kind": "z-dependent-exact", "alpha_p": 1.0, "m": 1.0}
+        ),
+        "'m' must be an integer, got 1.0",
+    ),
+    "float_factorial(-1)": (lambda: algebra.float_factorial(-1), "factorial of negative -1"),
+    "coherent_vector n_max 0": (lambda: coherent_vector(1.0, 0), "n_max must be >= 1, got 0"),
+    "concurrence_optimal p 0": (
+        lambda: entanglement.concurrence_optimal(0, 1.0),
+        "order p must be >= 1, got 0",
+    ),
+    "build_annihilator p 0": (
+        lambda: model.build_annihilator(0, 10),
+        "parafermion order must be a positive integer, got 0",
+    ),
+    "build_state stack names its first non-finite row": (
+        _stack_past_the_float_range,
+        "the state vector of order p=3 at |z|=29 leaves the float range",
+    ),
+    "verify --tol 0": (lambda: main(["verify", "--tol", "0"]), "--tol must be positive"),
+    "state --p 0": (
+        lambda: main(["state", "--p", "0", "--profile", "profile.json"]),
+        "--p must be >= 1, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_ERRORS))
+def test_validation_error_messages(case, capsys):
+    # each a raise that no other test reaches; a CLI usage error exits 2
+    call, message = VALIDATION_ERRORS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except SystemExit as exc:
+            assert exc.code == 2
+            text = capsys.readouterr().err.splitlines()[-1].split(" error: ", 1)[1]
+        except ValueError as exc:
+            text = str(exc)
+        else:
+            pytest.fail(f"{case}: no error raised")
+    assert text == message
+
+
 # ---------------------------------------------------------------- weight series
 
 
@@ -295,6 +380,62 @@ def test_normalization_q_degenerate_at_zero():
 def test_states_built_with_q_have_unit_norm(rng):
     for state in random_states(rng, 25, 6, 4.0):
         assert abs(np.linalg.norm(state.full_vector) - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------- exact oracle
+
+
+def _oracle_stacks(rng, count):
+    """Stacks of 1..8 (|z|, profile) rows of one order p, ``count`` rows in all.
+
+    p is 1..12 and |z| 0..8; the profiles are of all three kinds.
+    """
+    stacks, total = [], 0
+    while total < count:
+        p, rows = int(rng.integers(1, 13)), []
+        for _ in range(int(rng.integers(1, 9))):
+            z_abs, kind = float(rng.uniform(0.0, 8.0)), int(rng.integers(0, 3 if p > 1 else 2))
+            alpha_p = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
+            if kind == 0:
+                profile = random_explicit_profile(rng, p)
+            elif kind == 1:
+                profile = AlphaProfile.optimal_constant(p, alpha_p)
+            else:
+                profile = AlphaProfile.z_dependent_exact(p, int(rng.integers(1, p)), alpha_p)
+                try:
+                    profile.coefficients(z_abs)
+                except NoRealSolutionError:
+                    continue  # no state there
+            rows.append((z_abs, profile))
+        if rows:
+            stacks.append((p, rows))
+            total += len(rows)
+    return stacks
+
+
+def test_closed_form_is_within_a_few_ulps_of_the_exact_oracle():
+    # every closed-form quantity is a libm power of |z|, a product or a
+    # left-to-right sum: a few roundings each
+    fields = ("a_sq", "b_sq", "defect", "denom", "weight_sum")
+    worst = dict.fromkeys(("a_sq", "weight_sum", "denom"), 0.0)
+    kinds = Counter()
+    for p, rows in _oracle_stacks(np.random.default_rng(2525), 2000):
+        alone = []
+        for z_abs, profile in rows:
+            form = _resolve(p, z_abs, profile)
+            exact = oracle.closed_form(p, z_abs, form.alphas.tolist())
+            for field in worst:
+                error = oracle.ulps(getattr(form, field), getattr(exact, field))
+                worst[field] = max(worst[field], error)
+            alone.append(form)
+            kinds[profile.kind] += 1
+        # a stack row is its state alone, so it is as close to the oracle
+        zs, profiles = zip(*rows)
+        stack = _resolve(p, np.array(zs), profiles)
+        for field in fields:
+            assert getattr(stack, field).tolist() == [getattr(f, field) for f in alone]
+    assert sum(kinds.values()) >= 2000 and min(kinds.values()) > 300, kinds
+    assert worst["a_sq"] <= 4.0 and worst["weight_sum"] <= 4.0 and worst["denom"] <= 6.0, worst
 
 
 # ---------------------------------------------------------------- beta recursion
@@ -554,6 +695,55 @@ def test_an_alpha_p_past_the_square_range_raises_float_range_error(kind):
         for name, call in calls.items():
             with pytest.raises(FloatRangeError, match="float range"):
                 call()
+
+
+ALPHA_P_PAST_THE_UNDERFLOW_RANGE = {
+    "optimal-constant": AlphaProfile.optimal_constant(3, 1e-170),
+    "explicit": AlphaProfile.explicit((1e-170, 0.0, 0.0, 1e-170)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHA_P_PAST_THE_UNDERFLOW_RANGE))
+def test_an_underflowed_denominator_raises_float_range_error(kind):
+    # D = 0 exactly only where alpha_p = 0 at z = 0; at alpha_p = 1e-170 every
+    # term of D underflows, which was reported as a degenerate profile (exit 2)
+    profile = ALPHA_P_PAST_THE_UNDERFLOW_RANGE[kind]
+    zs = np.array([1.0, 1.5])
+    stack = (AlphaProfile.optimal_constant(3), profile)
+    calls = {
+        "build_state": lambda: build_state(3, 1.5, profile),
+        "build_state stack": lambda: build_state(3, zs.astype(complex), stack),
+        "q": lambda: normalization_q(3, 1.5, profile),
+        "q stack": lambda: normalization_q(3, zs, stack),
+        "concurrence": lambda: entanglement.concurrence_closed_form(3, 1.5, profile),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(FloatRangeError, match=r"at \|z\|=1.5 .*underflows to 0"):
+                call()
+        # alpha_p != 0: an underflow at z = 0 too
+        with pytest.raises(FloatRangeError, match=r"at \|z\|=0 .*underflows to 0"):
+            normalization_q(3, 0.0, profile)
+        # a degenerate row is named as such in a stack that also underflows
+        degenerate = (AlphaProfile.explicit((1.0, 0.5, 0.5, 0.0)), profile)
+        with pytest.raises(DegenerateProfileError, match=r"at \|z\|=0 "):
+            normalization_q(3, np.array([0.0, 1.5]), degenerate)
+    # alpha_p = 1e-160 still leaves a normal D
+    assert normalization_q(3, 1.5, AlphaProfile.optimal_constant(3, 1e-160)) > 1e158
+
+
+def test_state_with_an_underflowed_denominator_exits_1(tmp_path, capsys):
+    for name, profile in ALPHA_P_PAST_THE_UNDERFLOW_RANGE.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(profile.to_dict()))
+        rc = main(["state", "--p", "3", "--z-re", "1.5", "--profile", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == (
+            "error: the normalization denominator at |z|=1.5 leaves the float range: "
+            "it underflows to 0\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -616,3 +616,19 @@ def test_array_evaluation_equals_scalar_evaluation(p):
         value, eof = zip(*[_closed_form_at(p, z, profile) for z in zs])
         assert np.array_equal(result.value, value, equal_nan=True)
         assert np.array_equal(result.eof, eof, equal_nan=True)
+
+
+def test_complex_z_array_rows_equal_each_z_alone():
+    # each |z| is Python's abs, as build_state takes it: numpy's complex abs
+    # differs from it in the last bit on about a third of these z
+    rng = np.random.default_rng(2500)
+    zs = np.array([random_z(rng, 4.0) for _ in range(2000)])
+    profile = AlphaProfile.explicit([0.7, -1.2, 0.4, 1.1])
+    rows = concurrence_closed_form(3, zs, profile).value
+    alone = [concurrence_closed_form(3, z, profile).value for z in zs.tolist()]
+    assert rows.tolist() == alone
+    stack = build_state(3, zs[:200], [profile] * 200)
+    stack_rows = entanglement._clip_unit(stack.closed_form.concurrence, "concurrence")
+    assert stack_rows.tolist() == alone[:200]
+    with pytest.raises(FloatRangeError, match="nan"):
+        concurrence_closed_form(3, np.array([1.0, complex(math.nan, 1.0)]), profile)
