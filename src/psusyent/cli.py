@@ -29,8 +29,8 @@ from .entanglement import (
     ROUTE_PURE,
     ROUTE_SCHMIDT,
     ROUTE_WOOTTERS,
+    _optimal_concurrence,
     concurrence_closed_form,
-    concurrence_optimal,
     concurrence_routes,
     entanglement_of_formation,
 )
@@ -170,10 +170,10 @@ class _GridChunk:
         self._fields = [None] * (4 * len(zs))
         self._fields[0::4] = self.z_text
 
-    def csv(self, p: int, value: np.ndarray, eof: np.ndarray) -> str:
-        """The CSV rows of order p over this chunk, with concurrences ``value``."""
+    def csv(self, p: int, value: np.ndarray, one_minus_c: np.ndarray, eof: np.ndarray) -> str:
+        """The CSV rows of order p over this chunk: concurrences ``value``, 1 - C, EoF."""
         fields = self._fields
-        fields[1::4], fields[2::4] = value.tolist(), (1.0 - value).tolist()
+        fields[1::4], fields[2::4] = value.tolist(), one_minus_c.tolist()
         fields[3::4] = eof.tolist()
         return ((str(p) + _CSV_ROW_AFTER_P) * len(self.z_text)) % tuple(fields)
 
@@ -190,8 +190,8 @@ class _GridChunk:
 def _grid_rows(p: int, chunk: _GridChunk, kind: str, profile: AlphaProfile | None) -> str:
     """The CSV rows of order p over a |z| chunk; nan where the z-exact rule is undefined."""
     if kind == KIND_OPTIMAL:
-        value = concurrence_optimal(p, chunk.powers)
-        return chunk.csv(p, value, entanglement_of_formation(value))
+        value, one_minus_c = _optimal_concurrence(p, chunk.powers)
+        return chunk.csv(p, value, one_minus_c, entanglement_of_formation(value))
     # only C is read, 1 or nan: the row text is fixed, so no EoF is evaluated
     defined = (np.zeros(len(chunk.z_text), dtype=bool) if profile is None
                else ~np.isnan(concurrence_closed_form(p, chunk.powers, profile).value))

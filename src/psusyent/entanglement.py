@@ -356,24 +356,36 @@ def concurrence_routes(state: PsusyCoherentState) -> dict:
 
 
 def concurrence_optimal(p: int, z_abs):
-    """Concurrence of the optimal-constant family, directly in closed form.
+    """Concurrence of the optimal-constant family, as :func:`_optimal_concurrence` forms it.
 
-    C = sqrt(1 - (p!/p^2 - 1)^2 / (p!/p^2 + 1 + 2 sum_{n=1..p-1} w_n / p^2)^2)
-    with w_n the weight terms of :func:`bosonic_weight_sum`; identically 1 for
-    p = 1 and increasing in |z| toward 1 for p >= 2.  Elementwise over a
-    1-D |z| array or a :class:`PowerTable` over one; the series is added
-    left to right, n = 1 first.
+    Identically 1 for p = 1 and increasing in |z| toward 1 for p >= 2; elementwise over
+    a 1-D |z| array or a :class:`PowerTable` over one.  FloatRangeError where D overflows.
     """
     if p < 1:
         raise ValueError(f"order p must be >= 1, got {p}")
-    powers = PowerTable.of(z_abs)
+    return _clip_unit(_optimal_concurrence(p, PowerTable.of(z_abs))[0], "concurrence")
+
+
+def _optimal_concurrence(p: int, powers: PowerTable):
+    """(C, 1 - C) of the optimal-constant family, neither formed by cancellation.
+
+    C = 2AB/D with alpha_p scaled out: A^2 = 1 + S, B^2 = g + S, D = A^2 + B^2 (no
+    defect), g = p!/p^2, S = sum_{n=1..p-1} w_n / p^2 over :func:`bosonic_weight_sum`'s
+    terms, n = 1 first; 1 - C = r^2 / (1 + C), r = (1 - g)/D.  FloatRangeError where D overflows.
+    """
     # from zero rows, so that p = 1, with no terms, still gives one row per |z|
     zero = 0.0 if powers.scalar else np.zeros(len(powers.zs))
-    series = _fold((w / p**2 for w in _weight_series(p, powers, 1, p)), zero)
-    fp = float_factorial(p)
-    ratio = (fp / p**2 - 1.0) / (fp / p**2 + 1.0 + 2.0 * series)
-    value = np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
-    return float(value) if powers.scalar else value
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _fold((w / p**2 for w in _weight_series(p, powers, 1, p)), zero)
+        g = float_factorial(p) / p**2
+        a_sq, b_sq = 1.0 + s, g + s
+        denom = a_sq + b_sq
+        value = 2.0 * np.sqrt(a_sq) * np.sqrt(b_sq) / denom
+    at = powers.first(denom == math.inf)
+    if at is not None:
+        raise FloatRangeError(f"optimal-constant D at p={p}, |z|={at:.4g} leaves the float range")
+    r = (1.0 - g) / denom  # 1 - C^2 = r^2, as A^2 - B^2 = 1 - g
+    return value, r * r / (1.0 + value)
 
 
 def entanglement_of_formation(c):

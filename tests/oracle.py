@@ -9,11 +9,15 @@ weights as :class:`fractions.Fraction`s, exact for those floats:
     B^2    = (alpha_p/p)^2 W
     defect = (alpha_0 - alpha_p/p)^2 |z|^(2p)
     D      = A^2 + B^2 + defect
+
+:func:`optimal_concurrence` gives the optimal-constant family's C and
+1 - C at a float |z| as :class:`decimal.Decimal`s, from its exact weights.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,6 +42,30 @@ def closed_form(p: int, z_abs: float, alphas) -> ExactClosedForm:
     b_sq = b * b * weight_sum
     defect = (a[0] - b) ** 2 * z_sq**p
     return ExactClosedForm(a_sq, weight_sum, b_sq, defect, a_sq + b_sq + defect)
+
+
+def optimal_concurrence(p: int, z_abs: float) -> tuple[Decimal, Decimal]:
+    """C and 1 - C of the optimal-constant family at the float ``z_abs``, to 50 digits.
+
+    With alpha_p scaled out, A^2 = 1 + S, B^2 = g + S and D = A^2 + B^2,
+    where g = p!/p^2 and S = (W - p!)/p^2, exact as Fractions.  Then
+    C^2 = 4 A^2 B^2 / D^2 and 1 - C^2 = (1 - g)^2 / D^2 are exact, and
+    C = sqrt(C^2) and 1 - C = (1 - C^2)/(1 + C) are rounded to 50 digits.
+    """
+    weights = [math.comb(p, n) ** 2 * math.factorial(p - n) for n in range(p)]
+    g = Fraction(math.factorial(p), p * p)
+    s = (_series(weights, Fraction(z_abs) ** 2) - math.factorial(p)) / (p * p)
+    a_sq, b_sq = 1 + s, g + s
+    denom_sq = (a_sq + b_sq) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = _decimal(4 * a_sq * b_sq / denom_sq).sqrt()
+        return c, _decimal((1 - g) ** 2 / denom_sq) / (1 + c)
+
+
+def _decimal(x: Fraction) -> Decimal:
+    """``x`` rounded to the current decimal context."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def _series(coefficients, z_sq: Fraction) -> Fraction:

@@ -22,7 +22,6 @@ from psusyent import (
     cli,
     coherent,
     concurrence_closed_form,
-    concurrence_optimal,
     entanglement,
     entanglement_of_formation,
     model,
@@ -673,17 +672,19 @@ def _exact_concurrence_sq(p: int, z: float, kind: str, m: int) -> Fraction | Non
     return 4 * a_sq * b_sq / (a_sq + b_sq) ** 2
 
 
-def _scalar_row(p: int, z: float, kind: str, m: int) -> tuple[float, float]:
+def _scalar_row(p: int, z: float, kind: str, m: int) -> tuple[float, float, float]:
+    """The library's C, 1 - C and EoF of a grid row at one |z|."""
     if kind == "optimal-constant":
-        c = concurrence_optimal(p, z)
-        return c, entanglement_of_formation(c)
+        c, one_minus_c = entanglement._optimal_concurrence(p, coherent.PowerTable(z))
+        return c, one_minus_c, entanglement_of_formation(c)
     if not 1 <= m <= p - 1:
-        return math.nan, math.nan
+        return math.nan, math.nan, math.nan
     try:
         result = concurrence_closed_form(p, z, AlphaProfile.z_dependent_exact(p, m))
     except NoRealSolutionError:
-        return math.nan, math.nan
-    return result.value, result.eof
+        return math.nan, math.nan, math.nan
+    # the z-exact C is 1 exactly, so 1 - C is 0 exactly
+    return result.value, 1.0 - result.value, result.eof
 
 
 @pytest.mark.parametrize(
@@ -702,8 +703,8 @@ def test_grid_rows_match_scalar_functions_and_exact_oracle(tmp_path, capsys, kin
     for r, line in enumerate(lines[1:]):
         p, i = 1 + r // 11, r % 11
         z = 0.37 + i * 0.29
-        c, eof = _scalar_row(p, z, kind, m)
-        assert line == "%d,%.12g,%.12g,%.12g,%.12g" % (p, z, c, 1.0 - c, eof)
+        c, one_minus_c, eof = _scalar_row(p, z, kind, m)
+        assert line == "%d,%.12g,%.12g,%.12g,%.12g" % (p, z, c, one_minus_c, eof)
         fields = [float(x) for x in line.split(",")]
         assert abs(Fraction(fields[1]) - (Fraction("0.37") + i * Fraction("0.29"))) <= 1e-12
         c_sq = _exact_concurrence_sq(p, z, kind, m)
@@ -716,7 +717,11 @@ def test_grid_rows_match_scalar_functions_and_exact_oracle(tmp_path, capsys, kin
         x = 0.5 + 0.5 * root
         exact_eof = -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
         assert abs(fields[2] - exact_c) <= 1e-12
-        assert abs(fields[3] - float(1 - c_sq) / (1.0 + exact_c)) <= 1e-12
+        exact_one_minus_c = float(1 - c_sq) / (1.0 + exact_c)
+        assert abs(fields[3] - exact_one_minus_c) <= 1e-12
+        # the library's 1 - C, printed above, is exact to 1e-12 relative, also
+        # where C is near 1 and 1.0 - C would cancel
+        assert abs(one_minus_c - exact_one_minus_c) <= 1e-12 * exact_one_minus_c
         assert abs(fields[4] - exact_eof) <= 1e-12
     # p <= 3 has rows below the real-solution threshold, and every p <= m has none
     assert (undefined > 0) == (kind == "z-dependent-exact")
@@ -743,8 +748,7 @@ def test_grid_rows_equal_the_formatted_values(tmp_path, monkeypatch, capsys, kin
     for p in range(1, 11):
         for i in range(31):
             z = 0.0 + i * 0.1
-            c, eof = _scalar_row(p, z, kind, m)
-            rows.append("%d,%.12g,%.12g,%.12g,%.12g" % (p, z, c, 1.0 - c, eof))
+            rows.append("%d,%.12g,%.12g,%.12g,%.12g" % (p, z, *_scalar_row(p, z, kind, m)))
     assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
     # z-exact: every p <= m block, |z| = 0, and the low |z| rows of p = 2, 3
     undefined = sum(row.endswith(",nan,nan,nan") for row in rows)
@@ -1012,8 +1016,12 @@ def test_grid_failed_write_removes_the_partial_file(tmp_path):
         # |z|^(2n) exceeds the float range
         ["--p-min", "60", "--p-max", "60", "--profile-kind", "z-dependent-exact", "--m", "1",
          "--z-min", "1000", "--z-max", "1000"],
-        # p = 166 is written before p = 167 fails
+        # p = 166 fails on its own: its series S overflows from |z| = 1.12 on
         ["--p-min", "166", "--p-max", "167"],
+        # S overflows from |z| = 4.975 on; C = sqrt(1 - r^2) printed 1 there
+        ["--p-min", "150", "--p-max", "150"],
+        # p = 149 is written before p = 150 fails
+        ["--p-min", "149", "--p-max", "150"],
     ],
 )
 def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):

@@ -229,6 +229,14 @@ VALIDATION_ERRORS = {
         lambda: entanglement.concurrence_optimal(0, 1.0),
         "order p must be >= 1, got 0",
     ),
+    "derivative_coherent_vector n_max at the order": (
+        lambda: algebra.derivative_coherent_vector(1.0, 3, 3),
+        "n_max=3 must exceed derivative order p=3",
+    ),
+    "wootters negative eigenvalue": (
+        lambda: entanglement._wootters_concurrence([1.0, -0.5, 0.0, 0.0]),
+        "rho*rho~ has a negative eigenvalue -5.000e-01 beyond dust tolerance",
+    ),
     "build_annihilator p 0": (
         lambda: model.build_annihilator(0, 10),
         "parafermion order must be a positive integer, got 0",

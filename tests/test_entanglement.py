@@ -1,7 +1,9 @@
 import math
+import random
 import re
 import warnings
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,10 +24,12 @@ from psusyent import (
     density_from_amplitudes,
     entanglement_of_formation,
 )
+from psusyent.coherent import PowerTable
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
 from psusyent import entanglement, verify
 from psusyent.verify import random_states, route_spread
 
+import oracle
 from conftest import random_explicit_profile, random_z
 
 TWO_SQRT2_OVER_3 = 0.9428090415820634  # 2*sqrt(2)/3
@@ -448,6 +452,56 @@ def test_concurrence_optimal_nondecreasing_in_z():
     for p in range(2, 7):
         values = np.array([concurrence_optimal(p, z) for z in grid])
         assert np.all(np.diff(values) >= 0.0)
+
+
+def _optimal_oracle_points():
+    """(p, |z| array as grid forms it, row indices checked) over three sets."""
+    # the default grid, with every row of its large-|z| end, where 1 - C is smallest
+    default = np.arange(101) * 0.05
+    for p in range(1, 11):
+        yield p, default, [*range(0, 90, 3), *range(90, 101)]
+    # |z| 0..1 step 0.01 to p = 40: every tenth row and 0.01 and 0.81; at |z| = 0,
+    # S = 0 and sqrt(1 - r^2) cancelled from p = 11 on
+    fine = np.arange(101) * 0.01
+    for p in range(1, 41):
+        yield p, fine, [*range(0, 101, 10), 1, 81]
+    rand = random.Random(26)
+    for _ in range(60):
+        yield rand.randint(1, 60), np.array([rand.uniform(0.0, 8.0)]), [0]
+
+
+def test_concurrence_optimal_and_one_minus_c_match_the_exact_oracle():
+    # C = sqrt(1 - r^2) printed 0 at p = 25, |z| = 0 (exact 1.27e-11), and
+    # 1.0 - C printed 0 at p = 10, |z| = 5 (exact 4.69e-19)
+    tol = Decimal("1e-12")
+    checked = 0
+    for p, zs, rows in _optimal_oracle_points():
+        values, one_minus = entanglement._optimal_concurrence(p, PowerTable(zs))
+        assert np.array_equal(concurrence_optimal(p, zs), np.minimum(values, 1.0))
+        for i in rows:
+            exact_c, exact_one_minus = oracle.optimal_concurrence(p, float(zs[i]))
+            assert abs(Decimal(values[i]) - exact_c) <= tol * exact_c, (p, zs[i])
+            # exactly 0 where the oracle gives 0: every |z| at p = 1
+            error = abs(Decimal(one_minus[i]) - exact_one_minus)
+            assert error <= tol * exact_one_minus, (p, zs[i])
+            checked += 1
+    assert checked == 10 * 41 + 40 * 13 + 60
+
+
+@pytest.mark.parametrize("p, first", [(150, 4.975), (160, 2.465), (166, 1.12)])
+def test_optimal_concurrence_past_the_float_range_raises(p, first):
+    # S first overflows at these |z| on a 0.005 step; C = sqrt(1 - r^2) came out
+    # 1.0 there while concurrence_closed_form raises
+    zs = np.array([first - 0.005, first, 5.0])
+    message = f"optimal-constant D at p={p}, |z|={first:.4g} leaves the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (first, zs):
+            with pytest.raises(FloatRangeError, match=re.escape(message)):
+                concurrence_optimal(p, z)
+        with pytest.raises(FloatRangeError):
+            concurrence_closed_form(p, 5.0, AlphaProfile.optimal_constant(p))
+        assert 0.0 < concurrence_optimal(p, zs[0]) <= 1.0
 
 
 @pytest.mark.parametrize("p,m,z", [(2, 1, 1.0), (3, 1, 1.5), (3, 2, 1.5), (4, 2, 2.0)])
