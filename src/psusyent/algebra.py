@@ -41,13 +41,14 @@ __all__ = [
     "float_factorial",
 ]
 
-#: Default bound on the dropped Poisson tail sum_{n >= n_max} |z|^{2n} / n!.
+#: Default bound on the dropped fraction of a coherent vector's norm (:func:`coherent_tail`).
 DEFAULT_TAIL_TOL = 1e-14
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# |z|^n / sqrt(n!) peaks near exp(|z|^2/2) / (2 pi |z|^2)^(1/4), which stays
-# in the float range up to |z| ~ 37.7 (about 1e296 at 37)
+# |z|^n / sqrt(n!) peaks near exp(|z|^2/2) / (2 pi |z|^2)^(1/4), which stays in the
+# float range up to |z| ~ 37.7 (1e296 at 37; the lam = |z|^2 below is |z| = 37.73743)
 _FINITE_Z_ABS = 37.0
+_VECTOR_LAM_MAX = 2.0 * _LOG_FLOAT_MAX + 0.5 * math.log(math.tau * 2.0 * _LOG_FLOAT_MAX)
 
 
 def float_factorial(n: int) -> float:
@@ -57,6 +58,25 @@ def float_factorial(n: int) -> float:
     if n > 170:
         raise FloatRangeError(f"{n}! exceeds the float range")
     return float(math.factorial(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_coefficients(p: int) -> tuple[float, ...]:
+    # c_0 = p! alone exceeds the float range from p = 171 on; failing here
+    # spares the big-integer (p!)^2, which takes minutes at p ~ 1e6
+    if p > 170:
+        raise _weight_range_error(p)
+    # exact integer true division: correctly rounded, and no float (p!)^2,
+    # which overflows from p = 99 on
+    fp_sq = math.factorial(p) ** 2
+    try:
+        return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
+    except OverflowError:
+        raise _weight_range_error(p) from None
+
+
+def _weight_range_error(p: int) -> FloatRangeError:
+    return FloatRangeError(f"weight coefficients of order p={p} exceed the float range")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -182,16 +202,53 @@ def build_boson(n_max: int) -> BosonOps:
 
 
 def default_n_max(z: complex, p: int) -> int:
-    """Default boson truncation: max(32, ceil(|z|^2 + 10|z| + p + 20)).
+    """Default boson truncation: the smallest n >= max(32, p + 2, |z|^2 + p) where
+    the predicted eigen-residual sqrt(n (2 |b0_n|^2 + 3 |b1_n|^2)) is <= 1e-12.
 
-    Keeps the dropped Poisson tail below 1e-14 for |z| <= 5, which in turn
-    holds every inner-product identity used downstream to 1e-10 or better.
+    |b1_n|^2 = e^-lam lam^n / n! and |b0_n|^2 = e^-lam lam^(n-p) (lam^p / sqrt(n!)
+    - sqrt(n!) / (n-p)!)^2 / W, lam = |z|^2, are level n of ``qubit_bases``' b1
+    and b0, and every state is a00 b0 f0 + a10 b1 f0 + a11 b1 f1 with |a| <= 1.
+    Raises FloatRangeError where the coherent vector leaves the float range.
     """
-    zabs = _checked_abs(z)
-    try:
-        return max(32, math.ceil(zabs * zabs + 10.0 * zabs + p + 20))
-    except OverflowError:
-        raise _truncation_range_error(zabs) from None
+    return _cutoff(_checked_abs(z), p, 32)
+
+
+def _cutoff(z_abs: float, p: int, start: int) -> int:
+    """:func:`default_n_max` at |z|, or ``start`` where that is larger."""
+    lam = z_abs * z_abs
+    _check_vector_range(z_abs, lam)
+    start = max(start, p + 2, math.ceil(lam) + p)  # the annihilator needs p + 2 levels
+    if lam == 0.0:  # b1 = |0> and b0 = |p> lie below p + 2
+        return start
+    w = 0.0
+    for c in reversed(_weight_coefficients(p)):
+        w = w * lam + c
+    # -inf where W overflows: no state in the float range has a b0 part there
+    log_lam, b0_scale = math.log(lam), -lam - math.log(w)
+
+    def passes(n: int) -> bool:
+        lg_n, lg_m = math.lgamma(n + 1), math.lgamma(n - p + 1)
+        b1_sq = math.exp(n * log_lam - lam - lg_n)
+        r = math.exp(p * log_lam + lg_m - lg_n)  # lam^p (n-p)! / n! < 1 past lam + p
+        b0_sq = math.exp((n - p) * log_lam + lg_n - 2.0 * lg_m + b0_scale) * (1.0 - r) ** 2
+        return n * (2.0 * b0_sq + 3.0 * b1_sq) <= 1e-24  # the residual squared
+
+    return _first_passing(passes, start)
+
+
+def _first_passing(passes, start: int) -> int:
+    """Smallest n >= start where ``passes(n)``, a test that fails below some n and
+    passes from it on: bracketed by doubling, then bisected."""
+    lo, hi = start - 1, start  # the answer lies in (lo, hi]
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _checked_abs(z) -> float:
@@ -202,15 +259,23 @@ def _checked_abs(z) -> float:
     return abs(z)
 
 
+def _check_vector_range(z_abs: float, lam: float) -> None:
+    """FloatRangeError where |z>, or every cutoff n >= lam = |z|^2, leaves the float range."""
+    if lam == math.inf:
+        raise _truncation_range_error(z_abs)
+    if lam > _VECTOR_LAM_MAX:
+        raise FloatRangeError(f"the coherent vector at |z|={z_abs:.4g} leaves the float range")
+
+
 def _truncation_range_error(z_abs: float) -> FloatRangeError:
     return FloatRangeError(f"the boson truncation at |z|={z_abs:.4g} exceeds the float range")
 
 
 def coherent_tail(z_abs: float, n_max: int) -> float:
-    """Dropped weight sum_{n >= n_max} |z|^{2n} / n! of a coherent vector.
+    """Dropped fraction e^-|z|^2 sum_{n >= n_max} |z|^{2n} / n! of a coherent vector's norm.
 
-    Raises FloatRangeError for a nan |z|, and when n_max or log(n_max!) is
-    past the float range.
+    Summed away from the Poisson peak: as 1 minus the kept terms where n_max <= |z|^2.
+    Raises FloatRangeError for a nan |z| and where |z> or n_max leaves the float range.
     """
     if math.isnan(z_abs):
         # nan fails every comparison below, and the series would sum to 0.0
@@ -218,65 +283,45 @@ def coherent_tail(z_abs: float, n_max: int) -> float:
     lam = z_abs * z_abs
     if lam == 0.0:
         return 0.0
-    # log of the leading term; the ratio test bounds the remainder.
-    log_term = _log_leading_term(z_abs, lam, n_max)
-    if log_term < -700.0:
-        return 0.0
-    if log_term > _LOG_FLOAT_MAX:
-        # the leading term alone is beyond the float range
-        return math.inf
-    term = math.exp(log_term)
-    total = 0.0
-    n = n_max
-    while term > total * 1e-18 + 1e-300:
+    _check_vector_range(z_abs, lam)
+    kept = n_max <= lam
+    n = n_max - 1 if kept else n_max
+    term, total = math.exp(_log_leading_term(z_abs, lam, n)), 0.0
+    while term > total * 1e-18:  # each term away from the peak is smaller
         total += term
-        n += 1
-        term *= lam / n
-    return total
+        term, n = (term * n / lam, n - 1) if kept else (term * lam / (n + 1), n + 1)
+    return 1.0 - total if kept else total
 
 
-def _log_leading_term(z_abs: float, lam: float, n_max: int) -> float:
-    """log(lam^n_max / n_max!), lam = |z|^2 > 0: the tail's leading term.
+def _log_leading_term(z_abs: float, lam: float, n: int) -> float:
+    """log(e^-lam lam^n / n!), lam = |z|^2 > 0: a Poisson term.
 
-    Raises FloatRangeError when n_max or log(n_max!) is past the float range.
+    Raises FloatRangeError when n or log(n!) is past the float range.
     """
     try:
-        return n_max * math.log(lam) - math.lgamma(n_max + 1)
+        return n * math.log(lam) - lam - math.lgamma(n + 1)
     except OverflowError:
         raise _truncation_range_error(z_abs) from None
 
 
 def required_n_max(z_abs: float, tail_tol: float) -> int:
-    """Smallest truncation whose dropped tail is below ``tail_tol``.
+    """Smallest truncation whose dropped fraction is below ``tail_tol``.
 
-    The tail falls monotonically in n_max, so the crossing is bracketed by
-    doubling and then bisected: O(log n_max) tail evaluations.  Raises
-    FloatRangeError when the crossing lies past the float range, as it does
-    from |z| ~ 1e152 on.
+    The fraction falls monotonically in n_max, so the crossing is bracketed
+    by doubling and then bisected: O(log n_max) tail evaluations.  Raises
+    FloatRangeError where the coherent vector leaves the float range.
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
-    lo, hi = 1, 2  # the answer lies in (lo, hi]; n_max is at least 2
-    while coherent_tail(z_abs, hi) >= tail_tol:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if coherent_tail(z_abs, mid) >= tail_tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _first_passing(lambda n: coherent_tail(z_abs, n) < tail_tol, 2)
 
 
 def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:
     lam = z_abs * z_abs
-    # Below lam = (n_max + 1)/2 each tail term is under half the one before,
-    # so the tail is under twice its leading term.  A leading term under
-    # tail_tol/e bounds it below 0.74 tail_tol, and the series is not summed.
-    # A leading term of 1 or more is left to the series, so exp stays in range.
+    # Below lam = (n_max + 1)/2 each tail term is under half the one before, so the tail
+    # is under twice its leading term: under tail_tol/e, it is not summed.
     if 0.0 < lam and 2.0 * lam < n_max + 1:
-        log_term = _log_leading_term(z_abs, lam, n_max)
-        if log_term < 0.0 and math.exp(log_term) < tail_tol / math.e:
+        if math.exp(_log_leading_term(z_abs, lam, n_max)) < tail_tol / math.e:
             return
     tail = coherent_tail(z_abs, n_max)
     if tail >= tail_tol:
@@ -292,9 +337,9 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     """Unnormalized coherent vector with amplitudes z^n / sqrt(n!).
 
     Its squared norm is exp(|z|^2) up to the dropped tail.  When
-    ``tail_tol`` is given, the truncation is checked against the Poisson
-    tail bound and a TruncationError carrying the required n_max is raised
-    on failure.  A 1-D complex ``z`` array gives one row per z, each
+    ``tail_tol`` is given, the dropped fraction (:func:`coherent_tail`) is
+    checked against it and a TruncationError carrying the required n_max is
+    raised on failure.  A 1-D complex ``z`` array gives one row per z, each
     checked on its own and bit-identical to the vector of that z alone.
     Raises FloatRangeError, naming |z|, where an amplitude leaves the
     float range.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,10 @@ import numpy as np
 from .algebra import (
     DEFAULT_TAIL_TOL,
     _checked_abs,
+    _cutoff,
     _derivative_tower,
+    _weight_coefficients,
     coherent_vector,
-    default_n_max,
     float_factorial,
 )
 from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
@@ -353,25 +355,6 @@ def _fold(terms, total=0.0):
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _weight_coefficients(p: int) -> tuple[float, ...]:
-    # c_0 = p! alone exceeds the float range from p = 171 on; failing here
-    # spares the big-integer (p!)^2, which takes minutes at p ~ 1e6
-    if p > 170:
-        raise _weight_range_error(p)
-    # exact integer true division: correctly rounded, and no float (p!)^2,
-    # which overflows from p = 99 on
-    fp_sq = math.factorial(p) ** 2
-    try:
-        return tuple(fp_sq / (math.factorial(n) ** 2 * math.factorial(p - n)) for n in range(p))
-    except OverflowError:
-        raise _weight_range_error(p) from None
-
-
-def _weight_range_error(p: int) -> FloatRangeError:
-    return FloatRangeError(f"weight coefficients of order p={p} exceed the float range")
-
-
 def _weight_series(p: int, powers: PowerTable, first: int, stop: int) -> list:
     """Weight terms c_n |z|^(2n), n = first..stop-1: a float or a |z| column each."""
     coeffs = _weight_coefficients(p)[first:stop]
@@ -525,11 +508,13 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
         raise DegenerateProfileError(
             f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
         )
-    underflow = powers.first(denom <= 0.0)
+    small = denom < sys.float_info.min  # a subnormal D has lost digits, and 0 all of them
+    underflow = powers.first(small)
     if underflow is not None:
+        d = denom if powers.scalar else denom[np.argmax(small)]
         raise FloatRangeError(
             f"the normalization denominator at |z|={underflow:.4g} leaves the float range: "
-            "it underflows to 0"
+            f"it underflows to {d:.3g}"
         )
     return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, w)
 
@@ -648,8 +633,8 @@ def build_state(
     convergence studies).
 
     A 1-D complex ``z`` array with one profile of order p per entry builds a
-    stack of states on one cutoff: by default the largest default_n_max of
-    its rows, with the tail checked for each row.  Each row is
+    stack of states on one cutoff: by default the largest of its rows'
+    default_n_max, with the tail checked for each row.  Each row is
     bit-identical to the state of its z and profile built alone at that
     n_max.
     """
@@ -665,8 +650,9 @@ def build_state(
     else:
         z = complex(z)
         z_abs = _checked_abs(z)
-    if n_max is None:  # at the largest |z|, so no row is built below its own default
-        n_max = default_n_max(float(z_abs.max()) if stacked else z_abs, p)
+    if n_max is None:  # the largest of the rows' own; from the largest |z| down, most pass at once
+        rows = sorted(z_abs.tolist() if stacked else [z_abs], reverse=True)
+        n_max = functools.reduce(lambda n, v: _cutoff(v, p, n), rows, 32)
     full_shape = (len(z), -1) if stacked else -1
 
     # a closed form or vector past the float range comes out inf or nan: the

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _checked_abs, float_factorial
+from .algebra import _checked_abs, _weight_coefficients, float_factorial
 from .coherent import (
     KIND_Z_EXACT,
     AlphaProfile,
@@ -33,7 +33,6 @@ from .coherent import (
     _closed_form,
     _fold,
     _pow_or_inf,
-    _weight_coefficients,
     _weight_series,
 )
 from .errors import FloatRangeError, NoRealSolutionError, TruncationError
@@ -65,7 +64,7 @@ ROUTE_SCHMIDT = "schmidt-oracle"
 # small concurrences are not zeroed out.
 _EIGENVALUE_DUST = 1e-12
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 # sigma_y x sigma_y is the anti-diagonal (-1, 1, 1, -1), so the spin flip
 # (sigma_y x sigma_y) rho* (sigma_y x sigma_y) is rho* with both indices
@@ -397,8 +396,8 @@ def entanglement_of_formation(c):
     """
     c = _clip_unit(c, "concurrence", tol=1e-12)
     x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)  # in [0.5, 1]
-    y = 1.0 - x
-    # y + tiny is y for every y > 0 (y >= 2^-53); at y = 0 the log sees tiny
-    # instead of 0, and H = -0.0 - (-0.0) comes out +0.0
-    h = -x * np.log(x) - y * np.log(y + _SMALLEST_NORMAL)
+    y = c * c / (4.0 * x)  # 1 - x without cancellation, as x (1 - x) = c^2 / 4
+    # at y = 0 the log sees the smallest subnormal instead of 0, and
+    # H = +0.0 - (-0.0) comes out +0.0
+    h = -x * np.log1p(-y) - y * np.log(np.maximum(y, _SMALLEST_SUBNORMAL))
     return h if isinstance(h, np.ndarray) else float(h)

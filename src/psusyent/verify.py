@@ -183,11 +183,11 @@ def suite_boson_truncation(p_max: int, rng):
 
 def suite_coherent_identities(p_max: int, rng):
     for z in _Z_SAMPLES:
-        # default_n_max grows with p; each order reads a prefix of the longest
-        # vector, bit-identical to the vector built at its own cutoff
-        longest = coherent_vector(z, default_n_max(z, p_max))
-        for p in range(1, p_max + 1):
-            n_max = default_n_max(z, p)
+        # each order reads a prefix of the longest vector, bit-identical to
+        # the vector built at its own cutoff
+        cutoffs = [default_n_max(z, p) for p in range(1, p_max + 1)]
+        longest = coherent_vector(z, max(cutoffs))
+        for p, n_max in enumerate(cutoffs, 1):
             coh = longest[:n_max]
             dcoh = _derivative_tower(coh, p, n_max)
             expz2 = math.exp(abs(z) ** 2)

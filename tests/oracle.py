@@ -12,6 +12,9 @@ weights as :class:`fractions.Fraction`s, exact for those floats:
 
 :func:`optimal_concurrence` gives the optimal-constant family's C and
 1 - C at a float |z| as :class:`decimal.Decimal`s, from its exact weights.
+:func:`entanglement_of_formation` and :func:`predicted_residual` give the
+EoF of a float concurrence and the default cutoff's residual bound at a
+level n, both in decimal arithmetic.
 """
 
 from __future__ import annotations
@@ -61,6 +64,41 @@ def optimal_concurrence(p: int, z_abs: float) -> tuple[Decimal, Decimal]:
         ctx.prec = 50
         c = _decimal(4 * a_sq * b_sq / denom_sq).sqrt()
         return c, _decimal((1 - g) ** 2 / denom_sq) / (1 + c)
+
+
+def entanglement_of_formation(c: float) -> Decimal:
+    """H(x) = -x ln x - y ln y of the float concurrence ``c``, to 50 digits.
+
+    x = (1 + sqrt(1 - c^2))/2 and y = 1 - x = c^2 / (4x), in 70-digit
+    arithmetic, so that no digit the result keeps cancels.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 70
+        c = Decimal(c)
+        x = (1 + (1 - c * c).sqrt()) / 2
+        y = c * c / (4 * x)
+        h = -x * x.ln() - (y * y.ln() if y else 0)
+        ctx.prec = 50
+        return +h
+
+
+def predicted_residual(p: int, z_abs: float, n: int) -> float:
+    """sqrt(n (2 |b0_n|^2 + 3 |b1_n|^2)) at the float ``z_abs``, in 40-digit arithmetic.
+
+    |b1_n|^2 = e^-lam lam^n / n! and |b0_n|^2 =
+    e^-lam lam^(n-p) (lam^p / sqrt(n!) - sqrt(n!) / (n-p)!)^2 / W, lam = |z|^2,
+    from integer factorials and the exact weight coefficients.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lam = Decimal(z_abs) ** 2
+        weights = [math.comb(p, k) ** 2 * math.factorial(p - k) for k in range(p)]
+        w = sum(Decimal(c) * lam**k for k, c in enumerate(weights))
+        root_n = Decimal(math.factorial(n)).sqrt()
+        b1_sq = (-lam).exp() * lam**n / Decimal(math.factorial(n))
+        b0 = lam**p / root_n - root_n / Decimal(math.factorial(n - p))
+        b0_sq = (-lam).exp() * lam ** (n - p) * b0 * b0 / w
+        return float((n * (2 * b0_sq + 3 * b1_sq)).sqrt())
 
 
 def _decimal(x: Fraction) -> Decimal:

@@ -23,6 +23,8 @@ from psusyent import (
 )
 from psusyent.coherent import AlphaProfile
 
+import oracle
+
 
 def test_parafermi_p1_matrices():
     ops = build_parafermi(1)
@@ -268,10 +270,12 @@ def test_required_n_max_matches_linear_scan(z_abs):
 
 
 def test_required_n_max_at_large_z():
-    # the leading tail term exceeds the float range for n_max ~ 500 here
+    # the unnormalized tail's leading term exceeds the float range for
+    # n_max ~ 500 here; below the Poisson peak at |z|^2 = 900 the dropped
+    # fraction is all but 1
     n = required_n_max(30.0, 1e-14)
     assert coherent_tail(30.0, n) < 1e-14 <= coherent_tail(30.0, n - 1)
-    assert coherent_tail(30.0, 500) == math.inf
+    assert coherent_tail(30.0, 500) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_required_n_max_rejects_nonpositive_tolerance():
@@ -332,10 +336,29 @@ def test_check_tail_sums_no_series_at_the_default_cutoff(monkeypatch):
 
 
 def test_default_n_max_rule():
+    # the smallest n >= max(32, p + 2, |z|^2 + p) whose predicted residual
+    # sqrt(n (2 |b0_n|^2 + 3 |b1_n|^2)) is <= 1e-12, against a 40-digit one
     assert default_n_max(0.0, 1) == 32
-    assert default_n_max(3.0, 4) == math.ceil(9.0 + 30.0 + 4 + 20)
+    assert default_n_max(0.0, 40) == 42  # the annihilator acts on p + 2 levels or more
+    assert default_n_max(3.0, 4) == 65
+    for p, z_abs in [(4, 3.0), (1, 0.5), (3, 5.7), (8, 5.25), (80, 3.0), (120, 3.0), (3, 30.0)]:
+        n = default_n_max(z_abs * np.exp(0.4j), p)
+        start = max(32, p + 2, math.ceil(z_abs * z_abs) + p)
+        assert n >= start and oracle.predicted_residual(p, z_abs, n) <= 1e-12, (p, z_abs)
+        assert n == start or oracle.predicted_residual(p, z_abs, n - 1) > 1e-12, (p, z_abs)
     for z in (0.5, 2.0, 5.0):
         assert coherent_tail(z, default_n_max(z, 8)) < 1e-14
+
+
+def test_default_cutoff_passes_the_tail_check_by_construction():
+    # past |z|^2 + p each Poisson term is under 1 - 2/(n+1) times the one
+    # before, so the dropped fraction is under (n+1)/2 |b1_n|^2, and the
+    # rule holds 3 n |b1_n|^2 <= 1e-24
+    for p in (1, 3, 8, 40, 120):
+        for z_abs in (1e-3, 0.5, 2.0, 5.7, 12.0, 30.0, 37.5):
+            n = default_n_max(z_abs, p)
+            assert coherent_tail(z_abs, n) < 1e-24, (p, z_abs)
+            algebra._check_tail(z_abs, n, algebra.DEFAULT_TAIL_TOL)
 
 
 def test_derivative_rejects_too_small_n_max():

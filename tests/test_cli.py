@@ -181,13 +181,6 @@ def test_state_degenerate_profile_exits_2(tmp_path, capsys):
     assert "zero" in capsys.readouterr().err
 
 
-def test_state_truncation_exits_1(tmp_path, capsys):
-    profile = _write_profile(tmp_path, {"p": 2, "kind": "optimal-constant", "alpha_p": 1.0})
-    rc = main(["state", "--p", "2", "--z-re", "6", "--profile", profile])
-    assert rc == 1
-    assert "need n_max >= 124" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("z_argv", [["--z-re", "1e200"], ["--z-im=-1e160"]])
 def test_state_past_the_float_range_exits_1_with_one_line(tmp_path, z_argv):
     # |z|^2 overflows: the truncation rule used to end in an OverflowError traceback
@@ -618,17 +611,27 @@ def test_state_alpha_p_past_the_square_range_exits_1_with_one_line(tmp_path, cap
     )
 
 
-@pytest.mark.parametrize("p, z_re", [(120, "3"), (99, "5")])
-def test_state_truncated_by_the_cutoff_exits_1_with_one_line(tmp_path, capsys, p, z_re):
-    # the default cutoff drops more than 1e-8 of the norm: the Schmidt route's
-    # TruncationError comes before the eigen-residual's plain norm check (exit 2)
+@pytest.mark.parametrize("p, z_re", [(2, "6"), (120, "3"), (99, "5")])
+def test_state_the_old_cutoff_truncated_exits_0_with_a_small_residual(tmp_path, capsys, p,
+                                                                      z_re):
+    # the |z|^2 + 10|z| + p + 20 cutoff failed these: at p = 2 its absolute
+    # tail check (need n_max >= 124), at p = 120 and 99 the Schmidt route's
+    # trace, as it dropped more than 1e-8 of the norm
     profile = _write_profile(tmp_path, {"p": p, "kind": "optimal-constant", "alpha_p": 1.0})
     rc = main(["state", "--p", str(p), "--z-re", z_re, "--profile", profile])
     captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: reduced density trace ")
-    assert captured.err.endswith("differs from 1 beyond 1e-8; increase n_max\n")
+    assert (rc, captured.err) == (0, "")
+    assert json.loads(captured.out)["eigenstate_residual"] <= 1e-10
+
+
+def test_state_where_the_coherent_vector_leaves_the_float_range_exits_1(tmp_path, capsys):
+    # the absolute tail check asked for n_max >= 4377, where the vector
+    # leaves the float range anyway
+    profile = _write_profile(tmp_path, {"p": 3, "kind": "optimal-constant", "alpha_p": 1.0})
+    rc = main(["state", "--p", "3", "--z-re", "40", "--profile", profile])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: the coherent vector at |z|=40 leaves the float range\n"
 
 
 def test_usage_error_leaves_shared_parser_correct(tmp_path, capsys):
@@ -1034,3 +1037,39 @@ def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: grid at p=")
     # no truncated sweep is left behind
     assert not out.exists()
+
+
+_TILE_ORDERS = (1, 2, 3, 4, 6, 8, 12, 20, 40, 80, 99, 120, 150, 166)
+_TILE_Z_ABS = (0.0, 0.5, 1.0, 3.0, 5.0, 5.7, 8.0, 10.0, 20.0, 30.0, 37.0, 38.0, 40.0)
+
+
+def test_state_over_a_domain_tiling_is_accurate_or_exits_1(tmp_path, capsys):
+    # each cell at z = |z| (0.6 + 0.8i) either exits 0 with an eigen-residual
+    # <= 1e-10 and its four routes within 1e-12, or exits 1 with one line;
+    # under the |z|^2 + 10|z| + p + 20 cutoff 22 optimal-constant cells
+    # exited 0 with residuals up to 8.0e-4
+    exits = {}
+    for p in _TILE_ORDERS:
+        profiles = {
+            "optimal-constant": {"p": p, "kind": "optimal-constant", "alpha_p": 1.0},
+            "explicit": {"p": p, "kind": "explicit", "alphas": [0.7] * p + [1.0]},
+        }
+        for kind, obj in profiles.items():
+            profile = _write_profile(tmp_path, obj)
+            for z_abs in _TILE_Z_ABS:
+                z = z_abs * complex(0.6, 0.8)
+                argv = ["--z-re", repr(z.real), "--z-im", repr(z.imag), "--profile", profile]
+                rc = main(["state", "--p", str(p), *argv])
+                captured = capsys.readouterr()
+                cell = (kind, p, z_abs)
+                if rc == 0:
+                    record = json.loads(captured.out)
+                    routes = record["concurrence"].values()
+                    assert record["eigenstate_residual"] <= 1e-10, cell
+                    assert max(routes) - min(routes) <= 1e-12, cell
+                else:
+                    assert rc == 1 and len(captured.err.splitlines()) == 1, (cell, captured.err)
+                exits[cell] = rc
+    for p, z_abs in [(40, 1.0), (80, 1.0), (80, 3.0), (3, 30.0)]:
+        assert exits["optimal-constant", p, z_abs] == 0, (p, z_abs)
+    assert Counter(exits.values())[0] >= 200

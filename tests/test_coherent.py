@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -597,14 +598,38 @@ def test_build_state_truncation_enforced():
 
 @pytest.mark.parametrize(
     "p, z, n_max, error",
-    [(8, 1e25, None, TruncationError), (2, 1e200, 64, FloatRangeError)],
+    [(8, 1e25, None, FloatRangeError), (2, 1e200, 64, FloatRangeError)],
 )
 def test_build_state_classifies_overflow_without_a_warning(p, z, n_max, error):
-    # A^2 overflows in the closed form first; the tail or the cutoff check classifies it
+    # A^2 overflows in the closed form; the cutoff rule or the tail check
+    # classifies the coherent vector first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
             build_state(p, z, AlphaProfile.optimal_constant(p), n_max=n_max)
+
+
+def test_build_state_far_out_raises_the_coherent_vectors_float_range_error():
+    # the absolute tail check raised TruncationError "need n_max >= 4377" at
+    # |z| = 40, and at that cutoff the vector left the float range anyway
+    with pytest.raises(FloatRangeError, match=r"^the coherent vector at \|z\|=40 leaves"):
+        build_state(3, 40.0, AlphaProfile.optimal_constant(3))
+    # classified before anything sized by a cutoff of ~1e50 levels is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(FloatRangeError, match=r"coherent vector at \|z\|=1e\+25"):
+            build_state(8, 1e25, AlphaProfile.optimal_constant(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_default_build_state_at_p3_is_accurate_up_to_z_30():
+    # the absolute tail check rejected the default cutoff from |z| ~ 5.7 on
+    for z_abs in np.arange(61) * 0.5:
+        state = build_state(3, complex(z_abs * 0.6, z_abs * 0.8), AlphaProfile.optimal_constant(3))
+        assert verify.eigenstate_residual(state) <= 1e-10, z_abs
 
 
 def test_build_state_rejects_a_non_finite_vector():
@@ -737,8 +762,8 @@ def test_an_underflowed_denominator_raises_float_range_error(kind):
         degenerate = (AlphaProfile.explicit((1.0, 0.5, 0.5, 0.0)), profile)
         with pytest.raises(DegenerateProfileError, match=r"at \|z\|=0 "):
             normalization_q(3, np.array([0.0, 1.5]), degenerate)
-    # alpha_p = 1e-160 still leaves a normal D
-    assert normalization_q(3, 1.5, AlphaProfile.optimal_constant(3, 1e-160)) > 1e158
+    # alpha_p = 1e-150 still leaves a normal D
+    assert normalization_q(3, 1.5, AlphaProfile.optimal_constant(3, 1e-150)) > 1e148
 
 
 def test_state_with_an_underflowed_denominator_exits_1(tmp_path, capsys):
@@ -752,6 +777,28 @@ def test_state_with_an_underflowed_denominator_exits_1(tmp_path, capsys):
             "error: the normalization denominator at |z|=1.5 leaves the float range: "
             "it underflows to 0\n"
         )
+
+
+def test_a_subnormal_denominator_raises_float_range_error(tmp_path, capsys):
+    # D = 2.08e-319 keeps about 5 digits: the Schmidt route's trace came out
+    # 0.99978 and `state` exited 1 with "increase n_max", which no cutoff mends
+    profile = AlphaProfile.optimal_constant(3, 1e-160)
+    stack = (AlphaProfile.optimal_constant(3), profile)
+    calls = [
+        lambda: normalization_q(3, 1.5, profile),
+        lambda: normalization_q(3, np.array([1.0, 1.5]), stack),
+        lambda: build_state(3, 1.5, profile),
+    ]
+    message = "the normalization denominator at |z|=1.5 leaves the float range: "
+    message += "it underflows to 2.08e-319"
+    for call in calls:
+        with pytest.raises(FloatRangeError, match=re.escape(message) + "$"):
+            call()
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile.to_dict()))
+    rc = main(["state", "--p", "3", "--z-re", "1.5", "--profile", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

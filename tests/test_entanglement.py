@@ -26,7 +26,7 @@ from psusyent import (
 )
 from psusyent.coherent import PowerTable
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
-from psusyent import entanglement, verify
+from psusyent import cli, entanglement, verify
 from psusyent.verify import random_states, route_spread
 
 import oracle
@@ -542,6 +542,29 @@ def test_eof_endpoints():
 def test_eof_value_at_096():
     # H(0.64) with natural logs, frozen from 50-digit evaluation
     assert abs(entanglement_of_formation(0.96) - 0.6534181947937018) < 1e-12
+
+
+def test_eof_relative_error_against_a_50_digit_oracle(tmp_path):
+    # y = 1 - x formed as C^2/(4x): 1 - x itself lost every digit below
+    # C ~ 1e-8, where EoF came out 0.0, and `grid` printed eof 0 at p = 25, |z| = 0
+    assert cli.main(["grid", "--out", str(tmp_path / "grid.csv")]) == 0
+    rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+    grid_cs = [float(row.split(",")[2]) for row in rows]
+    rng = random.Random(2245)
+    seeded = [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(400)]
+    seeded += [
+        concurrence_optimal(rng.randint(1, 12), rng.uniform(0.0, 8.0)) for _ in range(200)
+    ]
+    cs = [c for c in grid_cs + seeded + [1e-12, 1e-8, 1e-6, 1.0] if 1e-12 <= c <= 1.0]
+    assert len(cs) > 1000
+    values = entanglement_of_formation(np.array(cs))
+    for c, value in zip(cs, values.tolist()):
+        exact = oracle.entanglement_of_formation(c)
+        assert abs(Decimal(value) - exact) <= Decimal(1e-12) * exact, c
+        assert entanglement_of_formation(c) == value
+    # the absolute endpoints, bit for bit
+    assert entanglement_of_formation(0.0) == 0.0
+    assert entanglement_of_formation(1.0) == math.log(2.0)
 
 
 def test_eof_strictly_increasing():

@@ -140,7 +140,7 @@ def test_large_z_residual_builds_no_dense_matrix():
     z = 20.0 * np.exp(0.3j)
     tracemalloc.start()
     try:
-        state = build_state(8, z, AlphaProfile.optimal_constant(8), tail_tol=None)
+        state = build_state(8, z, AlphaProfile.optimal_constant(8), n_max=628, tail_tol=None)
         a_op = build_annihilator(8, state.n_max)
         residual = verify_eigenstate(a_op, state.full_vector, z)
         peak = tracemalloc.get_traced_memory()[1]
@@ -177,9 +177,9 @@ def test_eigenstate_optimal_profile_p3():
 
 
 def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
-    # the default cutoff drops 3.6e-6 of this state's norm: a truncation
-    # defect, where an arbitrary unnormalized vector stays a plain ValueError
-    state = build_state(120, 3.0, AlphaProfile.optimal_constant(120))
+    # n_max = 179 drops 3.6e-6 of this state's norm: a truncation defect,
+    # where an arbitrary unnormalized vector stays a plain ValueError
+    state = build_state(120, 3.0, AlphaProfile.optimal_constant(120), n_max=179)
     with pytest.raises(TruncationError, match=r"state norm 0\.99999644\d* is short of 1"):
         eigenstate_residual(state)
     a_op = build_annihilator(120, state.n_max)
@@ -187,7 +187,9 @@ def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
         verify_eigenstate(a_op, state.full_vector, 3.0)
     assert type(err.value) is ValueError
     # in a stack, the short row raises it too
-    stack = build_state(120, np.array([1.0, 3.0]), [AlphaProfile.optimal_constant(120)] * 2)
+    stack = build_state(
+        120, np.array([1.0, 3.0]), [AlphaProfile.optimal_constant(120)] * 2, n_max=179
+    )
     with pytest.raises(TruncationError, match="short of 1"):
         eigenstate_residual(stack)
 
