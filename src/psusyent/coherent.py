@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,8 +83,8 @@ class AlphaProfile:
       where alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1) + w_m / p^2]
       with w_m the weight term m of :func:`bosonic_weight_sum`.  The positive
       root is taken; concurrence depends only on the square.  The rule has
-      no real solution when the bracket is negative (possible for p <= 3 at
-      small |z|) or at z = 0.
+      no real solution at z = 0 and, for p = 2 and 3, where the bracket is
+      negative: at |z| <= :func:`_z_star` (:meth:`defined`).
     """
 
     p: int
@@ -163,20 +164,27 @@ class AlphaProfile:
                 raise NoRealSolutionError(undefined, alphas=None if powers.scalar else alphas)
         return alphas[0] if powers.scalar else alphas
 
+    def defined(self, powers: "PowerTable") -> np.ndarray:
+        """Where the z-dependent-exact rule has a real solution, one bool per |z|
+        row: |z| > :func:`_z_star`, which is 0 from p = 4 on."""
+        return powers.zs > _z_star(self.p, self.m)
+
     def _exceptional_alpha(self, powers: "PowerTable") -> tuple[np.ndarray, str | None]:
         """alpha_{p-m} per |z| of a table over an array, nan where the rule is
         undefined, and why if anywhere; FloatRangeError past the float range."""
         p, m = self.p, self.m
         zs = powers.zs
-        # an underflowed |z|^m, an inf or nan |z| or an overflowed term gives an
-        # inf or nan alpha here, which the finiteness check below classifies
+        undefined = ~self.defined(powers)
+        solved = ~undefined
+        # an underflowed |z|^m, an inf |z| or an overflowed term gives an inf or
+        # nan alpha here, which the finiteness check below classifies
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             (w_m,) = _weight_series(p, powers, m, m + 1)
             bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
-            undefined = (zs == 0.0) | (bracket < 0.0)
-            solved = ~undefined
             alpha = np.full(len(zs), np.nan)
-            alpha[solved] = abs(self.alpha_p) * np.sqrt(bracket[solved]) / powers.column(m)[solved]
+            # a solved row's bracket can round below 0 within an ulp of z*
+            root = np.sqrt(np.maximum(bracket[solved], 0.0))
+            alpha[solved] = abs(self.alpha_p) * root / powers.column(m)[solved]
         if not np.isfinite(alpha[solved]).all():
             raise self._float_range_error()
         if solved.all():
@@ -187,10 +195,20 @@ class AlphaProfile:
             reason += f" (undefined at {np.count_nonzero(undefined)} of {len(zs)} |z| values)"
         return alpha, reason
 
+    def _finite_alpha(self, z_abs: float) -> bool:
+        """Whether :meth:`_exceptional_alpha`'s alpha_{p-m} is finite at a solved |z|."""
+        p, m = self.p, self.m
+        w_m = _weight_coefficients(p)[m] * _pow_or_inf(z_abs, 2 * m)
+        bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
+        z_m = _pow_or_inf(z_abs, m)
+        return z_m > 0.0 and math.isfinite(abs(self.alpha_p) * math.sqrt(max(bracket, 0.0)) / z_m)
+
     def _undefined_reason(self, z_abs: float, bracket: float) -> str:
         p, m = self.p, self.m
         if z_abs == 0.0:
             return f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
+        if z_abs < 0.0:  # not a modulus
+            return f"z-dependent-exact profile (p={p}, m={m}) is undefined at |z|={z_abs:.4g}"
         return (
             f"no real alpha_{p - m} for p={p}, m={m}, |z|={z_abs:.4g}: "
             f"bracket {bracket:.4g} < 0"
@@ -246,6 +264,19 @@ class AlphaProfile:
         return cls(p=p, kind=kind, alpha_p=_json_float(alpha_p, "'alpha_p'"), m=m)
 
 
+@functools.lru_cache(maxsize=None)
+def _z_star(p: int, m: int) -> float:
+    """The largest float |z| where c_m |z|^(2m) < p^2 - p! holds exactly: 0.0 from p = 4
+    on, 1/sqrt(2) at (p, m) = (2, 1), 1/sqrt(6) at (3, 1) and 3^(-1/4) at (3, 2)."""
+    if p >= 4:  # p^2 - p! < 0
+        return 0.0
+    gap, c_m = p * p - math.factorial(p), Fraction(_weight_coefficients(p)[m])
+    z = float(gap / c_m) ** (0.5 / m) * (1.0 + 1e-15)  # a few floats above z*
+    while c_m * Fraction(z) ** (2 * m) >= gap:
+        z = math.nextafter(z, 0.0)
+    return z
+
+
 def _float_tuple(values) -> tuple[float, ...]:
     """``values`` as Python floats, read as numpy's float conversion reads them."""
     if isinstance(values, tuple):
@@ -276,6 +307,14 @@ def _libm_powers(values: list[float], exponents) -> list[float]:
         return [z**e for z in values for e in exponents]
     except OverflowError:
         return [_pow_or_inf(z, e) for z in values for e in exponents]
+
+
+def _libm_column(values: list[float], e: int) -> list[float]:
+    """:func:`_libm_powers` of one exponent, flat: z**e for each z in ``values``."""
+    try:
+        return [z**e for z in values]
+    except OverflowError:
+        return [_pow_or_inf(z, e) for z in values]
 
 
 def _pow_or_inf(x: float, e: int) -> float:
@@ -327,7 +366,7 @@ class PowerTable:
         for e in exponents:
             column = self._columns.get(e)
             if column is None:
-                column = self._columns[e] = np.array(_libm_powers(self.values, (e,)))
+                column = self._columns[e] = np.array(_libm_column(self.values, e))
                 column.setflags(write=False)  # shared by every caller of the table
             out.append(column)
         return out

@@ -14,7 +14,8 @@ weights as :class:`fractions.Fraction`s, exact for those floats:
 1 - C at a float |z| as :class:`decimal.Decimal`s, from its exact weights.
 :func:`entanglement_of_formation` and :func:`predicted_residual` give the
 EoF of a float concurrence and the default cutoff's residual bound at a
-level n, both in decimal arithmetic.
+level n, both in decimal arithmetic.  :func:`z_exact_defined` decides
+where the z-dependent-exact rule has a real solution, exactly.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ def predicted_residual(p: int, z_abs: float, n: int) -> float:
         b0 = lam**p / root_n - root_n / Decimal(math.factorial(n - p))
         b0_sq = (-lam).exp() * lam ** (n - p) * b0 * b0 / w
         return float((n * (2 * b0_sq + 3 * b1_sq)).sqrt())
+
+
+def z_exact_defined(p: int, m: int, z_abs: float) -> bool:
+    """Whether alpha_{p-m}^2 |z|^(2m) = alpha_p^2 [(p!/p^2 - 1) + c_m |z|^(2m)/p^2]
+    has a real solution at the float ``z_abs``: z != 0 and c_m |z|^(2m) >= p^2 - p!.
+    """
+    c_m = math.comb(p, m) ** 2 * math.factorial(p - m)
+    return z_abs != 0.0 and c_m * Fraction(z_abs) ** (2 * m) >= p * p - math.factorial(p)
 
 
 def _decimal(x: Fraction) -> Decimal:

@@ -807,13 +807,13 @@ def test_grid_computes_each_power_once_per_chunk(tmp_path, monkeypatch, capsys, 
     # table, so no more libm powers than 12 per row (each p recomputing its
     # own took 13,545 and 22,831)
     count = [0]
-    libm_powers = coherent._libm_powers
+    libm_column = coherent._libm_column
 
-    def counting(values, exponents):
-        count[0] += len(values) * len(exponents)
-        return libm_powers(values, exponents)
+    def counting(values, e):
+        count[0] += len(values)
+        return libm_column(values, e)
 
-    monkeypatch.setattr(coherent, "_libm_powers", counting)
+    monkeypatch.setattr(coherent, "_libm_column", counting)
     argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
             *kind_argv, "--out", str(tmp_path / "grid.csv")]
     assert main(argv) == 0
@@ -837,23 +837,24 @@ def test_z_exact_grid_rows_are_the_exact_value(tmp_path, capsys, m):
 
 
 def test_z_exact_grid_makes_two_powers_per_row(tmp_path, monkeypatch, capsys):
-    # |z|^m and |z|^(2m) of the exceptional alpha, shared by every order p;
-    # the float-range bound takes one power of the largest |z| per p, and the
-    # weight series is summed only where that bound overflows
+    # |z|^m and |z|^(2m) of the exceptional alpha, shared by every order p, on
+    # the p = 2 and 3 blocks that hold rows below z* only; the float-range
+    # bound takes one power of the largest |z| per p, and the weight series is
+    # summed only where that bound overflows
     count = [0]
-    libm_powers = coherent._libm_powers
+    libm_column = coherent._libm_column
 
-    def counting(values, exponents):
-        count[0] += len(values) * len(exponents)
-        return libm_powers(values, exponents)
+    def counting(values, e):
+        count[0] += len(values)
+        return libm_column(values, e)
 
-    monkeypatch.setattr(coherent, "_libm_powers", counting)
-    for m in ("1", "2", "3"):
+    monkeypatch.setattr(coherent, "_libm_column", counting)
+    for m, powers in (("1", 301 * 2), ("2", 301 * 2), ("3", 0)):
         count[0] = 0
         argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
                 "--profile-kind", "z-dependent-exact", "--m", m, "--out", str(tmp_path / "g.csv")]
         assert main(argv) == 0
-        assert 0 < count[0] <= 301 * 2
+        assert count[0] == powers, m
 
 
 def _dispatch_levels() -> list[str]:

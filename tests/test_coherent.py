@@ -88,6 +88,47 @@ def test_z_dependent_exact_no_real_solution():
         profile.coefficients(0.0)  # rule undefined at z = 0
 
 
+@pytest.mark.parametrize("p, m, z_star, bracket_misses", [
+    (2, 1, 2**-0.5, 0), (3, 1, 6**-0.5, 1), (3, 2, 3**-0.25, 0),
+])
+def test_defined_agrees_with_the_exact_oracle_near_z_star(p, m, z_star, bracket_misses):
+    # 20,001 |z| within 1e-9 (relative) of z*: the exact rule decides every
+    # row, where the sign of the float bracket misses one at (3, 1)
+    zs = z_star * (1.0 + 1e-9 * np.linspace(-1.0, 1.0, 20001))
+    profile = AlphaProfile.z_dependent_exact(p, m)
+    exact = np.array([oracle.z_exact_defined(p, m, z) for z in zs.tolist()])
+    assert np.array_equal(profile.defined(PowerTable(zs)), exact)
+    (w_m,) = _weight_series(p, PowerTable(zs), m, m + 1)
+    bracket = (math.factorial(p) / p**2 - 1.0) + w_m / p**2
+    assert np.count_nonzero((bracket >= 0.0) != exact) == bracket_misses
+    # z* itself is the last undefined float; every row the exact rule solves
+    # gets a finite alpha_{p-m} >= 0, nan on the others
+    last = coherent._z_star(p, m)
+    assert not oracle.z_exact_defined(p, m, last)
+    assert oracle.z_exact_defined(p, m, math.nextafter(last, 1.0))
+    try:
+        rows = profile.coefficients(zs)
+    except NoRealSolutionError as exc:
+        rows = exc.alphas
+    assert np.array_equal(~np.isnan(rows[:, p - m]), exact)
+    assert (rows[exact, p - m] >= 0.0).all()
+    value = entanglement.concurrence_closed_form(p, PowerTable(zs), profile).value
+    assert np.array_equal(value == 1.0, exact) and np.array_equal(np.isnan(value), ~exact)
+
+
+def test_z_exact_is_defined_at_every_nonzero_z_from_p_4_on():
+    zs = np.array([0.0, 5e-324, 1e-300, 1e-9, 0.3, 1.0, 1e100, math.inf])
+    for p in (4, 5, 8, 40, 170):
+        for m in sorted({1, 2, p - 1}):
+            assert coherent._z_star(p, m) == 0.0
+            defined = AlphaProfile.z_dependent_exact(p, m).defined(PowerTable(zs))
+            assert defined.tolist() == [False] + [True] * 7
+            assert all(oracle.z_exact_defined(p, m, z) for z in zs[1:-1].tolist())
+    # a negative |z| is no modulus: undefined, and said so (it used to get a negative root)
+    with pytest.raises(NoRealSolutionError, match=re.escape("(p=4, m=1) is undefined at |z|=-1")):
+        AlphaProfile.z_dependent_exact(4, 1).coefficients(-1.0)
+
+
 def _rows_or_error_rows(profile, zs):
     try:
         return profile.coefficients(zs)

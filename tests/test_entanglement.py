@@ -26,7 +26,7 @@ from psusyent import (
 )
 from psusyent.coherent import PowerTable
 from psusyent.entanglement import ROUTE_CLOSED_FORM, ROUTE_PURE, ROUTE_SCHMIDT, ROUTE_WOOTTERS
-from psusyent import cli, entanglement, verify
+from psusyent import cli, coherent, entanglement, verify
 from psusyent.verify import random_states, route_spread
 
 import oracle
@@ -519,6 +519,72 @@ def test_exact_maximal_profile_errors():
         AlphaProfile.z_dependent_exact(3, 1).coefficients(0.0)
     with pytest.raises(ValueError):
         AlphaProfile.z_dependent_exact(2, 2)  # m out of range
+
+
+def _outcome(call):
+    """None where ``call()`` returns, else the class and text of what it raised."""
+    try:
+        call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_D_OVERFLOW = (FloatRangeError, "concurrence is nan: its formula left the float range")
+
+
+def test_z_exact_float_range_from_two_rows_matches_every_row():
+    # a block with no undefined row at z != 0 classifies alpha_{p-m} at its
+    # smallest defined and its largest |z| only; the reference evaluates
+    # _exceptional_alpha's formula on every row through the coefficients
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for _ in range(3000):
+        p = int(rng.integers(2, 13))
+        m = int(rng.integers(1, p))
+        alpha_p = 1.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-300.0, 300.0))
+        zs = 10.0 ** rng.uniform(-320.0, 200.0, size=int(rng.integers(1, 7)))
+        zs[rng.random(zs.size) < 0.1] = 0.0
+        profile = AlphaProfile.z_dependent_exact(p, m, alpha_p)
+        reference = _outcome(lambda: profile.coefficients(zs))
+        if reference is not None and reference[0] is NoRealSolutionError:
+            reference = None
+        got = _outcome(lambda: concurrence_closed_form(p, zs, profile))
+        if reference is None and got == _D_OVERFLOW:
+            seen["D overflows"] += 1  # the D bound after the alpha classification
+            continue
+        assert got == reference, (p, m, alpha_p, zs.tolist())
+        seen["ok" if got is None else "alpha overflows"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_z_exact_block_defined_at_every_nonzero_z_resolves_no_coefficients(monkeypatch):
+    calls = Counter()
+    coefficients, libm_column = AlphaProfile.coefficients, coherent._libm_column
+
+    def counting_coefficients(self, z_abs):
+        calls["coefficients"] += 1
+        return coefficients(self, z_abs)
+
+    def counting_column(values, e):
+        calls["columns"] += 1
+        return libm_column(values, e)
+
+    monkeypatch.setattr(AlphaProfile, "coefficients", counting_coefficients)
+    monkeypatch.setattr(coherent, "_libm_column", counting_column)
+    blocks = [(p, m, np.linspace(0.0, 5.0, 251)) for p in range(4, 13) for m in range(1, p)]
+    blocks += [(2, 1, np.linspace(0.71, 5.0, 251)), (3, 1, np.array([0.0, 0.41, 2.0])),
+               (3, 2, np.array([5.0, 0.0, 0.76]))]
+    for p, m, zs in blocks:
+        powers = PowerTable(zs)
+        value = concurrence_closed_form(p, powers, AlphaProfile.z_dependent_exact(p, m)).value
+        assert np.array_equal(np.isnan(value), zs == 0.0)
+    assert calls == {}
+    # a row below z* keeps the coefficients, which raise naming it
+    powers = PowerTable(np.linspace(0.0, 5.0, 251))
+    value = concurrence_closed_form(2, powers, AlphaProfile.z_dependent_exact(2, 1)).value
+    assert np.count_nonzero(np.isnan(value)) == 36
+    assert calls == {"coefficients": 1, "columns": 2}
 
 
 def test_concurrence_phase_invariance(rng):
