@@ -225,30 +225,23 @@ def _cutoff(z_abs: float, p: int, start: int) -> int:
         w = w * lam + c
     # -inf where W overflows: no state in the float range has a b0 part there
     log_lam, b0_scale = math.log(lam), -lam - math.log(w)
-
-    def passes(n: int) -> bool:
+    lo, hi, n = start - 1, math.inf, start  # the answer lies in (lo, hi]
+    while True:
         lg_n, lg_m = math.lgamma(n + 1), math.lgamma(n - p + 1)
         b1_sq = math.exp(n * log_lam - lam - lg_n)
         r = math.exp(p * log_lam + lg_m - lg_n)  # lam^p (n-p)! / n! < 1 past lam + p
         b0_sq = math.exp((n - p) * log_lam + lg_n - 2.0 * lg_m + b0_scale) * (1.0 - r) ** 2
-        return n * (2.0 * b0_sq + 3.0 * b1_sq) <= 1e-24  # the residual squared
-
-    return _first_passing(passes, start)
-
-
-def _first_passing(passes, start: int) -> int:
-    """Smallest n >= start where ``passes(n)``, a test that fails below some n and
-    passes from it on: bracketed by doubling, then bisected."""
-    lo, hi = start - 1, start  # the answer lies in (lo, hi]
-    while not passes(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
+        q = n * (2.0 * b0_sq + 3.0 * b1_sq)  # the residual squared
+        if q <= 1e-24:
+            hi = n
         else:
-            lo = mid
-    return hi
+            lo = n
+        if hi - lo == 1:
+            return hi
+        # a Newton step on log(q / 1e-24), whose slope at n is about -log((n + 1/2) / lam)
+        # < 0 from start on, kept inside (lo, hi); bisection where q underflows
+        n = math.ceil(n + math.log(q * 1e24) / math.log((n + 0.5) / lam)) if q else (lo + hi) // 2
+        n = hi - 1 if n >= hi else lo + 1 if n <= lo else n
 
 
 def _checked_abs(z) -> float:
@@ -313,7 +306,13 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
-    return _first_passing(lambda n: coherent_tail(z_abs, n) < tail_tol, 2)
+    lo, hi = 1, 2  # the answer lies in (lo, hi]
+    while not coherent_tail(z_abs, hi) < tail_tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if coherent_tail(z_abs, mid) < tail_tol else (mid, hi)
+    return hi
 
 
 def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:

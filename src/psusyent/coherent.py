@@ -165,8 +165,7 @@ class AlphaProfile:
         return alphas[0] if powers.scalar else alphas
 
     def defined(self, powers: "PowerTable") -> np.ndarray:
-        """Where the z-dependent-exact rule has a real solution, one bool per |z|
-        row: |z| > :func:`_z_star`, which is 0 from p = 4 on."""
+        """Where the z-dependent-exact rule has a real solution: |z| > :func:`_z_star`, per row."""
         return powers.zs > _z_star(self.p, self.m)
 
     def _exceptional_alpha(self, powers: "PowerTable") -> tuple[np.ndarray, str | None]:
@@ -174,41 +173,37 @@ class AlphaProfile:
         undefined, and why if anywhere; FloatRangeError past the float range."""
         p, m = self.p, self.m
         zs = powers.zs
-        undefined = ~self.defined(powers)
-        solved = ~undefined
+        solved = self.defined(powers)
         # an underflowed |z|^m, an inf |z| or an overflowed term gives an inf or
         # nan alpha here, which the finiteness check below classifies
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             (w_m,) = _weight_series(p, powers, m, m + 1)
             bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
             alpha = np.full(len(zs), np.nan)
-            # a solved row's bracket can round below 0 within an ulp of z*
-            root = np.sqrt(np.maximum(bracket[solved], 0.0))
+            root = np.sqrt(np.maximum(bracket[solved], 0.0))  # < 0 within an ulp of z*
             alpha[solved] = abs(self.alpha_p) * root / powers.column(m)[solved]
         if not np.isfinite(alpha[solved]).all():
             raise self._float_range_error()
         if solved.all():
             return alpha, None
-        first = int(np.argmax(undefined))
+        first = int(np.argmax(~solved))
         reason = self._undefined_reason(float(zs[first]), float(bracket[first]))
         if len(zs) > 1:
-            reason += f" (undefined at {np.count_nonzero(undefined)} of {len(zs)} |z| values)"
+            reason += f" (undefined at {np.count_nonzero(~solved)} of {len(zs)} |z| values)"
         return alpha, reason
 
     def _finite_alpha(self, z_abs: float) -> bool:
-        """Whether :meth:`_exceptional_alpha`'s alpha_{p-m} is finite at a solved |z|."""
-        p, m = self.p, self.m
+        """Whether :meth:`_exceptional_alpha`'s alpha_{p-m} is finite at a solved |z|, in floats."""
+        p, m, z_m = self.p, self.m, _pow_or_inf(z_abs, self.m)
         w_m = _weight_coefficients(p)[m] * _pow_or_inf(z_abs, 2 * m)
         bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
-        z_m = _pow_or_inf(z_abs, m)
         return z_m > 0.0 and math.isfinite(abs(self.alpha_p) * math.sqrt(max(bracket, 0.0)) / z_m)
 
     def _undefined_reason(self, z_abs: float, bracket: float) -> str:
         p, m = self.p, self.m
-        if z_abs == 0.0:
-            return f"z-dependent-exact profile (p={p}, m={m}) is undefined at z = 0"
-        if z_abs < 0.0:  # not a modulus
-            return f"z-dependent-exact profile (p={p}, m={m}) is undefined at |z|={z_abs:.4g}"
+        if z_abs <= 0.0:  # z = 0, or a negative |z|: no modulus
+            where = "z = 0" if z_abs == 0.0 else f"|z|={z_abs:.4g}"
+            return f"z-dependent-exact profile (p={p}, m={m}) is undefined at {where}"
         return (
             f"no real alpha_{p - m} for p={p}, m={m}, |z|={z_abs:.4g}: "
             f"bracket {bracket:.4g} < 0"
@@ -296,7 +291,7 @@ def _json_float(value: int | float, name: str) -> float:
 
 
 def _libm_powers(values: list[float], exponents) -> list[float]:
-    """z**e for each z in ``values`` and each e in ``exponents``, row-major.
+    """z**e for each e in ``exponents`` and each z in ``values``, column-major.
 
     Python's float ``**`` is the C library's ``pow``.  numpy's vectorized
     power differs from it in the last bit for about 5% of arguments, and the
@@ -304,17 +299,9 @@ def _libm_powers(values: list[float], exponents) -> list[float]:
     inf rather than OverflowError.
     """
     try:
-        return [z**e for z in values for e in exponents]
+        return [z**e for e in exponents for z in values]
     except OverflowError:
-        return [_pow_or_inf(z, e) for z in values for e in exponents]
-
-
-def _libm_column(values: list[float], e: int) -> list[float]:
-    """:func:`_libm_powers` of one exponent, flat: z**e for each z in ``values``."""
-    try:
-        return [z**e for z in values]
-    except OverflowError:
-        return [_pow_or_inf(z, e) for z in values]
+        return [_pow_or_inf(z, e) for e in exponents for z in values]
 
 
 def _pow_or_inf(x: float, e: int) -> float:
@@ -366,7 +353,7 @@ class PowerTable:
         for e in exponents:
             column = self._columns.get(e)
             if column is None:
-                column = self._columns[e] = np.array(_libm_column(self.values, e))
+                column = self._columns[e] = np.array(_libm_powers(self.values, (e,)))
                 column.setflags(write=False)  # shared by every caller of the table
             out.append(column)
         return out

@@ -162,12 +162,10 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
     """C = 2AB/D = 1, as alpha_{p-m} makes A^2 = B^2 = (alpha_p/p)^2 W with no defect.
 
     nan on the |z| rows where the rule is undefined (:meth:`AlphaProfile.defined`);
-    FloatRangeError where alpha_{p-m} leaves the float range on a defined row,
-    and where D = 2B^2 overflows, making C inf/inf.
+    FloatRangeError where alpha_{p-m} or D = 2B^2 (C = inf/inf) leaves the float range.
     """
     _check_order(p, profile)
-    zs, z_top = powers.zs, float(powers.zs.max())
-    defined = profile.defined(powers)
+    zs, z_top, defined = powers.zs, float(powers.zs.max()), profile.defined(powers)
     if not defined.all() and (powers.scalar or (zs[~defined] != 0.0).any()):
         # one undefined |z|, or p = 2, 3 below z*: the coefficients raise naming it
         try:
@@ -175,17 +173,16 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
         except NoRealSolutionError as exc:
             if exc.alphas is None:  # one |z|
                 raise
-    # else alpha_{p-m} can leave the float range only at the ends: |z|^m
-    # underflows at the smallest |z| and c_m |z|^(2m) overflows at the largest
-    elif defined.any() and not all(map(profile._finite_alpha, (float(zs[defined].min()), z_top))):
+    # else alpha_{p-m} can leave the float range only at the ends, checked once each
+    # (a set): |z|^m underflows at the smallest |z|, c_m |z|^(2m) overflows at the largest
+    elif defined.any() and not all(map(profile._finite_alpha, {float(zs[defined].min()), z_top})):
         raise profile._float_range_error()
     b = profile.alpha_p / p
     # W <= sum c_n max(1, |z|)^(2(p-1)) on every row: the series is summed only
     # where that bound on D comes within a factor 2 of the float range
     top = max(1.0, _pow_or_inf(z_top, 2 * p - 2))
     if not 4.0 * b * b * sum(_weight_coefficients(p)) * top < math.inf:
-        # nan where b^2 underflows to 0 and W overflows: not classified as inf
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # b^2 = 0 times an inf W: nan
             denom = 2.0 * (b * b * _fold(_weight_series(p, powers, 0, p)))
         if (defined & (denom == math.inf)).any():
             _reject(math.nan, "concurrence")

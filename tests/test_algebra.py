@@ -350,6 +350,38 @@ def test_default_n_max_rule():
         assert coherent_tail(z, default_n_max(z, 8)) < 1e-14
 
 
+def test_default_cutoff_search_lands_where_a_linear_scan_does(monkeypatch):
+    # _cutoff tries its start first and returns it only where it passes, so a
+    # linear scan with each level in turn as the start finds the first passing n
+    from test_cli import _TILE_ORDERS, _TILE_Z_ABS
+
+    rng = np.random.default_rng(4000)
+    cases = [(float(rng.uniform(0.0, 5.25)), int(rng.integers(1, 9))) for _ in range(4000)]
+    cases += [(z_abs, p) for p in _TILE_ORDERS for z_abs in _TILE_Z_ABS]
+    lgamma, calls = math.lgamma, [0]
+
+    def counting_lgamma(x):
+        calls[0] += 1
+        return lgamma(x)
+
+    evaluations, out_of_range = [], 0
+    for z_abs, p in cases:
+        calls[0] = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(math, "lgamma", counting_lgamma)
+            try:
+                n = default_n_max(z_abs, p)
+            except FloatRangeError:
+                out_of_range += 1  # |z> leaves the float range before any level is tried
+                continue
+        evaluations.append(calls[0] // 2)  # two per level tried
+        start = max(32, p + 2, math.ceil(z_abs * z_abs) + p)
+        assert algebra._cutoff(z_abs, p, n) == n, (z_abs, p)  # n passes
+        assert all(algebra._cutoff(z_abs, p, k) > k for k in range(start, n)), (z_abs, p)
+    assert out_of_range == 2 * len(_TILE_ORDERS)  # |z| = 38 and 40
+    assert np.median(evaluations) <= 4  # doubling and bisection took 7
+
+
 def test_default_cutoff_passes_the_tail_check_by_construction():
     # past |z|^2 + p each Poisson term is under 1 - 2/(n+1) times the one
     # before, so the dropped fraction is under (n+1)/2 |b1_n|^2, and the

@@ -807,13 +807,13 @@ def test_grid_computes_each_power_once_per_chunk(tmp_path, monkeypatch, capsys, 
     # table, so no more libm powers than 12 per row (each p recomputing its
     # own took 13,545 and 22,831)
     count = [0]
-    libm_column = coherent._libm_column
+    libm_powers = coherent._libm_powers
 
-    def counting(values, e):
-        count[0] += len(values)
-        return libm_column(values, e)
+    def counting(values, exponents):
+        count[0] += len(values) * len(exponents)
+        return libm_powers(values, exponents)
 
-    monkeypatch.setattr(coherent, "_libm_column", counting)
+    monkeypatch.setattr(coherent, "_libm_powers", counting)
     argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
             *kind_argv, "--out", str(tmp_path / "grid.csv")]
     assert main(argv) == 0
@@ -842,13 +842,13 @@ def test_z_exact_grid_makes_two_powers_per_row(tmp_path, monkeypatch, capsys):
     # bound takes one power of the largest |z| per p, and the weight series is
     # summed only where that bound overflows
     count = [0]
-    libm_column = coherent._libm_column
+    libm_powers = coherent._libm_powers
 
-    def counting(values, e):
-        count[0] += len(values)
-        return libm_column(values, e)
+    def counting(values, exponents):
+        count[0] += len(values) * len(exponents)
+        return libm_powers(values, exponents)
 
-    monkeypatch.setattr(coherent, "_libm_column", counting)
+    monkeypatch.setattr(coherent, "_libm_powers", counting)
     for m, powers in (("1", 301 * 2), ("2", 301 * 2), ("3", 0)):
         count[0] = 0
         argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",

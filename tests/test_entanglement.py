@@ -560,18 +560,18 @@ def test_z_exact_float_range_from_two_rows_matches_every_row():
 
 def test_z_exact_block_defined_at_every_nonzero_z_resolves_no_coefficients(monkeypatch):
     calls = Counter()
-    coefficients, libm_column = AlphaProfile.coefficients, coherent._libm_column
+    coefficients, libm_powers = AlphaProfile.coefficients, coherent._libm_powers
 
     def counting_coefficients(self, z_abs):
         calls["coefficients"] += 1
         return coefficients(self, z_abs)
 
-    def counting_column(values, e):
-        calls["columns"] += 1
-        return libm_column(values, e)
+    def counting_columns(values, exponents):
+        calls["columns"] += len(exponents)
+        return libm_powers(values, exponents)
 
     monkeypatch.setattr(AlphaProfile, "coefficients", counting_coefficients)
-    monkeypatch.setattr(coherent, "_libm_column", counting_column)
+    monkeypatch.setattr(coherent, "_libm_powers", counting_columns)
     blocks = [(p, m, np.linspace(0.0, 5.0, 251)) for p in range(4, 13) for m in range(1, p)]
     blocks += [(2, 1, np.linspace(0.71, 5.0, 251)), (3, 1, np.array([0.0, 0.41, 2.0])),
                (3, 2, np.array([5.0, 0.0, 0.76]))]
