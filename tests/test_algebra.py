@@ -23,6 +23,7 @@ from psusyent import (
 )
 from psusyent.coherent import AlphaProfile
 
+import domain
 import oracle
 
 
@@ -353,11 +354,9 @@ def test_default_n_max_rule():
 def test_default_cutoff_search_lands_where_a_linear_scan_does(monkeypatch):
     # _cutoff tries its start first and returns it only where it passes, so a
     # linear scan with each level in turn as the start finds the first passing n
-    from test_cli import _TILE_ORDERS, _TILE_Z_ABS
-
     rng = np.random.default_rng(4000)
     cases = [(float(rng.uniform(0.0, 5.25)), int(rng.integers(1, 9))) for _ in range(4000)]
-    cases += [(z_abs, p) for p in _TILE_ORDERS for z_abs in _TILE_Z_ABS]
+    cases += [(z_abs, p) for p in domain.ORDERS for z_abs in domain.Z_ABS]
     lgamma, calls = math.lgamma, [0]
 
     def counting_lgamma(x):
@@ -378,7 +377,9 @@ def test_default_cutoff_search_lands_where_a_linear_scan_does(monkeypatch):
         start = max(32, p + 2, math.ceil(z_abs * z_abs) + p)
         assert algebra._cutoff(z_abs, p, n) == n, (z_abs, p)  # n passes
         assert all(algebra._cutoff(z_abs, p, k) > k for k in range(start, n)), (z_abs, p)
-    assert out_of_range == 2 * len(_TILE_ORDERS)  # |z| = 38 and 40
+    # |z| = 38, 40 and 60 at every order, and every |z| > 0 at p = 167, 170, 171
+    # and 200, whose weight coefficients leave the float range
+    assert out_of_range == 3 * len(domain.ORDERS) + 4 * (len(domain.Z_ABS) - 4)
     assert np.median(evaluations) <= 4  # doubling and bisection took 7
 
 

@@ -29,6 +29,8 @@ from psusyent import (
 )
 from psusyent.cli import CSV_HEADER, main
 
+import domain
+
 
 def _write_profile(tmp_path, obj, name="profile.json"):
     path = tmp_path / name
@@ -1040,24 +1042,20 @@ def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-_TILE_ORDERS = (1, 2, 3, 4, 6, 8, 12, 20, 40, 80, 99, 120, 150, 166)
-_TILE_Z_ABS = (0.0, 0.5, 1.0, 3.0, 5.0, 5.7, 8.0, 10.0, 20.0, 30.0, 37.0, 38.0, 40.0)
-
-
 def test_state_over_a_domain_tiling_is_accurate_or_exits_1(tmp_path, capsys):
     # each cell at z = |z| (0.6 + 0.8i) either exits 0 with an eigen-residual
     # <= 1e-10 and its four routes within 1e-12, or exits 1 with one line;
     # under the |z|^2 + 10|z| + p + 20 cutoff 22 optimal-constant cells
     # exited 0 with residuals up to 8.0e-4
     exits = {}
-    for p in _TILE_ORDERS:
+    for p in domain.ORDERS:
         profiles = {
             "optimal-constant": {"p": p, "kind": "optimal-constant", "alpha_p": 1.0},
             "explicit": {"p": p, "kind": "explicit", "alphas": [0.7] * p + [1.0]},
         }
         for kind, obj in profiles.items():
             profile = _write_profile(tmp_path, obj)
-            for z_abs in _TILE_Z_ABS:
+            for z_abs in domain.Z_ABS:
                 z = z_abs * complex(0.6, 0.8)
                 argv = ["--z-re", repr(z.real), "--z-im", repr(z.imag), "--profile", profile]
                 rc = main(["state", "--p", str(p), *argv])
