@@ -138,66 +138,41 @@ class AlphaProfile:
     def z_dependent_exact(cls, p: int, m: int, alpha_p: float = 1.0) -> "AlphaProfile":
         return cls(p=p, kind=KIND_Z_EXACT, alpha_p=float(alpha_p), m=int(m))
 
-    def coefficients(self, z_abs):
-        """Materialize alpha_0..alpha_p; z-dependent kinds resolve at |z|.
+    def coefficients(self, z_abs: float) -> np.ndarray:
+        """Materialize alpha_0..alpha_p at one |z|; only z-dependent-exact resolves there.
 
-        A 1-D |z| array, or a :class:`PowerTable` over one, gives one row per
-        |z|.  Where a z-dependent-exact rule is undefined, at one |z| or at
-        any |z| of an array, this raises NoRealSolutionError; over an array
-        the error's ``alphas`` holds every row, with alpha_{p-m} = nan on the
-        undefined ones.
+        Raises NoRealSolutionError where its rule is undefined (:meth:`defined`)
+        and FloatRangeError where its alpha_{p-m} leaves the float range.
         """
-        if self.kind == KIND_EXPLICIT and not isinstance(z_abs, (np.ndarray, PowerTable)):
-            return np.array(self.alphas)  # one |z|: nothing to resolve
-        powers = PowerTable.of(z_abs)
         if self.kind == KIND_EXPLICIT:
-            base = np.array(self.alphas)
-        else:
-            base = _optimal_alphas(self.p, self.alpha_p)
-        alphas = base[None, :] if powers.scalar else base[None, :].repeat(len(powers.zs), axis=0)
+            return np.array(self.alphas)
+        alphas = _optimal_alphas(self.p, self.alpha_p)
         if self.kind == KIND_Z_EXACT:
-            # one |z| runs as a one-row column
-            rows = PowerTable(powers.zs) if powers.scalar else powers
-            column, undefined = self._exceptional_alpha(rows)
-            alphas[:, self.p - self.m] = column
-            if undefined:
-                raise NoRealSolutionError(undefined, alphas=None if powers.scalar else alphas)
-        return alphas[0] if powers.scalar else alphas
+            alphas[self.p - self.m] = self._exceptional_alpha(float(z_abs))
+        return alphas
 
     def defined(self, powers: "PowerTable") -> np.ndarray:
         """Where the z-dependent-exact rule has a real solution: |z| > :func:`_z_star`, per row."""
         return powers.zs > _z_star(self.p, self.m)
 
-    def _exceptional_alpha(self, powers: "PowerTable") -> tuple[np.ndarray, str | None]:
-        """alpha_{p-m} per |z| of a table over an array, nan where the rule is
-        undefined, and why if anywhere; FloatRangeError past the float range."""
-        p, m = self.p, self.m
-        zs = powers.zs
-        solved = self.defined(powers)
-        # an underflowed |z|^m, an inf |z| or an overflowed term gives an inf or
-        # nan alpha here, which the finiteness check below classifies
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            (w_m,) = _weight_series(p, powers, m, m + 1)
-            bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
-            alpha = np.full(len(zs), np.nan)
-            root = np.sqrt(np.maximum(bracket[solved], 0.0))  # < 0 within an ulp of z*
-            alpha[solved] = abs(self.alpha_p) * root / powers.column(m)[solved]
-        if not np.isfinite(alpha[solved]).all():
-            raise self._float_range_error()
-        if solved.all():
-            return alpha, None
-        first = int(np.argmax(~solved))
-        reason = self._undefined_reason(float(zs[first]), float(bracket[first]))
-        if len(zs) > 1:
-            reason += f" (undefined at {np.count_nonzero(~solved)} of {len(zs)} |z| values)"
-        return alpha, reason
+    def _exceptional_alpha(self, z_abs: float) -> float:
+        """alpha_{p-m} at one |z|, in Python floats with libm powers.
 
-    def _finite_alpha(self, z_abs: float) -> bool:
-        """Whether :meth:`_exceptional_alpha`'s alpha_{p-m} is finite at a solved |z|, in floats."""
-        p, m, z_m = self.p, self.m, _pow_or_inf(z_abs, self.m)
+        NoRealSolutionError where the rule is undefined, FloatRangeError where
+        alpha_{p-m} is not finite: an underflowed |z|^m, an inf or nan |z| or
+        an overflowed term.
+        """
+        p, m = self.p, self.m
         w_m = _weight_coefficients(p)[m] * _pow_or_inf(z_abs, 2 * m)
         bracket = (float_factorial(p) / p**2 - 1.0) + w_m / p**2
-        return z_m > 0.0 and math.isfinite(abs(self.alpha_p) * math.sqrt(max(bracket, 0.0)) / z_m)
+        if z_abs <= _z_star(p, m):
+            raise NoRealSolutionError(self._undefined_reason(z_abs, bracket))
+        z_m = _pow_or_inf(z_abs, m)
+        # max: the float bracket rounds below 0 within an ulp of z*
+        alpha = abs(self.alpha_p) * math.sqrt(max(bracket, 0.0)) / z_m if z_m else math.inf
+        if not math.isfinite(alpha):
+            raise self._float_range_error()
+        return alpha
 
     def _undefined_reason(self, z_abs: float, bracket: float) -> str:
         p, m = self.p, self.m
@@ -510,10 +485,12 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
     first) and a square is a product, so one |z| and the rows round alike.
     """
     powers = PowerTable.of(z_abs)
-    if isinstance(profile, AlphaProfile):
+    if isinstance(profile, AlphaProfile) and powers.scalar:
         _check_order(p, profile)
-        alphas = profile.coefficients(z_abs)
+        alphas = profile.coefficients(powers.values[0])
     else:
+        if isinstance(profile, AlphaProfile):  # one profile over a |z| array: a stack of it
+            profile = (profile,) * len(powers.zs)
         if powers.scalar or len(profile) != len(powers.zs):
             raise ValueError(f"a stack of {len(powers.zs)} |z| values needs one profile each")
         for row in profile:

@@ -18,15 +18,7 @@ class DegenerateProfileError(ValueError):
 
 
 class NoRealSolutionError(ValueError):
-    """The z-dependent coefficient rule has no real solution at this z.
-
-    Raised over a |z| array, it carries ``alphas``: the coefficient rows of
-    every |z|, nan where the rule is undefined.  Otherwise ``alphas`` is None.
-    """
-
-    def __init__(self, message: str, alphas=None):
-        super().__init__(message)
-        self.alphas = alphas
+    """The z-dependent coefficient rule has no real solution at this z."""
 
 
 class FloatRangeError(ValueError):

@@ -820,7 +820,10 @@ def test_grid_computes_each_power_once_per_chunk(tmp_path, monkeypatch, capsys, 
             *kind_argv, "--out", str(tmp_path / "grid.csv")]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("wrote 3010 rows")
-    assert 0 < count[0] <= 301 * 12
+    if kind_argv:  # the z-exact rows make no power column at all (below)
+        assert count[0] == 0
+    else:
+        assert 0 < count[0] <= 301 * 12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -838,11 +841,12 @@ def test_z_exact_grid_rows_are_the_exact_value(tmp_path, capsys, m):
         assert line.endswith(",nan,nan,nan" if undefined else ",1,0,0.69314718056"), line
 
 
-def test_z_exact_grid_makes_two_powers_per_row(tmp_path, monkeypatch, capsys):
-    # |z|^m and |z|^(2m) of the exceptional alpha, shared by every order p, on
-    # the p = 2 and 3 blocks that hold rows below z* only; the float-range
-    # bound takes one power of the largest |z| per p, and the weight series is
-    # summed only where that bound overflows
+def test_z_exact_grid_makes_no_power_column(tmp_path, monkeypatch, capsys):
+    # alpha_{p-m} is classified at two |z| of each block in Python floats, the
+    # float-range bound takes one power of the largest |z| per p, and the
+    # weight series is summed only where that bound overflows.  The p = 2 and
+    # 3 blocks that hold rows below z* made |z|^m and |z|^(2m) columns for
+    # m = 1 and 2 (602 powers each) while a coefficient array resolved them
     count = [0]
     libm_powers = coherent._libm_powers
 
@@ -851,12 +855,11 @@ def test_z_exact_grid_makes_two_powers_per_row(tmp_path, monkeypatch, capsys):
         return libm_powers(values, exponents)
 
     monkeypatch.setattr(coherent, "_libm_powers", counting)
-    for m, powers in (("1", 301 * 2), ("2", 301 * 2), ("3", 0)):
-        count[0] = 0
+    for m in ("1", "2", "3"):
         argv = ["grid", "--p-min", "1", "--p-max", "10", "--z-max", "6", "--z-step", "0.02",
                 "--profile-kind", "z-dependent-exact", "--m", m, "--out", str(tmp_path / "g.csv")]
         assert main(argv) == 0
-        assert count[0] == powers, m
+        assert count[0] == 0, m
 
 
 def _dispatch_levels() -> list[str]:

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import re
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -106,14 +107,52 @@ def test_defined_agrees_with_the_exact_oracle_near_z_star(p, m, z_star, bracket_
     last = coherent._z_star(p, m)
     assert not oracle.z_exact_defined(p, m, last)
     assert oracle.z_exact_defined(p, m, math.nextafter(last, 1.0))
-    try:
-        rows = profile.coefficients(zs)
-    except NoRealSolutionError as exc:
-        rows = exc.alphas
-    assert np.array_equal(~np.isnan(rows[:, p - m]), exact)
-    assert (rows[exact, p - m] >= 0.0).all()
+    alphas = np.array([_exceptional_or_nan(profile, z) for z in zs.tolist()])
+    assert np.array_equal(~np.isnan(alphas), exact)
+    assert (alphas[exact] >= 0.0).all()
     value = entanglement.concurrence_closed_form(p, PowerTable(zs), profile).value
     assert np.array_equal(value == 1.0, exact) and np.array_equal(np.isnan(value), ~exact)
+
+
+def _numpy_exceptional_alpha(profile, z_abs):
+    """alpha_{p-m} by the numpy formula over a one-row |z| table that it replaced."""
+    p, m, powers = profile.p, profile.m, PowerTable(np.array([z_abs]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        (w_m,) = _weight_series(p, powers, m, m + 1)
+        bracket = (algebra.float_factorial(p) / p**2 - 1.0) + w_m / p**2
+        root = np.sqrt(np.maximum(bracket, 0.0))
+        return float((abs(profile.alpha_p) * root / powers.column(m))[0])
+
+
+def test_exceptional_alpha_is_the_numpy_formula_bit_for_bit():
+    # the same operations in the same order, with libm powers: near each z*,
+    # at ordinary |z| and at both ends of the float range
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for _ in range(3000):
+        p = int(rng.integers(2, 13))
+        m = int(rng.integers(1, p))
+        alpha_p = 1.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-300.0, 300.0))
+        profile = AlphaProfile.z_dependent_exact(p, m, alpha_p)
+        z_star = coherent._z_star(p, m)
+        near = z_star * (1.0 + 1e-15 * rng.uniform(-50.0, 50.0)) if z_star else 5e-324
+        z_abs = float(rng.choice([
+            near, 10.0 ** rng.uniform(-324.0, -150.0), 10.0 ** rng.uniform(-5.0, 5.0),
+            10.0 ** rng.uniform(150.0, 308.25), 5e-324, sys.float_info.max, math.inf,
+        ]))
+        expected = _numpy_exceptional_alpha(profile, z_abs)
+        if z_abs <= z_star:
+            with pytest.raises(NoRealSolutionError):
+                profile._exceptional_alpha(z_abs)
+            seen["undefined"] += 1
+        elif not math.isfinite(expected):
+            with pytest.raises(FloatRangeError):
+                profile._exceptional_alpha(z_abs)
+            seen["float range"] += 1
+        else:
+            assert profile._exceptional_alpha(z_abs).hex() == expected.hex(), (p, m, z_abs)
+            seen["finite"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_z_exact_is_defined_at_every_nonzero_z_from_p_4_on():
@@ -129,41 +168,41 @@ def test_z_exact_is_defined_at_every_nonzero_z_from_p_4_on():
         AlphaProfile.z_dependent_exact(4, 1).coefficients(-1.0)
 
 
-def _rows_or_error_rows(profile, zs):
+def _exceptional_or_nan(profile, z_abs):
+    """The z-exact profile's alpha_{p-m} at one |z|, nan where its rule is undefined."""
     try:
-        return profile.coefficients(zs)
-    except NoRealSolutionError as exc:
-        assert exc.alphas is not None
-        return exc.alphas
+        return profile.coefficients(z_abs)[profile.p - profile.m]
+    except NoRealSolutionError:
+        return math.nan
 
 
 def test_coefficients_over_a_z_array():
+    # one profile over a |z| array resolves as a stack of it: each row of the
+    # closed form's alphas is the profile's coefficients at that |z| alone
     zs = np.array([0.0, 0.1, 0.5, 1.0, 2.0])
     profiles = (
         AlphaProfile.z_dependent_exact(3, 1),
         AlphaProfile.optimal_constant(3, 0.7),
         AlphaProfile.explicit([0.3, -1.0, 0.2, 1.1]),
     )
-    for profile in profiles:
-        rows = _rows_or_error_rows(profile, zs)
-        assert rows.shape == (5, 4)
-        for z, row in zip(zs, rows):
-            try:
-                expected = profile.coefficients(z)
-            except NoRealSolutionError as exc:
-                assert exc.alphas is None
-                # only alpha_{p-m} is undefined; the rest of the row stays usable
-                assert np.isnan(row[2]) and not np.isnan(np.delete(row, 2)).any()
-                continue
-            assert np.array_equal(row, expected)
-    # p = 3, m = 1: bracket -1/3 + 2|z|^2 is negative below |z| = 0.408, and z = 0 is undefined
-    with pytest.raises(NoRealSolutionError, match="undefined at 2 of 5") as info:
-        profiles[0].coefficients(zs)
-    assert np.isnan(info.value.alphas[:, 2]).tolist() == [True, True, False, False, False]
-    # where the rule is defined at every |z|, the rows come back
-    assert np.array_equal(profiles[0].coefficients(zs[2:]), info.value.alphas[2:])
-    with pytest.raises(ValueError):
-        profiles[0].coefficients(np.array([]))
+    for profile, rows in zip(profiles, (zs[2:], zs, zs)):
+        alphas = _resolve(3, rows, profile).alphas
+        assert alphas.shape == (len(rows), 4)
+        for z, row in zip(rows.tolist(), alphas):
+            assert np.array_equal(row, profile.coefficients(z))
+        q = normalization_q(3, rows, profile)
+        assert q.tolist() == [normalization_q(3, z, profile) for z in rows.tolist()]
+    # p = 3, m = 1: bracket -1/3 + 2|z|^2 is negative below |z| = 0.408, and z
+    # = 0 is undefined.  The array raises its first undefined row's error, the
+    # one that row raises alone, with no count of the others
+    for start, reason in ((0, "is undefined at z = 0"), (1, "|z|=0.1: bracket -0.3133 < 0")):
+        with pytest.raises(NoRealSolutionError) as info:
+            _resolve(3, zs[start:], profiles[0])
+        assert str(info.value).endswith(reason)
+        with pytest.raises(NoRealSolutionError, match=re.escape(str(info.value)) + "$"):
+            profiles[0].coefficients(zs[start])
+    with pytest.raises(ValueError, match="need at least one"):
+        _resolve(3, np.array([]), profiles[0])
 
 
 @pytest.mark.parametrize("p, m", [(8, 1), (4, 2)])
@@ -178,7 +217,7 @@ def test_exceptional_alpha_past_the_float_range_raises_without_a_warning(p, m, z
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatRangeError):
-            profile.coefficients(z)
+            _resolve(p, z, profile) if rows else profile.coefficients(z)
         with pytest.raises(FloatRangeError):
             entanglement.concurrence_closed_form(p, z, profile)
 
