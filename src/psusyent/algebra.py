@@ -213,6 +213,13 @@ def default_n_max(z: complex, p: int) -> int:
     return _cutoff(_checked_abs(z), p, 32)
 
 
+def _largest_cutoff(z_abs, p: int) -> int:
+    """:func:`default_n_max` at |z|, or over a |z| array the largest of its rows'."""
+    # from the largest |z| down, most rows pass at once
+    rows = sorted(z_abs.tolist() if isinstance(z_abs, np.ndarray) else [z_abs], reverse=True)
+    return functools.reduce(lambda n, v: _cutoff(v, p, n), rows, 32)
+
+
 def _cutoff(z_abs: float, p: int, start: int) -> int:
     """:func:`default_n_max` at |z|, or ``start`` where that is larger."""
     lam = z_abs * z_abs

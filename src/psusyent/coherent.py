@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TAIL_TOL,
     _checked_abs,
-    _cutoff,
+    _largest_cutoff,
     _derivative_tower,
     _weight_coefficients,
     coherent_vector,
@@ -653,9 +653,8 @@ def build_state(
     else:
         z = complex(z)
         z_abs = _checked_abs(z)
-    if n_max is None:  # the largest of the rows' own; from the largest |z| down, most pass at once
-        rows = sorted(z_abs.tolist() if stacked else [z_abs], reverse=True)
-        n_max = functools.reduce(lambda n, v: _cutoff(v, p, n), rows, 32)
+    if n_max is None:
+        n_max = _largest_cutoff(z_abs, p)
     full_shape = (len(z), -1) if stacked else -1
 
     # a closed form or vector past the float range comes out inf or nan: the

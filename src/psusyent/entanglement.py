@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _checked_abs, _weight_coefficients, float_factorial
+from .algebra import _checked_abs, _largest_cutoff, _weight_coefficients, float_factorial
 from .coherent import (
     KIND_Z_EXACT,
     AlphaProfile,
@@ -330,9 +330,10 @@ def concurrence_schmidt_oracle(state: PsusyCoherentState):
     trace = mu.sum(axis=-1)  # = Tr rho_f = ||psi||^2, one per row
     for value in trace.tolist():
         if abs(value - 1.0) > 1e-8:
+            needed = _largest_cutoff(state.closed_form.z_abs, state.p)
             raise TruncationError(
                 f"reduced density trace {value:.10g} differs from 1 beyond 1e-8; "
-                "increase n_max"
+                f"increase n_max to {needed}", needed
             )
     values = [_schmidt_concurrence(row) for row in (mu / trace[:, None]).tolist()]
     return np.array(values) if state.full_vector.ndim > 1 else values[0]

@@ -4,8 +4,9 @@
 class TruncationError(ValueError):
     """Bosonic truncation is too small for the requested accuracy.
 
-    Carries ``required_n_max``, the smallest truncation that satisfies the
-    tail bound, when it is known.
+    Carries ``required_n_max`` where known: the smallest cutoff whose dropped
+    tail is under the tolerance or, for a built state short of norm 1, its
+    default cutoff (a stack's largest), with predicted residual <= 1e-12.
     """
 
     def __init__(self, message: str, required_n_max: int | None = None):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import (
     _derivative_tower,
+    _largest_cutoff,
     build_boson,
     build_parafermi,
     check_algebra,
@@ -116,9 +117,10 @@ def eigenstate_residual(state):
     except ValueError:
         for norm in np.atleast_1d(_norms(state.full_vector)).tolist():
             if norm < 1.0 - 1e-6:
+                needed = _largest_cutoff(state.closed_form.z_abs, state.p)
                 raise TruncationError(
                     f"state norm {norm:.10g} is short of 1 at n_max={state.n_max}; "
-                    "increase n_max"
+                    f"increase n_max to {needed}", needed
                 ) from None
         raise
 

@@ -12,6 +12,8 @@ from psusyent import (
     build_hamiltonian,
     build_parafermi,
     build_state,
+    concurrence_schmidt_oracle,
+    default_n_max,
     degeneracy_profile,
     verify_eigenstate,
 )
@@ -192,6 +194,23 @@ def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
     )
     with pytest.raises(TruncationError, match="short of 1"):
         eigenstate_residual(stack)
+
+
+def test_truncation_errors_of_a_built_state_name_the_default_cutoff():
+    # n_max = 179 passes |z>'s tail check but truncates |z^(p)>: the residual
+    # and the Schmidt route name the default cutoff, the largest over a
+    # stack's rows, which holds the residual under 1e-10
+    profile = AlphaProfile.optimal_constant(120)
+    state = build_state(120, 3.0, profile, n_max=179)
+    stack = build_state(120, np.array([1.0, 3.0]), [profile] * 2, n_max=179)
+    assert default_n_max(3.0, 120) == 220 and default_n_max(1.0, 120) < 220
+    for check, text in ((eigenstate_residual, "short of 1"),
+                        (concurrence_schmidt_oracle, "differs from 1 beyond 1e-8")):
+        for truncated in (state, stack):
+            with pytest.raises(TruncationError, match=text + ".*; increase n_max to 220$") as err:
+                check(truncated)
+            assert err.value.required_n_max == 220
+    assert eigenstate_residual(build_state(120, 3.0, profile, n_max=220)) <= 1e-10
 
 
 def test_annihilator_lowers_energy_by_omega(rng):
