@@ -25,8 +25,8 @@ import numpy as np
 from .algebra import (
     DEFAULT_TAIL_TOL,
     _checked_abs,
-    _largest_cutoff,
     _derivative_tower,
+    _largest_cutoff,
     _weight_coefficients,
     coherent_vector,
     float_factorial,

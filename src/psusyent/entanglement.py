@@ -167,7 +167,7 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
     """
     _check_order(p, profile)
     zs, z_top, defined = powers.zs, float(powers.zs.max()), profile.defined(powers)
-    if powers.scalar:  # raises where the rule is undefined, as alpha_{p-m} is
+    if powers.scalar:  # raises where the rule is undefined or alpha_{p-m} leaves the range
         profile._exceptional_alpha(z_top)
     else:
         below = powers.first(~defined & (zs != 0.0))

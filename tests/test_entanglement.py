@@ -535,8 +535,8 @@ _D_OVERFLOW = (FloatRangeError, "concurrence is nan: its formula left the float 
 
 
 def test_z_exact_float_range_from_two_rows_matches_every_row():
-    # a block with no undefined row at z != 0 classifies alpha_{p-m} at its
-    # smallest defined and its largest |z| only; the reference resolves the
+    # a block classifies alpha_{p-m} at its smallest defined and its largest
+    # |z| only, in Python floats; the reference resolves the
     # coefficients of every row alone, and takes the first float-range error
     rng = np.random.default_rng(28)
     seen = Counter()
