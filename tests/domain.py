@@ -72,10 +72,7 @@ def library_verdict(p: int, z: complex, profile: dict) -> str:
 def _exit_code(argv: list[str]) -> int:
     """``cli.main(argv)`` in process, its output discarded."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            return exc.code
+        return main(argv)
 
 
 def domain_map() -> dict:

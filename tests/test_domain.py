@@ -12,6 +12,5 @@ def test_domain_map_matches_the_committed_file():
     for key in ("cells", "grid"):
         moved = [(old, new) for old, new in zip(committed[key], regenerated[key]) if old != new]
         assert not moved, (key, moved[:5])
-        assert len(regenerated[key]) == len(committed[key]), key
     assert domain.dumps(regenerated) == domain.MAP_PATH.read_text(encoding="utf-8")
     assert len(regenerated["cells"]) == 742 and len(regenerated["grid"]) == 252
