@@ -157,16 +157,22 @@ def check_algebra(ops: ParafermiOps, tol: float = 1e-12) -> AlgebraReport:
     and the SU(2) relations [J+,J-] = 2 J3, [J3,J±] = ±J±.
 
     Residuals are max-norms divided by max(1, max-norm of the right side);
-    the caller decides pass/fail against ``tol``.
+    the caller decides pass/fail against ``tol``.  Raises FloatRangeError
+    from p = 169 on, where the relations' matrices leave the float range.
     """
     p, b, bd, j3 = ops.p, ops.b, ops.b_dag, ops.j3
     zero = np.zeros_like(b)
     comm = bd @ b - b @ bd
 
-    powers = [np.eye(p + 1, dtype=complex)]
-    for _ in range(p + 1):
-        powers.append(powers[-1] @ b)
-    multilinear = sum(powers[p - k] @ bd @ powers[k] for k in range(p + 1))
+    # an entry of b^p is p!, and of b^(p-k) b† b^k about p! p: past the float range
+    # from p = 169 on, where the sum comes out inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [np.eye(p + 1, dtype=complex)]
+        for _ in range(p + 1):
+            powers.append(powers[-1] @ b)
+        multilinear = sum(powers[p - k] @ bd @ powers[k] for k in range(p + 1))
+    if not np.isfinite(multilinear).all():
+        raise FloatRangeError(f"the algebra relations of order p={p} leave the float range")
 
     residuals = {
         "nilpotency": max(

@@ -31,7 +31,7 @@ from .algebra import (
     coherent_vector,
     float_factorial,
 )
-from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError
+from .errors import DegenerateProfileError, FloatRangeError, NoRealSolutionError, TruncationError
 
 __all__ = [
     "AlphaProfile",
@@ -386,10 +386,11 @@ class ClosedForm:
     weight series sum (:func:`bosonic_weight_sum`), defect =
     (alpha_0 - alpha_p/p)^2 |z|^(2p) (exactly 0 where alpha_0 = alpha_p/p,
     however large |z|), and D = A^2 + B^2 + defect =
-    exp(-|z|^2)/Q^2, whose Q is formed on first read.  Over a 1-D |z| array
-    every field but ``p`` holds one row per |z| (a z-dependent-exact rule
-    undefined at any raises); so does the closed form of a stack of states,
-    one profile per row.  Each row is bit-identical to its |z| and profile alone.
+    exp(-|z|^2)/Q^2, whose Q is formed on first read.  Each row is a
+    normalizable state: its D is a finite normal float.  Over a 1-D |z| array
+    every field but ``p`` holds one row per |z|; so does the closed form of a
+    stack of states, one profile per row.  Each row is bit-identical to its
+    |z| and profile alone.
     """
 
     p: int
@@ -405,8 +406,8 @@ class ClosedForm:
     def q(self):
         """Normalization factor Q = exp(-|z|^2/2) / sqrt(D); one per row over rows.
 
-        Raises FloatRangeError where D is inf or nan, and where Q underflows
-        to 0 (from |z| ~ 38.6 on, where exp(-|z|^2/2) does).
+        Raises FloatRangeError where Q underflows to 0 (from |z| ~ 38.6 on,
+        where exp(-|z|^2/2) does).
         """
         return _each(_q, self.z_abs, self.denom)
 
@@ -431,16 +432,7 @@ class ClosedForm:
         return _each(amplitudes, self.a_sq, self.b_sq, self.denom, self.alphas, z)
 
 
-def _check_denom(z_abs: float, denom: float) -> None:
-    """FloatRangeError where D is inf or nan: Q and the amplitudes would come out 0 or nan."""
-    if not denom < math.inf:
-        raise FloatRangeError(
-            f"the normalization denominator at |z|={z_abs:.4g} leaves the float range"
-        )
-
-
 def _q(z_abs: float, denom: float) -> float:
-    _check_denom(z_abs, denom)
     q = math.exp(-0.5 * z_abs * z_abs) / math.sqrt(denom)
     if q == 0.0:  # Q > 0 everywhere: 0 is exp(-|z|^2/2) or the quotient underflowed
         raise FloatRangeError(
@@ -470,10 +462,11 @@ def _resolve(p: int, z_abs, profile) -> ClosedForm:
     order.  Over an array ``profile`` may also be a sequence of profiles,
     one per |z|: a stack of states, each resolved at its own |z|, where an
     undefined z-dependent-exact rule raises as it does for one state.
-    Raises DegenerateProfileError where D is not positive: no normalizable
-    state exists there.
+    Raises DegenerateProfileError where D is 0, and FloatRangeError for the
+    first row whose D is not a finite normal float (no normalizable state
+    exists there) or whose (alpha_p/p)^2 underflows (B^2 has lost digits).
     """
-    # a closed form past the float range comes out inf or nan, which the callers classify
+    # a closed form past the float range comes out inf or nan, classified by _closed_form
     with np.errstate(over="ignore", invalid="ignore"):
         return _closed_form(p, z_abs, profile)
 
@@ -485,9 +478,11 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
     first) and a square is a product, so one |z| and the rows round alike.
     """
     powers = PowerTable.of(z_abs)
-    if isinstance(profile, AlphaProfile) and powers.scalar:
+    if isinstance(profile, AlphaProfile) and (powers.scalar or profile.kind != KIND_Z_EXACT):
         _check_order(p, profile)
         alphas = profile.coefficients(powers.values[0])
+        if not powers.scalar:  # independent of |z|: resolved once, its row repeated
+            alphas = np.tile(alphas, (len(powers.zs), 1))
     else:
         if isinstance(profile, AlphaProfile):  # one profile over a |z| array: a stack of it
             profile = (profile,) * len(powers.zs)
@@ -511,13 +506,25 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
         raise DegenerateProfileError(
             f"normalization denominator vanishes at |z|={vanishing:.4g} for this profile"
         )
-    small = denom < sys.float_info.min  # a subnormal D has lost digits, and 0 all of them
-    underflow = powers.first(small)
-    if underflow is not None:
-        d = denom if powers.scalar else denom[np.argmax(small)]
+    # a subnormal D has lost digits, 0 all of them, and inf or nan (nan != nan) every one
+    outside = (denom < sys.float_info.min) | (denom == math.inf) | (denom != denom)
+    at = powers.first(outside)
+    if at is not None:
+        d = denom if powers.scalar else denom[np.argmax(outside)]
+        below = f": it underflows to {d:.3g}" if d < sys.float_info.min else ""
         raise FloatRangeError(
-            f"the normalization denominator at |z|={underflow:.4g} leaves the float range: "
-            f"it underflows to {d:.3g}"
+            f"the normalization denominator at |z|={at:.4g} leaves the float range{below}"
+        )
+    # B^2 = (alpha_p/p)^2 W: where the square is subnormal, B^2, and so C and the state's
+    # norm, have lost digits.  Where it is normal, W >= |z|^(2n) (n < p) makes the error
+    # of an underflowed alpha_(p-n)^2 |z|^(2n) in A^2 under 2^-53 B^2
+    b = ks[p] / p
+    lost = (b * b < sys.float_info.min) & (b != 0.0)
+    at = powers.first(lost)
+    if at is not None:
+        raise FloatRangeError(
+            f"the branch weight B^2 at |z|={at:.4g} leaves the float range: "
+            f"(alpha_p/p)^2 underflows"
         )
     return ClosedForm(p, zs, alphas, a_sq, b_sq, defect, denom, w)
 
@@ -526,7 +533,7 @@ def _denominator(p: int, a_sq: float, w: float, z2p: float, z_abs: float, a_0: f
     """(B^2, defect, D) of one state from A^2, W, |z|^(2p), |z|, alpha_0 and alpha_p.
 
     A square past the float range is inf, where D comes out inf or nan for
-    :attr:`ClosedForm.q` to classify.  Where alpha_0 = alpha_p/p the defect
+    :func:`_closed_form` to classify.  Where alpha_0 = alpha_p/p the defect
     is 0 * |z|: +0.0 at every finite |z|, also where 0 * |z|^(2p) would be
     nan, and nan at an infinite |z|, where no state exists.
     """
@@ -633,7 +640,10 @@ def build_state(
 
     ``n_max`` defaults to the truncation rule of :func:`default_n_max`; the
     tail bound is enforced unless ``tail_tol`` is None (useful only for
-    convergence studies).
+    convergence studies).  An explicit cutoff that fails it raises
+    TruncationError naming a cutoff at which the state is accurate: the
+    default one, or the tail rule's where that is larger.  A cutoff below
+    p + 2, which the annihilator needs, is a ValueError.
 
     A 1-D complex ``z`` array with one profile of order p per entry builds a
     stack of states on one cutoff: by default the largest of its rows'
@@ -657,11 +667,18 @@ def build_state(
         n_max = _largest_cutoff(z_abs, p)
     full_shape = (len(z), -1) if stacked else -1
 
-    # a closed form or vector past the float range comes out inf or nan: the
-    # tail check or the finiteness check below classifies it
+    # a vector past the float range comes out inf or nan: the tail check or the
+    # finiteness check below classifies it, as _closed_form classifies D
     with np.errstate(over="ignore", invalid="ignore"):
         form = _closed_form(p, z_abs, profile)
-        coh = coherent_vector(z, n_max, tail_tol=tail_tol)
+        try:
+            coh = coherent_vector(z, n_max, tail_tol=tail_tol)
+        except TruncationError as exc:  # the remedy is a cutoff at which the state is accurate
+            needed = max(exc.required_n_max, _largest_cutoff(z_abs, p))
+            text = str(exc).removesuffix(str(exc.required_n_max))
+            raise TruncationError(text + str(needed), needed) from None
+        if n_max < p + 2:  # the annihilator, and so every check of the state, needs p + 2 levels
+            raise ValueError(f"a state of order p={p} needs n_max >= p + 2, got {n_max}")
         # after the tail check, which classifies a |z| too far out for n_max first
         alphas, q = form.alphas, form.q
         dcoh = _derivative_tower(coh, p, n_max)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,10 @@ from .coherent import (
     AlphaProfile,
     PowerTable,
     PsusyCoherentState,
-    _check_denom,
     _check_order,
-    _closed_form,
     _fold,
     _pow_or_inf,
+    _resolve,
     _weight_series,
 )
 from .errors import FloatRangeError, NoRealSolutionError, TruncationError
@@ -66,6 +66,7 @@ ROUTE_SCHMIDT = "schmidt-oracle"
 _EIGENVALUE_DUST = 1e-12
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # sigma_y x sigma_y is the anti-diagonal (-1, 1, 1, -1), so the spin flip
 # (sigma_y x sigma_y) rho* (sigma_y x sigma_y) is rho* with both indices
@@ -135,8 +136,8 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     :class:`PowerTable` over one; over an array the result holds arrays,
     each row equal to its z alone.  A z-dependent-exact profile gets
     its exact C = 1 (:func:`_z_exact_concurrence`).  Raises FloatRangeError
-    where C is nan or D underflows, and where only D overflows, which would
-    make C 0.
+    where D is not a finite normal float or B^2 has lost digits to underflow
+    (:func:`_resolve`); elsewhere C is finite.
     """
     if isinstance(z, np.ndarray) and z.ndim:
         # each complex z's |z| is Python's, as build_state takes it
@@ -146,17 +147,7 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     powers = PowerTable.of(z)
     if profile.kind == KIND_Z_EXACT:
         return _z_exact_concurrence(p, powers, profile)
-    # past the float range C comes out nan (inf/inf), which _result classifies
-    with np.errstate(over="ignore", invalid="ignore"):
-        form = _closed_form(p, powers, profile)
-        value = form.concurrence
-    result = _result(value, ROUTE_CLOSED_FORM)
-    # where only D overflows, C = 2AB/D comes out 0 rather than nan: classified
-    # as Q classifies it, once the nan rows have raised with their own message
-    overflowed = powers.first(form.denom == math.inf)
-    if overflowed is not None:
-        _check_denom(overflowed, math.inf)
-    return result
+    return _result(_resolve(p, powers, profile).concurrence, ROUTE_CLOSED_FORM)
 
 
 def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> ConcurrenceResult:
@@ -219,10 +210,20 @@ def density_from_amplitudes(amps) -> np.ndarray:
     """Pure-state projector in the ordered basis {|00>, |01>, |10>, |11>}.
 
     A (k, 4) array of amplitudes gives a (k, 4, 4) stack of projectors.
+    Raises FloatRangeError where an entry a_i conj(a_j) would be nan or inf:
+    it is at most max |a|^2 in size, so it is finite where each |a| is
+    below sqrt(float max).
     """
     vec = np.asarray(amps, dtype=complex)
     if vec.ndim != 2:
         vec = vec.reshape(4)
+    rows = vec.tolist() if vec.ndim == 2 else (vec.tolist(),)
+    try:  # in Python floats, cheaper than numpy calls on a few; nan fails the comparison
+        finite = all(abs(a) < _SQRT_FLOAT_MAX for row in rows for a in row)
+    except OverflowError:  # |a| itself past the float range
+        finite = False
+    if not finite:
+        raise FloatRangeError("density matrix has a nan or inf entry")
     return vec[..., :, None] * vec.conj()[..., None, :]
 
 

@@ -4,9 +4,10 @@
 class TruncationError(ValueError):
     """Bosonic truncation is too small for the requested accuracy.
 
-    Carries ``required_n_max`` where known: the smallest cutoff whose dropped
-    tail is under the tolerance or, for a built state short of norm 1, its
-    default cutoff (a stack's largest), with predicted residual <= 1e-12.
+    Carries ``required_n_max`` where known: for a coherent vector, the
+    smallest cutoff whose dropped tail is under the tolerance; for a state,
+    its default cutoff (a stack's largest), with predicted residual
+    <= 1e-12, or the tail rule's where that is larger.
     """
 
     def __init__(self, message: str, required_n_max: int | None = None):

@@ -6,11 +6,13 @@ Tensor layout is boson-major: the flat index of |n_b>|n_f> is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import _ladder_table, _sqrt_levels
+from .errors import FloatRangeError
 
 __all__ = [
     "PsusyHamiltonian",
@@ -83,10 +85,15 @@ def _check_dimensions(p: int, n_max: int) -> None:
 
 
 def build_hamiltonian(omega: float, p: int, n_max: int) -> PsusyHamiltonian:
-    """Oscillator-plus-spin Hamiltonian with eigenvalues omega*(n_b + 1/2 - m)."""
-    if omega <= 0:
+    """Oscillator-plus-spin Hamiltonian with eigenvalues omega*(n_b + 1/2 - m).
+
+    Raises FloatRangeError where an energy would leave the float range.
+    """
+    if not omega > 0:  # nan too
         raise ValueError(f"omega must be positive, got {omega}")
     _check_dimensions(p, n_max)
+    if not omega * (n_max + p) < math.inf:  # a bound on every |energy|
+        raise FloatRangeError(f"the energies at omega={omega:g} leave the float range")
     m = p / 2.0 - np.arange(p + 1, dtype=float)
     energies = omega * np.subtract.outer(np.arange(n_max) + 0.5, m).reshape(-1)
     energies.setflags(write=False)
@@ -123,19 +130,26 @@ def verify_eigenstate(a_op: AnnihilatorA, state: np.ndarray, z):
     """2-norm of A|state> - z|state> for a normalized state vector.
 
     A (k, dim) stack of states with a z array of k entries gives an array of
-    k residuals; each row's norms are taken as for the state alone.
+    k residuals; each row's norms are taken as for the state alone.  Raises
+    FloatRangeError where the residual is not finite: a nan or inf z, or one
+    past the square range.
     """
     state = np.asarray(state)
     dim = a_op.n_max * (a_op.p + 1)
     stacked = state.ndim == 2 and state.shape[1] == dim
     if not stacked and state.shape != (dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({dim},) or (k, {dim})")
-    norms = _norms(state)
-    for norm in norms.tolist() if stacked else (norms,):
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state is not normalized: ||state|| = {norm:.6g}")
-    shift = np.asarray(z)[:, None] if stacked else z
-    return _norms(a_op.apply(state) - shift * state)
+    # a norm past the float range comes out inf or nan, classified below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _norms(state)
+        for norm in norms.tolist() if stacked else (norms,):
+            if not abs(norm - 1.0) <= 1e-6:  # nan too
+                raise ValueError(f"state is not normalized: ||state|| = {norm:.6g}")
+        shift = np.asarray(z)[:, None] if stacked else z
+        residual = _norms(a_op.apply(state) - shift * state)
+    if not (np.isfinite(residual).all() if stacked else math.isfinite(residual)):
+        raise FloatRangeError("the eigen-residual ||A|psi> - z|psi>|| leaves the float range")
+    return residual
 
 
 def _norms(vectors: np.ndarray):

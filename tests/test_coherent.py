@@ -314,6 +314,19 @@ VALIDATION_ERRORS = {
         lambda: algebra.derivative_coherent_vector(1.0, 3, 3),
         "n_max=3 must exceed derivative order p=3",
     ),
+    "derivative_coherent_vector negative order": (
+        lambda: algebra.derivative_coherent_vector(1.0, -1, 5),
+        "derivative order must be >= 0, got -1",
+    ),
+    "coherent_tail past the float range": (
+        lambda: algebra.coherent_tail(1.0, 10**400),
+        "the boson truncation at |z|=1 exceeds the float range",
+    ),
+    # the annihilator, and so the state's residual, needs p + 2 levels
+    "build_state n_max below p + 2": (
+        lambda: build_state(2, 0.0, AlphaProfile.optimal_constant(2), n_max=3),
+        "a state of order p=2 needs n_max >= p + 2, got 3",
+    ),
     "wootters negative eigenvalue": (
         lambda: entanglement._wootters_concurrence([1.0, -0.5, 0.0, 0.0]),
         "rho*rho~ has a negative eigenvalue -5.000e-01 beyond dust tolerance",
@@ -775,9 +788,13 @@ def test_defect_of_an_optimal_profile_is_exactly_zero_past_the_power_range():
         assert form.defect.tobytes() == np.zeros(2).tobytes()
         assert np.isfinite(form.denom).all()
     assert one.denom == rows.denom[1] == 2e200
-    # at an infinite |z| no state exists: the defect stays 0 * inf = nan
-    with np.errstate(all="ignore"):
-        assert math.isnan(_resolve(2, math.inf, profile).defect)
+    # at an infinite |z| no state exists: the defect stays 0 * inf = nan, and so D
+    b_sq, defect, denom = coherent._denominator(2, 1.0, math.inf, math.inf, math.inf, 0.5, 1.0)
+    assert math.isnan(defect) and math.isnan(denom)
+    with pytest.raises(FloatRangeError, match=re.escape(
+        "the normalization denominator at |z|=inf leaves the float range"
+    )):
+        _resolve(2, math.inf, profile)
 
 
 ALPHA_P_PAST_THE_SQUARE_RANGE = {
@@ -881,6 +898,30 @@ def test_a_subnormal_denominator_raises_float_range_error(tmp_path, capsys):
     assert (rc, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
+def test_an_underflowed_branch_weight_raises_float_range_error(tmp_path, capsys):
+    # (alpha_p/p)^2 ~ 1e-324 underflows where D ~ 1e-158 is normal: B^2 came out
+    # 0, so C = 0 where it is about 1 and the state's norm sqrt(2), and `state`
+    # asked for a cutoff it already had
+    profile = AlphaProfile.optimal_constant(99, 1e-160)
+    stack = (AlphaProfile.optimal_constant(99), profile)
+    message = "the branch weight B^2 at |z|=1.5 leaves the float range: (alpha_p/p)^2 underflows"
+    calls = [
+        lambda: build_state(99, 1.5, profile),
+        lambda: entanglement.concurrence_closed_form(99, 1.5, profile),
+        lambda: normalization_q(99, np.array([1.0, 1.5]), stack),
+    ]
+    for call in calls:
+        with pytest.raises(FloatRangeError, match=re.escape(message) + "$"):
+            call()
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile.to_dict()))
+    rc = main(["state", "--p", "99", "--z-re", "1.5", "--profile", str(path)])
+    assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+    # where alpha_p/p squares to a normal float the state is accurate
+    state = build_state(99, 1.5, AlphaProfile.optimal_constant(99, 1e-150))
+    assert verify.eigenstate_residual(state) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "compute",
     [
@@ -974,6 +1015,19 @@ def coefficient_calls(monkeypatch):
 def test_build_state_resolves_profile_once(coefficient_calls, profile):
     build_state(3, 1.5 - 0.5j, profile)
     assert coefficient_calls == [abs(1.5 - 0.5j)]
+
+
+@pytest.mark.parametrize(
+    "profile", [AlphaProfile.optimal_constant(3), AlphaProfile.explicit((0.7, 0.5, 0.2, 1.0))]
+)
+def test_a_z_independent_profile_resolves_once_over_a_z_array(coefficient_calls, profile):
+    zs = np.linspace(0.01, 5, 4096)
+    rows = _resolve(3, zs, profile)
+    assert len(coefficient_calls) == 1
+    per_row = _resolve(3, zs, (profile,) * len(zs))  # a stack: one resolve per row
+    assert len(coefficient_calls) == 1 + len(zs)
+    for field in ("alphas", "a_sq", "b_sq", "defect", "denom", "weight_sum"):
+        assert getattr(rows, field).tobytes() == getattr(per_row, field).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -717,8 +717,11 @@ def test_closed_form_where_only_the_denominator_overflows_raises(z):
             "the normalization denominator at |z|=1.414e+60 leaves the float range"
         )):
             concurrence_closed_form(3, z, explicit)
-        # a row where C is nan keeps its message, ahead of an earlier overflowed D
-        with pytest.raises(FloatRangeError, match="concurrence is nan"):
+        # the first row whose D is not a finite normal float is named, also ahead of
+        # a later row where C would be nan
+        with pytest.raises(FloatRangeError, match=re.escape(
+            "the normalization denominator at |z|=1.414e+60 leaves the float range"
+        )):
             concurrence_closed_form(3, np.array([1.0, 1e60 * math.sqrt(2.0), 1e200]), explicit)
 
 

@@ -12,6 +12,7 @@ from psusyent import (
     build_hamiltonian,
     build_parafermi,
     build_state,
+    coherent_vector,
     concurrence_schmidt_oracle,
     default_n_max,
     degeneracy_profile,
@@ -211,6 +212,22 @@ def test_truncation_errors_of_a_built_state_name_the_default_cutoff():
                 check(truncated)
             assert err.value.required_n_max == 220
     assert eigenstate_residual(build_state(120, 3.0, profile, n_max=220)) <= 1e-10
+
+
+@pytest.mark.parametrize("p, n_max, needed", [(8, 20, 72), (120, 30, 220)])
+def test_a_short_cutoff_names_the_state_cutoff_as_its_remedy(p, n_max, needed):
+    # the tail rule of |z> alone asked for 41: at p = 8 that built a state with
+    # residual 3.2e-3, and at p = 120 build_state rejected it (41 <= p)
+    profile = AlphaProfile.optimal_constant(p)
+    stack = (np.array([1.0, 3.0]), [profile] * 2)
+    for z, profiles in ((3.0, profile), stack):
+        with pytest.raises(TruncationError, match=rf"at \|z\|=3; need n_max >= {needed}$") as err:
+            build_state(p, z, profiles, n_max=n_max)
+        assert err.value.required_n_max == needed
+    # the coherent vector's own error keeps its tail rule
+    with pytest.raises(TruncationError, match=r"need n_max >= 41$"):
+        coherent_vector(3.0, n_max, tail_tol=1e-14)
+    assert eigenstate_residual(build_state(p, 3.0, profile, n_max=needed)) <= 1e-10
 
 
 def test_annihilator_lowers_energy_by_omega(rng):
