@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -198,10 +199,19 @@ def _grid_rows(p: int, chunk: _GridChunk, kind: str, profile: AlphaProfile | Non
     return chunk.fixed_csv(p, defined)
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s own flags without O_TRUNC: an existing file is written over.
+
+    Truncating a file frees its blocks, and rewriting the same sweep would
+    allocate them again; the caller cuts a regular file to its new length.
+    """
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     n_steps = int(math.floor((args.z_max - args.z_min) / args.z_step + 1e-9)) + 1
     try:
-        fh = open(args.out, "w", encoding="utf-8", newline="")
+        fh = open(args.out, "w", encoding="utf-8", newline="", opener=_open_in_place)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -209,6 +219,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     chunk = None
     try:
         with fh:
+            # a device or a pipe is a stream, and /dev/null cannot be truncated
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.write(CSV_HEADER + "\n")
             for p in range(args.p_min, args.p_max + 1):
                 # the z-dependent-exact family exists only for 1 <= m <= p-1
@@ -221,6 +233,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                         steps = np.arange(start, min(start + GRID_CHUNK_ROWS, n_steps))
                         chunk = _GridChunk(start, args.z_min + steps * args.z_step)
                     fh.write(_grid_rows(p, chunk, args.profile_kind, profile))
+            if regular:
+                fh.truncate()
     except (OSError, ValueError, ArithmeticError) as exc:
         # remove the truncated sweep this call wrote; a device or a pipe is left alone
         if os.path.isfile(args.out):
@@ -358,12 +372,6 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = _parse(parser, argv)
-    # overflow shows as a non-finite result, which the commands report as one error line
-    with np.errstate(all="ignore"):
-        return _dispatch(parser, args)
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "verify":
         if not 1 <= args.p_max <= 8:
             parser.error(f"--p-max must be within 1..8, got {args.p_max}")

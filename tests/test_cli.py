@@ -38,6 +38,11 @@ def _write_profile(tmp_path, obj, name="profile.json"):
     return str(path)
 
 
+def _child_env() -> dict:
+    src = str(Path(psusyent.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -187,8 +192,7 @@ def test_state_degenerate_profile_exits_2(tmp_path, capsys):
 def test_state_past_the_float_range_exits_1_with_one_line(tmp_path, z_argv):
     # |z|^2 overflows: the truncation rule used to end in an OverflowError traceback
     profile = _write_profile(tmp_path, {"p": 2, "kind": "optimal-constant", "alpha_p": 1.0})
-    src = str(Path(psusyent.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "psusyent.cli", "state", "--p", "2", *z_argv, "--profile", profile],
         capture_output=True, text=True, env=env, timeout=120,
@@ -212,8 +216,7 @@ def test_huge_order_fails_at_once(tmp_path, argv):
     # took minutes for the state and seconds for the grid
     profile = _write_profile(tmp_path, {"p": 3000000, "kind": "optimal-constant", "alpha_p": 1.0})
     argv = [{"PROFILE": profile, "OUT": str(tmp_path / "g.csv")}.get(a, a) for a in argv]
-    src = str(Path(psusyent.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = _child_env()
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "psusyent.cli", *argv],
@@ -971,8 +974,7 @@ def test_grid_memory_does_not_grow_with_rows(tmp_path):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     out = tmp_path / "big.csv"
-    src = str(Path(psusyent.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c", child, "grid", "--p-max", "1", "--z-max", "500",
          "--z-step", "0.001", "--out", str(out)],
@@ -990,7 +992,7 @@ def test_grid_failed_write_exits_1(capsys):
     assert "error: cannot write /dev/full" in capsys.readouterr().err
 
 
-def test_grid_failed_write_removes_the_partial_file(tmp_path):
+def _assert_grid_write_fails_past_a_64k_cap(out: Path):
     # The child caps the size of the files it writes at 64 KiB; with SIGXFSZ
     # ignored, a write past the cap fails with EFBIG after some rows are out.
     child = (
@@ -1000,18 +1002,65 @@ def test_grid_failed_write_removes_the_partial_file(tmp_path):
         "resource.setrlimit(resource.RLIMIT_FSIZE, (2**16, resource.RLIM_INFINITY))\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    out = tmp_path / "big.csv"
-    src = str(Path(psusyent.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", child, "grid", "--p-max", "2", "--z-max", "20",
          "--z-step", "0.001", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot write {out}: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_grid_failed_write_removes_the_partial_file(tmp_path):
+    _assert_grid_write_fails_past_a_64k_cap(tmp_path / "big.csv")
+
+
+def test_grid_failed_write_over_a_larger_file_removes_it(tmp_path):
+    # the rewrite in place fails at the cap, inside the old file's length
+    out = tmp_path / "big.csv"
+    out.write_bytes(b"x" * 2**17)
+    _assert_grid_write_fails_past_a_64k_cap(out)
+
+
+@pytest.mark.parametrize("old_size", [200_000, 100])
+def test_grid_rewrite_over_an_existing_file_equals_a_fresh_write(tmp_path, capsys, old_size):
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    assert main(["grid", "--out", str(fresh)]) == 0
+    old.write_bytes((b"9,9.99,0.5,0.5,0.5\r\n" * (old_size // 20 + 1))[:old_size])
+    assert main(["grid", "--out", str(old)]) == 0
+    # the other file is longer than the sweep, then shorter
+    assert (old_size > fresh.stat().st_size) == (old_size == 200_000)
+    assert old.read_bytes() == fresh.read_bytes()
+    assert capsys.readouterr().out == f"wrote 606 rows to {fresh}\nwrote 606 rows to {old}\n"
+
+
+def test_grid_opens_its_output_without_truncation(tmp_path, monkeypatch, capsys):
+    # truncating would free the old file's blocks only for the sweep to allocate them again
+    flags, real_open = [], os.open
+    monkeypatch.setattr(os, "open",
+                        lambda path, f, *mode: flags.append(f) or real_open(path, f, *mode))
+    assert main(["grid", "--p-max", "1", "--z-max", "0", "--out", str(tmp_path / "g.csv")]) == 0
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+
+def test_grid_to_the_null_device_exits_0(capsys):
+    # the null device is not truncated: it is written as a stream
+    assert main(["grid", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == (f"wrote 606 rows to {os.devnull}\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_grid_to_dev_stdout_writes_the_csv_into_a_pipe(tmp_path, capsys):
+    fresh = tmp_path / "grid.csv"
+    assert main(["grid", "--out", str(fresh)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "psusyent.cli", "grid", "--out", "/dev/stdout"],
+        capture_output=True, env=_child_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == fresh.read_bytes() + b"wrote 606 rows to /dev/stdout\n"
 
 
 @pytest.mark.parametrize(
@@ -1043,6 +1092,23 @@ def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: grid at p=")
     # no truncated sweep is left behind
     assert not out.exists()
+
+
+def test_grid_numerical_failure_over_an_existing_file_removes_it(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    out.write_text(CSV_HEADER + "\n1,0,0,1,0\n")
+    assert main(["grid", "--p-min", "167", "--p-max", "167", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid at p=167: ")
+    assert not out.exists()
+
+
+def test_main_reads_sys_argv_when_given_no_argv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "grid.csv"
+    monkeypatch.setattr(sys, "argv", ["psusyent", "grid", "--p-max", "1", "--z-max", "0",
+                                      "--out", str(out)])
+    assert main() == 0
+    assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
+    assert out.read_text() == CSV_HEADER + "\n1,0,1,0,0.69314718056\n"
 
 
 def test_state_over_a_domain_tiling_is_accurate_or_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,15 @@ def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
     )
     with pytest.raises(TruncationError, match="short of 1"):
         eigenstate_residual(stack)
+
+
+def test_eigenstate_residual_of_a_state_longer_than_1_raises_a_plain_value_error():
+    # only a norm short of 1 is a truncation defect; a longer one is passed on
+    state = build_state(2, 1.0, AlphaProfile.optimal_constant(2))
+    doubled = dataclasses.replace(state, full_vector=2 * state.full_vector)
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|\|state\|\| = 2$") as err:
+        eigenstate_residual(doubled)
+    assert type(err.value) is ValueError
 
 
 def test_truncation_errors_of_a_built_state_name_the_default_cutoff():
