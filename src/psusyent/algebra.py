@@ -41,7 +41,7 @@ __all__ = [
     "float_factorial",
 ]
 
-#: Default bound on the dropped fraction of a coherent vector's norm (:func:`coherent_tail`).
+#: A bound on the dropped fraction of a coherent vector's norm (:func:`coherent_tail`).
 DEFAULT_TAIL_TOL = 1e-14
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -219,15 +219,15 @@ def default_n_max(z: complex, p: int) -> int:
     return _cutoff(_checked_abs(z), p, 32)
 
 
-def _largest_cutoff(z_abs, p: int) -> int:
-    """:func:`default_n_max` at |z|, or over a |z| array the largest of its rows'."""
+def _largest_cutoff(z_abs, p: int, start: int = 32) -> int:
+    """The smallest n >= ``start`` passing :func:`default_n_max`'s rule at |z| or each row."""
     # from the largest |z| down, most rows pass at once
     rows = sorted(z_abs.tolist() if isinstance(z_abs, np.ndarray) else [z_abs], reverse=True)
-    return functools.reduce(lambda n, v: _cutoff(v, p, n), rows, 32)
+    return functools.reduce(lambda n, v: _cutoff(v, p, n), rows, start)
 
 
 def _cutoff(z_abs: float, p: int, start: int) -> int:
-    """:func:`default_n_max` at |z|, or ``start`` where that is larger."""
+    """The smallest n >= max(start, p + 2, |z|^2 + p) passing :func:`default_n_max`'s rule."""
     lam = z_abs * z_abs
     _check_vector_range(z_abs, lam)
     start = max(start, p + 2, math.ceil(lam) + p)  # the annihilator needs p + 2 levels
@@ -240,7 +240,10 @@ def _cutoff(z_abs: float, p: int, start: int) -> int:
     log_lam, b0_scale = math.log(lam), -lam - math.log(w)
     lo, hi, n = start - 1, math.inf, start  # the answer lies in (lo, hi]
     while True:
-        lg_n, lg_m = math.lgamma(n + 1), math.lgamma(n - p + 1)
+        try:
+            lg_n, lg_m = math.lgamma(n + 1), math.lgamma(n - p + 1)
+        except OverflowError:  # an explicit cutoff n or log(n!) past the float range
+            raise _truncation_range_error(z_abs) from None
         b1_sq = math.exp(n * log_lam - lam - lg_n)
         r = math.exp(p * log_lam + lg_m - lg_n)  # lam^p (n-p)! / n! < 1 past lam + p
         b0_sq = math.exp((n - p) * log_lam + lg_n - 2.0 * lg_m + b0_scale) * (1.0 - r) ** 2
@@ -292,22 +295,14 @@ def coherent_tail(z_abs: float, n_max: int) -> float:
     _check_vector_range(z_abs, lam)
     kept = n_max <= lam
     n = n_max - 1 if kept else n_max
-    term, total = math.exp(_log_leading_term(z_abs, lam, n)), 0.0
+    try:  # log(e^-lam lam^n / n!), the leading Poisson term
+        term, total = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)), 0.0
+    except OverflowError:  # n or log(n!) is past the float range
+        raise _truncation_range_error(z_abs) from None
     while term > total * 1e-18:  # each term away from the peak is smaller
         total += term
         term, n = (term * n / lam, n - 1) if kept else (term * lam / (n + 1), n + 1)
     return 1.0 - total if kept else total
-
-
-def _log_leading_term(z_abs: float, lam: float, n: int) -> float:
-    """log(e^-lam lam^n / n!), lam = |z|^2 > 0: a Poisson term.
-
-    Raises FloatRangeError when n or log(n!) is past the float range.
-    """
-    try:
-        return n * math.log(lam) - lam - math.lgamma(n + 1)
-    except OverflowError:
-        raise _truncation_range_error(z_abs) from None
 
 
 def required_n_max(z_abs: float, tail_tol: float) -> int:
@@ -329,12 +324,6 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
 
 
 def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:
-    lam = z_abs * z_abs
-    # Below lam = (n_max + 1)/2 each tail term is under half the one before, so the tail
-    # is under twice its leading term: under tail_tol/e, it is not summed.
-    if 0.0 < lam and 2.0 * lam < n_max + 1:
-        if math.exp(_log_leading_term(z_abs, lam, n_max)) < tail_tol / math.e:
-            return
     tail = coherent_tail(z_abs, n_max)
     if tail >= tail_tol:
         needed = required_n_max(z_abs, tail_tol)

@@ -212,7 +212,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     n_steps = int(math.floor((args.z_max - args.z_min) / args.z_step + 1e-9)) + 1
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="", opener=_open_in_place)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with an embedded NUL
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     p = args.p_min

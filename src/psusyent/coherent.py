@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TAIL_TOL,
     _checked_abs,
+    _cutoff,
     _derivative_tower,
     _largest_cutoff,
     _weight_coefficients,
@@ -634,20 +634,19 @@ def build_state(
     z,
     profile,
     n_max: int | None = None,
-    tail_tol: float | None = DEFAULT_TAIL_TOL,
+    check: bool = True,
 ) -> PsusyCoherentState:
     """Assemble the closed-form coherent state on the truncated tensor space.
 
-    ``n_max`` defaults to the truncation rule of :func:`default_n_max`; the
-    tail bound is enforced unless ``tail_tol`` is None (useful only for
-    convergence studies).  An explicit cutoff that fails it raises
-    TruncationError naming a cutoff at which the state is accurate: the
-    default one, or the tail rule's where that is larger.  A cutoff below
-    p + 2, which the annihilator needs, is a ValueError.
+    ``n_max`` defaults to :func:`default_n_max`'s cutoff, whose predicted
+    eigen-residual is <= 1e-12.  Unless ``check`` is False (for convergence
+    studies only), an explicit cutoff below that rule's, without its floor
+    of 32, raises TruncationError naming it.  One below p + 2, which the
+    annihilator needs, is a ValueError.
 
     A 1-D complex ``z`` array with one profile of order p per entry builds a
     stack of states on one cutoff: by default the largest of its rows'
-    default_n_max, with the tail checked for each row.  Each row is
+    default_n_max, and an explicit one is checked for each row.  Each row is
     bit-identical to the state of its z and profile built alone at that
     n_max.
     """
@@ -665,21 +664,22 @@ def build_state(
         z_abs = _checked_abs(z)
     if n_max is None:
         n_max = _largest_cutoff(z_abs, p)
+    elif n_max < p + 2:  # the annihilator, and so every check of the state, needs p + 2 levels
+        raise ValueError(f"a state of order p={p} needs n_max >= p + 2, got {n_max}")
+    elif check and (needed := _largest_cutoff(z_abs, p, n_max)) > n_max:
+        # the row that needs the most: the rule's cutoff is not monotone in |z|
+        row = max(z_abs.tolist() if stacked else [z_abs], key=lambda v: _cutoff(v, p, n_max))
+        raise TruncationError(
+            f"truncation n_max={n_max} leaves a predicted eigen-residual above 1e-12 "
+            f"at |z|={row:.4g}; need n_max >= {needed}", needed
+        )
     full_shape = (len(z), -1) if stacked else -1
 
-    # a vector past the float range comes out inf or nan: the tail check or the
-    # finiteness check below classifies it, as _closed_form classifies D
+    # a vector past the float range comes out inf or nan: the finiteness
+    # check below classifies it, as _closed_form classifies D
     with np.errstate(over="ignore", invalid="ignore"):
         form = _closed_form(p, z_abs, profile)
-        try:
-            coh = coherent_vector(z, n_max, tail_tol=tail_tol)
-        except TruncationError as exc:  # the remedy is a cutoff at which the state is accurate
-            needed = max(exc.required_n_max, _largest_cutoff(z_abs, p))
-            text = str(exc).removesuffix(str(exc.required_n_max))
-            raise TruncationError(text + str(needed), needed) from None
-        if n_max < p + 2:  # the annihilator, and so every check of the state, needs p + 2 levels
-            raise ValueError(f"a state of order p={p} needs n_max >= p + 2, got {n_max}")
-        # after the tail check, which classifies a |z| too far out for n_max first
+        coh = coherent_vector(z, n_max)
         alphas, q = form.alphas, form.q
         dcoh = _derivative_tower(coh, p, n_max)
         columns = np.empty(coh.shape + (p + 1,), dtype=complex)

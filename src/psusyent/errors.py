@@ -6,8 +6,7 @@ class TruncationError(ValueError):
 
     Carries ``required_n_max`` where known: for a coherent vector, the
     smallest cutoff whose dropped tail is under the tolerance; for a state,
-    its default cutoff (a stack's largest), with predicted residual
-    <= 1e-12, or the tail rule's where that is larger.
+    one whose predicted eigen-residual is <= 1e-12 at every row.
     """
 
     def __init__(self, message: str, required_n_max: int | None = None):

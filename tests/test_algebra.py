@@ -285,8 +285,7 @@ def test_required_n_max_rejects_nonpositive_tolerance():
 
 
 def _check_tail_written_out(z_abs, n_max, tail_tol):
-    """The tail check as it ran before its bound-first skip: the series summed
-    on every call."""
+    """The tail check written out: the series summed on every call."""
     tail = coherent_tail(z_abs, n_max)
     if tail >= tail_tol:
         needed = required_n_max(z_abs, tail_tol)
@@ -325,15 +324,6 @@ def test_check_tail_verdict_equals_the_summed_series():
         assert (old is not None) == (coherent_tail(z_abs, n_max) >= tail_tol)
         skipped += old is None and 0.0 < 2.0 * z_abs * z_abs < n_max + 1
     assert skipped > 100
-
-
-def test_check_tail_sums_no_series_at_the_default_cutoff(monkeypatch):
-    calls = []
-    monkeypatch.setattr(algebra, "coherent_tail", lambda *args: calls.append(args) or 0.0)
-    for z in (0.7, 1.0 + 0.5j, 2.0 - 1.0j, 3.0, 4.0j):
-        for p in range(1, 9):
-            algebra._check_tail(abs(z), default_n_max(z, p), algebra.DEFAULT_TAIL_TOL)
-    assert calls == []
 
 
 def test_default_n_max_rule():

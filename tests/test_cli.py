@@ -295,6 +295,14 @@ def test_grid_unwritable_path_exits_1(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_grid_path_with_a_nul_byte_exits_1(capsys):
+    # open raises ValueError, not OSError, for an embedded NUL
+    assert main(["grid", "--out", "a\0b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write a\0b: embedded null byte\n"
+
+
 GRID_USAGE_ERRORS = [
     ["grid", "--z-step", "0", "--out", "x.csv"],
     ["grid", "--z-min", "-1", "--out", "x.csv"],

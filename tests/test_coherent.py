@@ -265,7 +265,7 @@ def _stack_past_the_float_range():
     # overflows before Q scales it
     big = AlphaProfile.explicit([1e123] * 4)
     zs = np.array([1.0, 29.0, 30.0], dtype=complex)
-    build_state(3, zs, [AlphaProfile.optimal_constant(3), big, big], n_max=1300, tail_tol=None)
+    build_state(3, zs, [AlphaProfile.optimal_constant(3), big, big], n_max=1300, check=False)
 
 
 VALIDATION_ERRORS = {
@@ -545,7 +545,7 @@ def test_closed_form_is_within_a_few_ulps_of_the_exact_oracle():
 
 def test_beta_seeds_p1_z0():
     profile = AlphaProfile.explicit([1.0, 1.0])
-    beta = beta_coefficients(build_state(1, 0.0, profile, n_max=5, tail_tol=None))
+    beta = beta_coefficients(build_state(1, 0.0, profile, n_max=5, check=False))
     assert beta[0, 0] == 0.0  # carries conj(z)^p
     assert_allclose(beta[1, 1], 1 / math.sqrt(2))  # alpha_1 * Q(0)
 
@@ -553,12 +553,12 @@ def test_beta_seeds_p1_z0():
 def test_beta_tower_ratio():
     profile = AlphaProfile.explicit([0.4, 1.2])
     z = 0.9 - 0.3j
-    beta = beta_coefficients(build_state(1, z, profile, n_max=6, tail_tol=None))
+    beta = beta_coefficients(build_state(1, z, profile, n_max=6, check=False))
     assert_allclose(beta[1, 3], z**2 / math.sqrt(2) * beta[1, 1], rtol=1e-13)
 
 
 def test_beta_zero_below_tower_start():
-    state = build_state(3, 1.1, AlphaProfile.optimal_constant(3), n_max=7, tail_tol=None)
+    state = build_state(3, 1.1, AlphaProfile.optimal_constant(3), n_max=7, check=False)
     beta = beta_coefficients(state)
     for k in range(1, 4):
         assert np.all(beta[k, :k] == 0.0)
@@ -567,7 +567,7 @@ def test_beta_zero_below_tower_start():
 def test_beta_requires_n_cut_at_least_p():
     # the towers run over the state's n_max levels, and a state needs n_max > p
     with pytest.raises(ValueError):
-        build_state(3, 1.0, AlphaProfile.optimal_constant(3), n_max=3, tail_tol=None)
+        build_state(3, 1.0, AlphaProfile.optimal_constant(3), n_max=3, check=False)
 
 
 def test_beta_assembly_matches_closed_form():
@@ -691,11 +691,12 @@ def test_build_state_truncation_enforced():
 
 @pytest.mark.parametrize(
     "p, z, n_max, error",
-    [(8, 1e25, None, FloatRangeError), (2, 1e200, 64, FloatRangeError)],
+    [(8, 1e25, None, FloatRangeError), (2, 1e200, 64, FloatRangeError),
+     (1, 1.0, 10**400, FloatRangeError)],
 )
 def test_build_state_classifies_overflow_without_a_warning(p, z, n_max, error):
-    # A^2 overflows in the closed form; the cutoff rule or the tail check
-    # classifies the coherent vector first
+    # A^2 overflows in the closed form; the cutoff rule classifies the coherent
+    # vector first, and an explicit cutoff whose log(n!) leaves the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):

@@ -31,6 +31,7 @@ from psusyent import (
     NoRealSolutionError,
     PowerTable,
     TruncationError,
+    algebra,
 )
 from psusyent.verify import eigenstate_residual
 
@@ -262,17 +263,29 @@ def test_vectors_cutoffs_and_operators_keep_the_contract():
     sweep.check()
 
 
+def _rule_cutoffs(p: int, z) -> tuple[int, ...]:
+    """The residual rule's cutoff at |z| and one level below it; none past the float range."""
+    try:
+        needed = algebra._cutoff(abs(z), p, p + 2)
+    except FloatRangeError:
+        return ()
+    return needed - 1, needed
+
+
 def test_explicit_cutoffs_keep_the_contract():
+    # unchecked, a short cutoff builds a truncated state, whose errors come
+    # from the eigen-residual and the Schmidt route downstream
     sweep = _Sweep()
     for p in (1, 2, 8, 120):
         for z in (0.0, GOOD_Z, 3.0, 37.6, 40.0):
-            for n_max in (p, p + 1, p + 2, 41, 300):
-                what = f"build_state({p}, {z}, n_max={n_max})"
-                state = sweep.call(what, psusyent.build_state, p, z,
-                                   AlphaProfile.optimal_constant(p), n_max,
-                                   malformed=n_max < p + 2)
-                if state is not None:
-                    _downstream(sweep, what, state)
+            for n_max in (p, p + 1, p + 2, 41, 300, *_rule_cutoffs(p, z)):
+                for check in (True, False):
+                    what = f"build_state({p}, {z}, n_max={n_max}, check={check})"
+                    state = sweep.call(what, psusyent.build_state, p, z,
+                                       AlphaProfile.optimal_constant(p), n_max, check,
+                                       malformed=n_max < p + 2)
+                    if state is not None:
+                        _downstream(sweep, what, state)
     sweep.check()
 
 

@@ -337,7 +337,7 @@ def test_schmidt_oracle_matches_closed_form(rng):
 
 
 def test_schmidt_oracle_flags_bad_truncation():
-    state = build_state(1, 2.5, AlphaProfile.explicit([1.0, 1.0]), n_max=8, tail_tol=None)
+    state = build_state(1, 2.5, AlphaProfile.explicit([1.0, 1.0]), n_max=8, check=False)
     with pytest.raises(TruncationError):
         concurrence_schmidt_oracle(state)
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from psusyent import (
     AlphaProfile,
     TruncationError,
+    algebra,
     build_annihilator,
     build_boson,
     build_hamiltonian,
@@ -17,6 +18,7 @@ from psusyent import (
     concurrence_schmidt_oracle,
     default_n_max,
     degeneracy_profile,
+    required_n_max,
     verify_eigenstate,
 )
 from psusyent.verify import eigenstate_residual
@@ -144,7 +146,7 @@ def test_large_z_residual_builds_no_dense_matrix():
     z = 20.0 * np.exp(0.3j)
     tracemalloc.start()
     try:
-        state = build_state(8, z, AlphaProfile.optimal_constant(8), n_max=628, tail_tol=None)
+        state = build_state(8, z, AlphaProfile.optimal_constant(8), n_max=628, check=False)
         a_op = build_annihilator(8, state.n_max)
         residual = verify_eigenstate(a_op, state.full_vector, z)
         peak = tracemalloc.get_traced_memory()[1]
@@ -182,8 +184,9 @@ def test_eigenstate_optimal_profile_p3():
 
 def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
     # n_max = 179 drops 3.6e-6 of this state's norm: a truncation defect,
-    # where an arbitrary unnormalized vector stays a plain ValueError
-    state = build_state(120, 3.0, AlphaProfile.optimal_constant(120), n_max=179)
+    # where an arbitrary unnormalized vector stays a plain ValueError; built
+    # unchecked, as build_state itself rejects that cutoff
+    state = build_state(120, 3.0, AlphaProfile.optimal_constant(120), n_max=179, check=False)
     with pytest.raises(TruncationError, match=r"state norm 0\.99999644\d* is short of 1"):
         eigenstate_residual(state)
     a_op = build_annihilator(120, state.n_max)
@@ -192,7 +195,8 @@ def test_eigenstate_residual_of_a_truncated_state_raises_truncation_error():
     assert type(err.value) is ValueError
     # in a stack, the short row raises it too
     stack = build_state(
-        120, np.array([1.0, 3.0]), [AlphaProfile.optimal_constant(120)] * 2, n_max=179
+        120, np.array([1.0, 3.0]), [AlphaProfile.optimal_constant(120)] * 2, n_max=179,
+        check=False,
     )
     with pytest.raises(TruncationError, match="short of 1"):
         eigenstate_residual(stack)
@@ -208,12 +212,12 @@ def test_eigenstate_residual_of_a_state_longer_than_1_raises_a_plain_value_error
 
 
 def test_truncation_errors_of_a_built_state_name_the_default_cutoff():
-    # n_max = 179 passes |z>'s tail check but truncates |z^(p)>: the residual
-    # and the Schmidt route name the default cutoff, the largest over a
-    # stack's rows, which holds the residual under 1e-10
+    # n_max = 179 passes |z>'s tail check but truncates |z^(p)>: built
+    # unchecked, the residual and the Schmidt route name the default cutoff,
+    # the largest over a stack's rows, which holds the residual under 1e-10
     profile = AlphaProfile.optimal_constant(120)
-    state = build_state(120, 3.0, profile, n_max=179)
-    stack = build_state(120, np.array([1.0, 3.0]), [profile] * 2, n_max=179)
+    state = build_state(120, 3.0, profile, n_max=179, check=False)
+    stack = build_state(120, np.array([1.0, 3.0]), [profile] * 2, n_max=179, check=False)
     assert default_n_max(3.0, 120) == 220 and default_n_max(1.0, 120) < 220
     for check, text in ((eigenstate_residual, "short of 1"),
                         (concurrence_schmidt_oracle, "differs from 1 beyond 1e-8")):
@@ -224,10 +228,10 @@ def test_truncation_errors_of_a_built_state_name_the_default_cutoff():
     assert eigenstate_residual(build_state(120, 3.0, profile, n_max=220)) <= 1e-10
 
 
-@pytest.mark.parametrize("p, n_max, needed", [(8, 20, 72), (120, 30, 220)])
+@pytest.mark.parametrize("p, n_max, needed", [(8, 20, 72), (120, 179, 220)])
 def test_a_short_cutoff_names_the_state_cutoff_as_its_remedy(p, n_max, needed):
-    # the tail rule of |z> alone asked for 41: at p = 8 that built a state with
-    # residual 3.2e-3, and at p = 120 build_state rejected it (41 <= p)
+    # the tail rule of |z> alone asks for 41: at p = 8 a state built there has
+    # residual 3.2e-3, and at p = 120 a state built at 179 drops 3.6e-6 of its norm
     profile = AlphaProfile.optimal_constant(p)
     stack = (np.array([1.0, 3.0]), [profile] * 2)
     for z, profiles in ((3.0, profile), stack):
@@ -236,8 +240,27 @@ def test_a_short_cutoff_names_the_state_cutoff_as_its_remedy(p, n_max, needed):
         assert err.value.required_n_max == needed
     # the coherent vector's own error keeps its tail rule
     with pytest.raises(TruncationError, match=r"need n_max >= 41$"):
-        coherent_vector(3.0, n_max, tail_tol=1e-14)
+        coherent_vector(3.0, 20, tail_tol=1e-14)
     assert eigenstate_residual(build_state(p, 3.0, profile, n_max=needed)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p, z_abs, n_max, needed",
+    [(1, 0.5, 11, 20), (3, 0.5, 11, 22), (8, 3.0, 41, 72), (8, 5.0, 73, 111)],
+)
+def test_a_cutoff_that_holds_the_tail_of_z_is_checked_by_the_residual_rule(p, z_abs, n_max, needed):
+    # n_max is |z>'s own tail rule's cutoff; a state built there unchecked has an
+    # eigen-residual of 3.4e-6 to 3.2e-3, so build_state names the residual
+    # rule's cutoff (the default rule without its floor of 32) instead
+    z, profile = z_abs * complex(0.6, 0.8), AlphaProfile.optimal_constant(p)
+    assert required_n_max(z_abs, algebra.DEFAULT_TAIL_TOL) == n_max
+    assert algebra._cutoff(z_abs, p, p + 2) == needed
+    assert eigenstate_residual(build_state(p, z, profile, n_max=n_max, check=False)) > 1e-6
+    text = rf"^truncation n_max={n_max} .* at \|z\|={z_abs:g}; need n_max >= {needed}$"
+    with pytest.raises(TruncationError, match=text) as err:
+        build_state(p, z, profile, n_max=n_max)
+    assert err.value.required_n_max == needed
+    assert eigenstate_residual(build_state(p, z, profile, n_max=needed)) <= 1e-10
 
 
 def test_annihilator_lowers_energy_by_omega(rng):
@@ -260,7 +283,7 @@ def test_residual_decreases_with_truncation():
     profile = AlphaProfile.explicit([1.0, -0.7, 0.4])
     residuals = []
     for n_max in (12, 18, 24):
-        state = build_state(2, 1.5, profile, n_max=n_max, tail_tol=None)
+        state = build_state(2, 1.5, profile, n_max=n_max, check=False)
         vec = state.full_vector / np.linalg.norm(state.full_vector)
         residuals.append(verify_eigenstate(build_annihilator(2, n_max), vec, 1.5))
     assert residuals[0] > residuals[1] > residuals[2]

@@ -168,12 +168,18 @@ def test_stack_cutoff_is_the_largest_default_of_its_rows():
 
 def test_stack_checks_the_tail_of_each_row():
     profiles = [AlphaProfile.explicit([1.0, 1.0])] * 3
-    # n_max = 12 holds the tail at |z| = 0.5, not at |z| = 3
-    build_state(1, np.array([0.5, 0.25, 0.1j]), profiles, n_max=12)
+    # the residual rule needs n_max = 20 at |z| = 0.5, and more at |z| = 3
+    build_state(1, np.array([0.5, 0.25, 0.1j]), profiles, n_max=20)
     with pytest.raises(TruncationError, match=r"\|z\|=3"):
-        build_state(1, np.array([0.5, 3.0, 0.1j]), profiles, n_max=12)
+        build_state(1, np.array([0.5, 3.0, 0.1j]), profiles, n_max=20)
     with pytest.raises(TruncationError):
-        build_state(1, 3.0, profiles[0], n_max=12)
+        build_state(1, 3.0, profiles[0], n_max=20)
+    # the error names the row that needs the most, not the largest |z|: at
+    # p = 150 the rule's cutoff falls from 306 to 175 near |z| = 4.9, where W overflows
+    for zs in ([4.85, 5.0], [5.0, 4.85]):
+        with pytest.raises(TruncationError, match=r"at \|z\|=4\.85; need n_max >= 306$") as err:
+            build_state(150, np.array(zs), [AlphaProfile.optimal_constant(150)] * 2, n_max=200)
+        assert err.value.required_n_max == 306
 
 
 def test_stack_needs_one_profile_of_order_p_per_row():
@@ -192,7 +198,7 @@ def test_stack_past_the_float_range_names_its_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatRangeError, match=r"\|z\|=40 leaves"):
-            build_state(1, np.array([1.0, 40.0, 2.0]), profiles, n_max=3000, tail_tol=None)
+            build_state(1, np.array([1.0, 40.0, 2.0]), profiles, n_max=3000, check=False)
 
 
 def test_annihilator_applies_to_each_row_of_a_stack():
