@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _checked_abs, _largest_cutoff, _weight_coefficients, float_factorial
+from .algebra import _checked_abs, _largest_cutoff, float_factorial
 from .coherent import (
     KIND_Z_EXACT,
     AlphaProfile,
@@ -32,7 +32,6 @@ from .coherent import (
     PsusyCoherentState,
     _check_order,
     _fold,
-    _pow_or_inf,
     _resolve,
     _weight_series,
 )
@@ -134,10 +133,10 @@ def concurrence_closed_form(p: int, z, profile: AlphaProfile) -> ConcurrenceResu
     alpha_p = 0 and z = 0, where no normalizable state exists.  ``z`` is a
     complex number, a 1-D array of complex z or of real |z|, or a
     :class:`PowerTable` over one; over an array the result holds arrays,
-    each row equal to its z alone.  A z-dependent-exact profile gets
-    its exact C = 1 (:func:`_z_exact_concurrence`).  Raises FloatRangeError
-    where D is not a finite normal float or B^2 has lost digits to underflow
-    (:func:`_resolve`); elsewhere C is finite.
+    each row equal to its z alone.  A z-dependent-exact profile gets its
+    exact C = 1 from alpha_{p-m} alone (:func:`_z_exact_concurrence`); any
+    other raises FloatRangeError where D is not a finite normal float or B^2
+    has lost digits to underflow (:func:`_resolve`).  Elsewhere C is finite.
     """
     if isinstance(z, np.ndarray) and z.ndim:
         # each complex z's |z| is Python's, as build_state takes it
@@ -154,7 +153,7 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
     """C = 2AB/D = 1, as alpha_{p-m} makes A^2 = B^2 = (alpha_p/p)^2 W with no defect.
 
     nan on the |z| rows where the rule is undefined (:meth:`AlphaProfile.defined`);
-    FloatRangeError where alpha_{p-m} or D = 2B^2 (C = inf/inf) leaves the float range.
+    FloatRangeError where alpha_{p-m} leaves the float range, but not where D does.
     """
     _check_order(p, profile)
     zs, z_top, defined = powers.zs, float(powers.zs.max()), profile.defined(powers)
@@ -173,15 +172,6 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
         if defined.any():
             for z_abs in {float(zs[defined].min()), z_top}:
                 profile._exceptional_alpha(z_abs)
-    b = profile.alpha_p / p
-    # W <= sum c_n max(1, |z|)^(2(p-1)) on every row: the series is summed only
-    # where that bound on D comes within a factor 2 of the float range
-    top = max(1.0, _pow_or_inf(z_top, 2 * p - 2))
-    if not 4.0 * b * b * sum(_weight_coefficients(p)) * top < math.inf:
-        with np.errstate(over="ignore", invalid="ignore"):  # b^2 = 0 times an inf W: nan
-            denom = 2.0 * (b * b * _fold(_weight_series(p, powers, 0, p)))
-        if (defined & (denom == math.inf)).any():
-            _reject(math.nan, "concurrence")
     value = 1.0 if powers.scalar else np.where(defined, 1.0, np.nan)
     return ConcurrenceResult(value, ROUTE_CLOSED_FORM)
 

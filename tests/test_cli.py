@@ -1074,14 +1074,14 @@ def test_grid_to_dev_stdout_writes_the_csv_into_a_pipe(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the closed form overflows to nan
-        ["--p-min", "150", "--p-max", "150", "--profile-kind", "z-dependent-exact", "--m", "1",
-         "--z-min", "4.9", "--z-max", "5"],
+        # alpha_{p-m} of the z-dependent-exact profile exceeds the float range
+        ["--p-min", "4", "--p-max", "4", "--profile-kind", "z-dependent-exact", "--m", "1",
+         "--z-min", "1e200", "--z-max", "1e200"],
         # the weight coefficients exceed the float range
         ["--p-min", "167", "--p-max", "167"],
-        # |z|^(2n) exceeds the float range
-        ["--p-min", "60", "--p-max", "60", "--profile-kind", "z-dependent-exact", "--m", "1",
-         "--z-min", "1000", "--z-max", "1000"],
+        # alpha_{p-m} of the z-dependent-exact profile underflows
+        ["--p-min", "4", "--p-max", "4", "--profile-kind", "z-dependent-exact", "--m", "2",
+         "--z-min", "1e-170", "--z-max", "1e-170"],
         # p = 166 fails on its own: its series S overflows from |z| = 1.12 on
         ["--p-min", "166", "--p-max", "167"],
         # S overflows from |z| = 4.975 on; C = sqrt(1 - r^2) printed 1 there
@@ -1100,6 +1100,28 @@ def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: grid at p=")
     # no truncated sweep is left behind
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # D = 2B^2 overflows on every row
+        ["--p-min", "150", "--p-max", "150", "--z-min", "4.9", "--z-max", "5"],
+        # |z|^(2n) exceeds the float range
+        ["--p-min", "60", "--p-max", "60", "--z-min", "1000", "--z-max", "1000"],
+    ],
+)
+def test_grid_z_exact_past_the_range_of_d_writes_c_1(tmp_path, capsys, argv):
+    # C = 1 is read off alpha_{p-m} alone, which stays a float on these rows
+    out = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["grid", *argv, "--profile-kind", "z-dependent-exact", "--m", "1",
+                   "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    header, *rows = out.read_text().splitlines()
+    assert header == CSV_HEADER and rows
+    assert all(row.endswith(",1,0,0.69314718056") for row in rows)
 
 
 def test_grid_numerical_failure_over_an_existing_file_removes_it(tmp_path, capsys):

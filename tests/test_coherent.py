@@ -818,6 +818,8 @@ def test_an_alpha_p_past_the_square_range_raises_float_range_error(kind):
         "q": lambda: normalization_q(3, 1.5, profile),
         "q over |z|": lambda: normalization_q(3, zs, profile),
         "q stack": lambda: normalization_q(3, zs, stack),
+    }
+    concurrences = {
         "concurrence": lambda: entanglement.concurrence_closed_form(3, 1.5, profile),
         "concurrence over |z|": lambda: entanglement.concurrence_closed_form(3, zs, profile),
     }
@@ -826,6 +828,12 @@ def test_an_alpha_p_past_the_square_range_raises_float_range_error(kind):
         for name, call in calls.items():
             with pytest.raises(FloatRangeError, match="float range"):
                 call()
+        for name, call in concurrences.items():
+            if kind == "z-dependent-exact":  # C = 1 reads alpha_{p-m} alone, not (alpha_p/p)^2
+                assert np.array_equal(call().value, 1.0 if name == "concurrence" else [1.0, 1.0])
+            else:
+                with pytest.raises(FloatRangeError, match="float range"):
+                    call()
 
 
 ALPHA_P_PAST_THE_UNDERFLOW_RANGE = {
