@@ -442,7 +442,7 @@ def _ladder_table(build, n: int, *params) -> np.ndarray:
     rounded up to a power of two and at least 64, so it holds at most twice
     the longest prefix asked for.
     """
-    capacity = max(_MIN_TABLE_CAPACITY, 1 << (n - 1).bit_length())
+    capacity = max(_MIN_TABLE_CAPACITY, 1 << (int(n) - 1).bit_length())  # n may be np.int64
     return _ladder_table_at(build, capacity, *params)[:n]
 
 

@@ -220,7 +220,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     try:
         with fh:
             # a device or a pipe is a stream, and /dev/null cannot be truncated
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            regular = stat.S_ISREG((out_stat := os.fstat(fh.fileno())).st_mode)
             fh.write(CSV_HEADER + "\n")
             for p in range(args.p_min, args.p_max + 1):
                 # the z-dependent-exact family exists only for 1 <= m <= p-1
@@ -243,6 +243,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         what = f"cannot write {args.out}" if isinstance(exc, OSError) else f"grid at p={p}"
         print(f"error: {what}: {exc}", file=sys.stderr)
         return 1
+    # --out naming stdout's own file (`--out /dev/stdout > f`): print after the rows, not over
+    with contextlib.suppress(OSError, ValueError):  # a stdout without a descriptor
+        if regular and os.path.samestat(out_stat, os.fstat(sys.stdout.fileno())):
+            sys.stdout.flush()
+            os.lseek(sys.stdout.fileno(), 0, os.SEEK_END)
     print(f"wrote {(args.p_max - args.p_min + 1) * n_steps} rows to {args.out}")
     return 0
 

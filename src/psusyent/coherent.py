@@ -96,6 +96,7 @@ class AlphaProfile:
     def __post_init__(self):
         if not isinstance(self.p, (int, np.integer)) or self.p < 1:
             raise ValueError(f"order p must be a positive integer, got {self.p!r}")
+        object.__setattr__(self, "p", int(self.p))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == KIND_EXPLICIT:
@@ -119,10 +120,11 @@ class AlphaProfile:
             if self.alpha_p == 0.0:
                 raise DegenerateProfileError("alpha_p = 0 makes every coefficient zero")
             if self.kind == KIND_Z_EXACT:
-                if self.m is None or not 1 <= self.m <= self.p - 1:
+                if self.m not in range(1, self.p):  # None, 1.5 and "1" are not in it
                     raise ValueError(
                         f"exceptional index m must satisfy 1 <= m <= p-1, got {self.m!r}"
                     )
+                object.__setattr__(self, "m", int(self.m))
             elif self.m is not None:
                 raise ValueError("'m' is only meaningful for z-dependent-exact profiles")
 
@@ -136,7 +138,7 @@ class AlphaProfile:
 
     @classmethod
     def z_dependent_exact(cls, p: int, m: int, alpha_p: float = 1.0) -> "AlphaProfile":
-        return cls(p=p, kind=KIND_Z_EXACT, alpha_p=float(alpha_p), m=int(m))
+        return cls(p=p, kind=KIND_Z_EXACT, alpha_p=float(alpha_p), m=m)
 
     def coefficients(self, z_abs: float) -> np.ndarray:
         """Materialize alpha_0..alpha_p at one |z|; only z-dependent-exact resolves there.
@@ -491,6 +493,7 @@ def _closed_form(p: int, z_abs, profile) -> ClosedForm:
         for row in profile:
             _check_order(p, row)
         alphas = np.array([row.coefficients(z) for row, z in zip(profile, powers.values)])
+    p = int(p)  # equal to profile.p: a numpy integer would take numpy's powers, not libm's
     # ks[k] is alpha_k: a float over one |z|, else its column over the rows
     zs, ks = (powers.values[0], alphas.tolist()) if powers.scalar else (powers.zs, alphas.T)
     a_sq = _fold(a * a * x for a, x in zip(ks[p:0:-1], powers.columns(range(0, 2 * p, 2))))

@@ -284,27 +284,9 @@ def test_required_n_max_rejects_nonpositive_tolerance():
         required_n_max(1.0, 0.0)
 
 
-def _check_tail_written_out(z_abs, n_max, tail_tol):
-    """The tail check written out: the series summed on every call."""
-    tail = coherent_tail(z_abs, n_max)
-    if tail >= tail_tol:
-        needed = required_n_max(z_abs, tail_tol)
-        raise TruncationError(
-            f"truncation n_max={n_max} leaves tail {tail:.3e} >= {tail_tol:.1e} "
-            f"at |z|={z_abs:.4g}; need n_max >= {needed}",
-            required_n_max=needed,
-        )
-
-
-def _check_tail_outcome(check, z_abs, n_max, tail_tol):
-    try:
-        check(z_abs, n_max, tail_tol)
-    except TruncationError as exc:
-        return str(exc), exc.required_n_max
-    return None
-
-
 def test_check_tail_verdict_equals_the_summed_series():
+    # |z>'s own rule: coherent_vector raises exactly where the summed tail
+    # reaches tail_tol, and names the smallest cutoff whose tail is below it
     rng = np.random.default_rng(2766)
     cases = []
     for z_abs in [0.0, 1e-300, 0.3, 1.0, 2.5, 5.0, 6.5, 12.0, *rng.uniform(0.0, 9.0, 60).tolist()]:
@@ -317,13 +299,19 @@ def test_check_tail_verdict_equals_the_summed_series():
             near = {needed - 1, needed, needed + 1, max(1, int(z_abs * z_abs) // 2), 4 * needed}
             cases += [(z_abs, n, tail_tol) for n in near if n >= 1]
     assert any(2.0 * z * z >= n + 1 for z, n, _ in cases)
-    skipped = 0
+    verdicts = set()
     for z_abs, n_max, tail_tol in cases:
-        old = _check_tail_outcome(_check_tail_written_out, z_abs, n_max, tail_tol)
-        assert _check_tail_outcome(algebra._check_tail, z_abs, n_max, tail_tol) == old
-        assert (old is not None) == (coherent_tail(z_abs, n_max) >= tail_tol)
-        skipped += old is None and 0.0 < 2.0 * z_abs * z_abs < n_max + 1
-    assert skipped > 100
+        try:
+            coherent_vector(z_abs, n_max, tail_tol)
+        except TruncationError as exc:
+            needed = exc.required_n_max
+            assert coherent_tail(z_abs, n_max) >= tail_tol, (z_abs, n_max, tail_tol)
+            assert coherent_tail(z_abs, needed) < tail_tol <= coherent_tail(z_abs, needed - 1)
+            verdicts.add("raised")
+        else:
+            assert coherent_tail(z_abs, n_max) < tail_tol, (z_abs, n_max, tail_tol)
+            verdicts.add("passed")
+    assert verdicts == {"raised", "passed"}
 
 
 def test_default_n_max_rule():

@@ -1071,6 +1071,21 @@ def test_grid_to_dev_stdout_writes_the_csv_into_a_pipe(tmp_path, capsys):
     assert proc.stdout == fresh.read_bytes() + b"wrote 606 rows to /dev/stdout\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_grid_to_dev_stdout_redirected_to_a_file_prints_after_the_rows(tmp_path):
+    # /dev/stdout opens the file anew at offset 0: the summary printed through
+    # stdout's own offset 0 wrote over the header
+    fresh, out = tmp_path / "grid.csv", tmp_path / "f"
+    assert main(["grid", "--p-max", "1", "--z-max", "0.1", "--out", str(fresh)]) == 0
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m psusyent.cli grid --p-max 1 --z-max 0.1 --out /dev/stdout > "$1"',
+         sys.executable, str(out)],
+        capture_output=True, env=_child_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == fresh.read_bytes() + b"wrote 3 rows to /dev/stdout\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -57,6 +58,36 @@ def test_explicit_profile_validation():
         AlphaProfile.explicit([1j, 1.0])
     with pytest.raises(ValueError):
         AlphaProfile(p=1, kind="no-such-kind", alphas=(1.0, 1.0))
+
+
+def _bits(value):
+    """A state, closed form or profile as nested (field, type, bytes): equal iff bit for bit."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, AlphaProfile):
+        return [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return type(value), value.dtype, value.shape, value.tobytes()
+    return type(value), repr(value)
+
+
+def test_numpy_integers_give_their_python_int_twins_bit_for_bit():
+    # each raised AttributeError (bit_length), ZeroDivisionError or TypeError
+    optimal = AlphaProfile.optimal_constant(3)
+    assert _bits(build_state(np.int64(3), 1.3, optimal)) == _bits(build_state(3, 1.3, optimal))
+    assert _bits(build_state(3, 1.3, optimal, n_max=np.int64(40))) == _bits(
+        build_state(3, 1.3, optimal, n_max=40))
+    assert _bits(coherent_vector(1.3, np.int64(40))) == _bits(coherent_vector(1.3, 40))
+    assert _bits(AlphaProfile.optimal_constant(np.int64(3))) == _bits(optimal)
+    assert type(AlphaProfile.optimal_constant(np.int64(3)).p) is int
+    z_exact = AlphaProfile(p=3, kind="z-dependent-exact", alpha_p=1.0, m=np.int64(1))
+    assert _bits(z_exact) == _bits(AlphaProfile.z_dependent_exact(3, 1))
+    assert type(z_exact.m) is int
+    assert _bits(z_exact.coefficients(1.3)) == _bits(
+        AlphaProfile.z_dependent_exact(3, 1).coefficients(1.3))
+    for m in (1.5, np.float64(1.5), "1"):
+        with pytest.raises(ValueError, match=re.escape(
+            f"exceptional index m must satisfy 1 <= m <= p-1, got {m!r}"
+        )):
+            AlphaProfile(p=3, kind="z-dependent-exact", alpha_p=1.0, m=m)
 
 
 def test_optimal_constant_coefficients():

@@ -115,10 +115,13 @@ class _Sweep:
 
 
 def _profiles(p: int, alpha_p: float):
-    """The adversarial profiles of order p: each kind, z-dependent-exact at both ends of m."""
+    """The adversarial profiles of order p: each kind, z-dependent-exact at both ends of m.
+
+    The top m is an np.int64, which the profile stores as the Python int it equals.
+    """
     yield AlphaProfile.optimal_constant(p, alpha_p)
     yield AlphaProfile.explicit((0.7,) * p + (alpha_p,))
-    for m in sorted({1, p - 1}) if p >= 2 else ():
+    for m in sorted({1, np.int64(p - 1)}) if p >= 2 else ():
         yield AlphaProfile.z_dependent_exact(p, m, alpha_p)
 
 
@@ -211,7 +214,7 @@ def test_vectors_cutoffs_and_operators_keep_the_contract():
         for tol in (1e-300, 1e-12, 0.5, 0.0, NAN, INF):
             sweep.call(f"required_n_max({z_abs}, {tol})", psusyent.required_n_max,
                        z_abs, tol, malformed=not tol > 0.0)
-        for n_max in (0, 1, 41, 300):
+        for n_max in (0, 1, 41, 300, np.int64(41)):
             for tail_tol in (None, 1e-12):
                 sweep.call(f"coherent_vector({z}, {n_max}, {tail_tol})",
                            psusyent.coherent_vector, z, n_max, tail_tol, malformed=n_max < 1)
@@ -226,7 +229,7 @@ def test_vectors_cutoffs_and_operators_keep_the_contract():
                 sweep.call(f"derivative_coherent_vector({z}, {p}, {n_max})",
                            psusyent.derivative_coherent_vector, z, p, n_max,
                            malformed=n_max <= p)
-    for p in (-1, 0, *ORDERS):
+    for p in (-1, 0, *ORDERS, np.int64(8)):
         sweep.call(f"concurrence_optimal({p}, 1.0)", psusyent.concurrence_optimal, p, 1.0,
                    malformed=p < 1)
         ops = sweep.call(f"build_parafermi({p})", psusyent.build_parafermi, p, malformed=p < 1)
@@ -245,8 +248,11 @@ def test_vectors_cutoffs_and_operators_keep_the_contract():
                        omega, 3, 8, malformed=not omega > 0)
         if h is not None:
             sweep.call(f"degeneracy_profile(omega={omega})", psusyent.degeneracy_profile, h)
-    for n_max in (-1, 0, 1, 2, 300):
+    for n_max in (-1, 0, 1, 2, 300, np.int64(300)):
         sweep.call(f"build_boson({n_max})", psusyent.build_boson, n_max, malformed=n_max < 2)
+    for m in (1.5, np.float64(1.5)):  # a fractional index m is malformed
+        sweep.call(f"concurrence_closed_form(3, m={m!r})", lambda: psusyent.concurrence_closed_form(
+            3, GOOD_Z, AlphaProfile.z_dependent_exact(3, m)), malformed=True)
     a_op = psusyent.build_annihilator(2, 8)
     vacuum = np.zeros(24, dtype=complex)
     vacuum[0] = 1.0
@@ -275,8 +281,9 @@ def _rule_cutoffs(p: int, z) -> tuple[int, ...]:
 def test_explicit_cutoffs_keep_the_contract():
     # unchecked, a short cutoff builds a truncated state, whose errors come
     # from the eigen-residual and the Schmidt route downstream
+    # an np.int64 order, and its np.int64 cutoffs p..p + 2, act as the Python ints they equal
     sweep = _Sweep()
-    for p in (1, 2, 8, 120):
+    for p in (1, 2, 8, 120, np.int64(8)):
         for z in (0.0, GOOD_Z, 3.0, 37.6, 40.0):
             for n_max in (p, p + 1, p + 2, 41, 300, *_rule_cutoffs(p, z)):
                 for check in (True, False):
