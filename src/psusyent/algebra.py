@@ -49,6 +49,8 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # float range up to |z| ~ 37.7 (1e296 at 37; the lam = |z|^2 below is |z| = 37.73743)
 _FINITE_Z_ABS = 37.0
 _VECTOR_LAM_MAX = 2.0 * _LOG_FLOAT_MAX + 0.5 * math.log(math.tau * 2.0 * _LOG_FLOAT_MAX)
+# the most complex entries one numpy array holds: its size in bytes must fit an intp
+_MAX_COMPLEX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 
 
 def float_factorial(n: int) -> float:
@@ -314,7 +316,7 @@ def required_n_max(z_abs: float, tail_tol: float) -> int:
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
-    lo, hi = 1, 2  # the answer lies in (lo, hi]
+    lo, hi = 0, 1  # the answer lies in (lo, hi]
     while not coherent_tail(z_abs, hi) < tail_tol:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
@@ -334,6 +336,14 @@ def _check_tail(z_abs: float, n_max: int, tail_tol: float) -> None:
         )
 
 
+def _check_array_size(n_max: int, width: int) -> None:
+    """ValueError naming n_max where ``width`` complex entries per level are more than a
+    numpy array can hold: raised before numpy is asked to allocate them."""
+    if int(n_max) * int(width) > _MAX_COMPLEX_ENTRIES:
+        raise ValueError(f"n_max={n_max} needs {width} x n_max complex entries, "
+                         "past the largest array numpy can index")
+
+
 def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     """Unnormalized coherent vector with amplitudes z^n / sqrt(n!).
 
@@ -348,6 +358,7 @@ def coherent_vector(z, n_max: int, tail_tol: float | None = None) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     stacked = isinstance(z, np.ndarray) and z.ndim
+    _check_array_size(n_max, len(z) if stacked else 1)
     rows_abs = [_checked_abs(v) for v in (z.tolist() if stacked else (z,))]
     if tail_tol is not None:
         for z_abs in rows_abs:

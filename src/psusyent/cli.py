@@ -31,7 +31,7 @@ from .entanglement import (
     ROUTE_SCHMIDT,
     ROUTE_WOOTTERS,
     _optimal_concurrence,
-    concurrence_closed_form,
+    _z_exact_cut,
     concurrence_routes,
     entanglement_of_formation,
 )
@@ -49,8 +49,8 @@ CSV_HEADER = "p,abs_z,concurrence,one_minus_c,eof"
 # is p, then abs_z as text, formatted once per |z| chunk, then C, 1 - C, EoF
 _Z_TEXT = "%.12g"
 _CSV_ROW_AFTER_P = ",%s,%.12g,%.12g,%.12g\n"
-# a z-dependent-exact row after abs_z, undefined or defined (C = 1, EoF = ln 2)
-_Z_EXACT_TAILS = (",nan,nan,nan\n", ",1,0,%.12g\n" % entanglement_of_formation(1.0))
+# a row with C fixed, after abs_z: undefined, or maximally entangled (C = 1, EoF = ln 2)
+_FIXED_TAILS = (",nan,nan,nan\n", ",1,0,%.12g\n" % entanglement_of_formation(1.0))
 # |z| rows computed and written at a time, so memory does not grow with the grid
 GRID_CHUNK_ROWS = 4096
 
@@ -178,25 +178,24 @@ class _GridChunk:
         fields[3::4] = eof.tolist()
         return ((str(p) + _CSV_ROW_AFTER_P) * len(self.z_text)) % tuple(fields)
 
-    def fixed_csv(self, p: int, defined: np.ndarray) -> str:
-        """The z-dependent-exact rows of order p: C = 1 where ``defined``, else nan."""
+    def fixed_csv(self, p: int, cut: int) -> str:
+        """The rows of order p whose C is fixed: nan before row ``cut``, C = 1 from it on."""
         head = str(p) + ","
-        # each run of rows with the same tail is one join of their abs_z texts
-        cuts = [0, *(np.flatnonzero(defined[1:] != defined[:-1]) + 1).tolist(), len(defined)]
-        tails = [_Z_EXACT_TAILS[d] for d in defined[cuts[:-1]].tolist()]
-        return "".join(head + (tail + head).join(self.z_text[start:stop]) + tail
-                       for start, stop, tail in zip(cuts, cuts[1:], tails))
+        return "".join(head + (tail + head).join(texts) + tail
+                       for texts, tail in zip((self.z_text[:cut], self.z_text[cut:]), _FIXED_TAILS)
+                       if texts)
 
 
 def _grid_rows(p: int, chunk: _GridChunk, kind: str, profile: AlphaProfile | None) -> str:
     """The CSV rows of order p over a |z| chunk; nan where the z-exact rule is undefined."""
-    if kind == KIND_OPTIMAL:
+    if kind == KIND_OPTIMAL and p > 1:
         value, one_minus_c = _optimal_concurrence(p, chunk.powers)
         return chunk.csv(p, value, one_minus_c, entanglement_of_formation(value))
-    # only C is read, 1 or nan: the row text is fixed, so no EoF is evaluated
-    defined = (np.zeros(len(chunk.z_text), dtype=bool) if profile is None
-               else ~np.isnan(concurrence_closed_form(p, chunk.powers, profile).value))
-    return chunk.fixed_csv(p, defined)
+    # C is 1 or nan, so the row text is fixed and no EoF is evaluated: the z-exact
+    # rule holds on a suffix of the ascending |z| rows, and p = 1 gives Bell states
+    cut = (0 if kind == KIND_OPTIMAL else len(chunk.z_text) if profile is None
+           else _z_exact_cut(p, chunk.powers.values, profile))
+    return chunk.fixed_csv(p, cut)
 
 
 def _open_in_place(path: str, flags: int) -> int:

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
+    _check_array_size,
     _checked_abs,
     _cutoff,
     _derivative_tower,
@@ -676,6 +677,8 @@ def build_state(
             f"truncation n_max={n_max} leaves a predicted eigen-residual above 1e-12 "
             f"at |z|={row:.4g}; need n_max >= {needed}", needed
         )
+    else:  # before any allocation: the state vector holds p + 1 entries per level and row
+        _check_array_size(n_max, (p + 1) * np.size(z_abs))
     full_shape = (len(z), -1) if stacked else -1
 
     # a vector past the float range comes out inf or nan: the finiteness

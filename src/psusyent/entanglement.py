@@ -16,6 +16,7 @@ Routes:
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import math
@@ -34,6 +35,7 @@ from .coherent import (
     _fold,
     _resolve,
     _weight_series,
+    _z_star,
 )
 from .errors import FloatRangeError, NoRealSolutionError, TruncationError
 
@@ -156,24 +158,30 @@ def _z_exact_concurrence(p: int, powers: PowerTable, profile: AlphaProfile) -> C
     FloatRangeError where alpha_{p-m} leaves the float range, but not where D does.
     """
     _check_order(p, profile)
-    zs, z_top, defined = powers.zs, float(powers.zs.max()), profile.defined(powers)
     if powers.scalar:  # raises where the rule is undefined or alpha_{p-m} leaves the range
-        profile._exceptional_alpha(z_top)
-    else:
-        below = powers.first(~defined & (zs != 0.0))
-        if below is not None:  # a row in (0, z*]: p = 2 or 3
-            # kept for the traced-error contract of benchmarks/tests, which counts
-            # the NoRealSolutionError raised inside AlphaProfile.coefficients;
-            # until ROADMAP item 6 replaces that tracer
-            with contextlib.suppress(NoRealSolutionError):
-                profile.coefficients(below)
-        # alpha_{p-m} can leave the float range only at the ends, checked once each
-        # (a set): |z|^m underflows at the smallest |z|, c_m |z|^(2m) overflows at the largest
-        if defined.any():
-            for z_abs in {float(zs[defined].min()), z_top}:
-                profile._exceptional_alpha(z_abs)
-    value = 1.0 if powers.scalar else np.where(defined, 1.0, np.nan)
-    return ConcurrenceResult(value, ROUTE_CLOSED_FORM)
+        profile._exceptional_alpha(powers.values[0])
+        return ConcurrenceResult(1.0, ROUTE_CLOSED_FORM)
+    defined = profile.defined(powers)
+    if defined.any():  # alpha_{p-m} at the ends of the defined rows, checked as the grid checks it
+        _z_exact_cut(p, [float(powers.zs[defined].min()), float(powers.zs.max())], profile)
+    return ConcurrenceResult(np.where(defined, 1.0, np.nan), ROUTE_CLOSED_FORM)
+
+
+def _z_exact_cut(p: int, values: list[float], profile: AlphaProfile) -> int:
+    """The first row of ascending |z| ``values`` where the z-exact rule is defined: C = 1
+    from there on and nan before, as :func:`_z_exact_concurrence` gives them."""
+    cut = bisect.bisect_right(values, _z_star(p, profile.m))
+    below = bisect.bisect_right(values, 0.0)
+    if below < cut:  # a row in (0, z*]: p = 2 or 3
+        # kept for the traced-error contract of benchmarks/tests, which counts the
+        # NoRealSolutionError raised in here; until ROADMAP item 6 replaces that tracer
+        with contextlib.suppress(NoRealSolutionError):
+            profile.coefficients(values[below])
+    # alpha_{p-m} leaves the float range only at the ends, checked once each (a set):
+    # |z|^m underflows at the smallest defined |z|, c_m |z|^(2m) overflows at the largest
+    for z_abs in {values[cut], values[-1]} if cut < len(values) else ():
+        profile._exceptional_alpha(z_abs)
+    return cut
 
 
 def concurrence_pure(amps):

@@ -259,7 +259,7 @@ def test_required_n_max_is_minimal():
 
 
 def _linear_scan_n_max(z_abs, tail_tol):
-    n = 2
+    n = 1
     while coherent_tail(z_abs, n) >= tail_tol:
         n += 1
     return n
@@ -268,6 +268,11 @@ def _linear_scan_n_max(z_abs, tail_tol):
 @pytest.mark.parametrize("z_abs", [0.5 * k for k in range(1, 13)])
 def test_required_n_max_matches_linear_scan(z_abs):
     assert required_n_max(z_abs, 1e-14) == _linear_scan_n_max(z_abs, 1e-14)
+
+
+@pytest.mark.parametrize("z_abs,tail_tol", [(0.0, 1e-12), (1e-300, 0.9), (0.1, 0.5)])
+def test_required_n_max_returns_one_where_one_level_suffices(z_abs, tail_tol):
+    assert required_n_max(z_abs, tail_tol) == _linear_scan_n_max(z_abs, tail_tol) == 1
 
 
 def test_required_n_max_at_large_z():

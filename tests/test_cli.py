@@ -773,7 +773,8 @@ def test_grid_rows_equal_the_formatted_values(tmp_path, monkeypatch, capsys, kin
 
 def test_z_exact_grid_evaluates_no_eof(tmp_path, monkeypatch, capsys):
     # a z-exact row's EoF is the fixed ln 2, or nan: none is evaluated, while
-    # each optimal-constant block still evaluates its own
+    # each optimal-constant block from p = 2 on still evaluates its own (p = 1
+    # is a Bell state at every |z|, so its rows are fixed text too)
     calls = [0]
     eof = entanglement.entanglement_of_formation
 
@@ -788,7 +789,7 @@ def test_z_exact_grid_evaluates_no_eof(tmp_path, monkeypatch, capsys):
         assert main([*argv, "--profile-kind", "z-dependent-exact", "--m", m]) == 0
     assert calls[0] == 0
     assert main(argv) == 0
-    assert calls[0] == 6
+    assert calls[0] == 5
 
 
 @pytest.mark.parametrize(
@@ -871,6 +872,70 @@ def test_z_exact_grid_makes_no_power_column(tmp_path, monkeypatch, capsys):
                 "--profile-kind", "z-dependent-exact", "--m", m, "--out", str(tmp_path / "g.csv")]
         assert main(argv) == 0
         assert count[0] == 0, m
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("on_z_star", [0, 8])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (3, 2)])
+def test_z_exact_grid_cuts_after_a_row_on_z_star(tmp_path, monkeypatch, capsys, p, m, on_z_star,
+                                                 chunk_rows):
+    # the grid writes each block's rows as fixed text split at one cut of its
+    # ascending |z| axis: the row exactly on z* is undefined and the next is
+    # C = 1.  With z* at row 8 (8 * (z*/8) is z* exactly) and 7-row chunks, the
+    # cut falls inside the second chunk; p <= m blocks are nan throughout
+    monkeypatch.setattr(cli, "GRID_CHUNK_ROWS", chunk_rows)
+    z_star = coherent._z_star(p, m)
+    z_min, z_step = (z_star, 0.01) if on_z_star == 0 else (0.0, z_star / 8)
+    zs = z_min + np.arange(20) * z_step
+    assert zs[on_z_star] == z_star
+    out = tmp_path / "grid.csv"
+    argv = ["grid", "--p-min", "1", "--p-max", str(p), "--z-min", repr(z_min),
+            "--z-max", repr(z_min + 19.5 * z_step), "--z-step", repr(z_step),
+            "--profile-kind", "z-dependent-exact", "--m", str(m), "--out", str(out)]
+    assert main(argv) == 0
+    rows = [CSV_HEADER]
+    for q in range(1, p + 1):
+        if q <= m:
+            value = eof = np.full(len(zs), np.nan)
+        else:
+            result = concurrence_closed_form(q, zs, AlphaProfile.z_dependent_exact(q, m))
+            value, eof = result.value, result.eof
+        rows += ["%d,%.12g,%.12g,%.12g,%.12g" % (q, z, c, 1.0 - c, e)
+                 for z, c, e in zip(zs.tolist(), value.tolist(), eof.tolist())]
+    assert out.read_bytes() == ("\n".join(rows) + "\n").encode()
+    block = rows[-20:]
+    assert block[on_z_star].endswith(",nan,nan,nan")
+    assert block[on_z_star + 1].endswith(",1,0,0.69314718056")
+
+
+def test_grid_makes_one_traced_coefficients_call_per_block_below_z_star(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the benchmark's tracer counts the NoRealSolutionError of this call: one
+    # per z-exact block of p = 2 or 3 with rows in (0, z*], at its first such
+    # row; none for p >= 4, a block wholly above z*, or an optimal-constant block
+    calls = []
+    coefficients = AlphaProfile.coefficients
+
+    def recording(self, z_abs):
+        try:
+            return coefficients(self, z_abs)
+        except NoRealSolutionError:
+            calls.append((self.p, self.m, z_abs))
+            raise
+
+    monkeypatch.setattr(AlphaProfile, "coefficients", recording)
+    out = str(tmp_path / "grid.csv")
+
+    def grid_calls(*argv):
+        calls.clear()
+        assert main(["grid", "--p-max", "6", "--z-max", "3", *argv, "--out", out]) == 0
+        return calls
+
+    assert grid_calls("--profile-kind", "z-dependent-exact") == [(2, 1, 0.05), (3, 1, 0.05)]
+    assert grid_calls("--profile-kind", "z-dependent-exact", "--m", "2") == [(3, 2, 0.05)]
+    assert grid_calls("--profile-kind", "z-dependent-exact", "--z-min", "1") == []
+    assert grid_calls("--p-min", "4", "--profile-kind", "z-dependent-exact") == []
+    assert grid_calls() == []
 
 
 def _dispatch_levels() -> list[str]:
@@ -1103,6 +1168,11 @@ def test_grid_to_dev_stdout_redirected_to_a_file_prints_after_the_rows(tmp_path)
         ["--p-min", "150", "--p-max", "150"],
         # p = 149 is written before p = 150 fails
         ["--p-min", "149", "--p-max", "150"],
+        # only the first row's alpha_2 leaves the float range, and only the last row's alpha_3
+        ["--p-min", "4", "--p-max", "4", "--profile-kind", "z-dependent-exact", "--m", "2",
+         "--z-min", "1e-170", "--z-max", "2e-150", "--z-step", "1e-150"],
+        ["--p-min", "4", "--p-max", "4", "--profile-kind", "z-dependent-exact", "--m", "1",
+         "--z-min", "1", "--z-max", "1e200", "--z-step", "1e200"],
     ],
 )
 def test_grid_numerical_failure_exits_1(tmp_path, capsys, argv):

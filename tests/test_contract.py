@@ -22,6 +22,7 @@ import random
 import warnings
 
 import numpy as np
+import pytest
 
 import psusyent
 from psusyent import (
@@ -44,6 +45,8 @@ Z_VALUES = (0.0, 5e-324, 1e-300, GOOD_Z, 37.6, 37.8, 40.0, 1e3, 1e152, 1e200,
             NAN, INF, -INF, complex(NAN, NAN), complex(0.0, INF))
 ORDERS = (1, 2, 8, 99, 120, 150, 166, 167, 170, 171, 200)
 ALPHA_P = (1e-170, 1e-160, 1.0, 1e200)
+# cutoffs whose vectors hold more entries than a numpy array can: malformed, and never allocated
+PAST_ARRAY_SIZE = (10**20, 2**62)
 
 # the entry points called below; test_every_numeric_entry_point_is_swept keeps the list whole
 SWEPT = {
@@ -214,10 +217,11 @@ def test_vectors_cutoffs_and_operators_keep_the_contract():
         for tol in (1e-300, 1e-12, 0.5, 0.0, NAN, INF):
             sweep.call(f"required_n_max({z_abs}, {tol})", psusyent.required_n_max,
                        z_abs, tol, malformed=not tol > 0.0)
-        for n_max in (0, 1, 41, 300, np.int64(41)):
+        for n_max in (0, 1, 41, 300, np.int64(41), *PAST_ARRAY_SIZE):
             for tail_tol in (None, 1e-12):
                 sweep.call(f"coherent_vector({z}, {n_max}, {tail_tol})",
-                           psusyent.coherent_vector, z, n_max, tail_tol, malformed=n_max < 1)
+                           psusyent.coherent_vector, z, n_max, tail_tol,
+                           malformed=n_max < 1 or n_max in PAST_ARRAY_SIZE)
         stack = np.array([GOOD_Z, z], dtype=complex)
         sweep.call(f"coherent_vector([{GOOD_Z}, {z}], 80)", psusyent.coherent_vector,
                    stack, 80, 1e-12)
@@ -285,15 +289,28 @@ def test_explicit_cutoffs_keep_the_contract():
     sweep = _Sweep()
     for p in (1, 2, 8, 120, np.int64(8)):
         for z in (0.0, GOOD_Z, 3.0, 37.6, 40.0):
-            for n_max in (p, p + 1, p + 2, 41, 300, *_rule_cutoffs(p, z)):
+            for n_max in (p, p + 1, p + 2, 41, 300, *_rule_cutoffs(p, z), *PAST_ARRAY_SIZE):
                 for check in (True, False):
                     what = f"build_state({p}, {z}, n_max={n_max}, check={check})"
                     state = sweep.call(what, psusyent.build_state, p, z,
                                        AlphaProfile.optimal_constant(p), n_max, check,
-                                       malformed=n_max < p + 2)
+                                       malformed=n_max < p + 2 or n_max in PAST_ARRAY_SIZE)
                     if state is not None:
                         _downstream(sweep, what, state)
     sweep.check()
+
+
+@pytest.mark.parametrize("n_max", PAST_ARRAY_SIZE)
+def test_a_cutoff_past_the_largest_array_is_named_before_allocating(n_max):
+    # numpy's own messages ("Maximum allowed dimension exceeded", "array is too
+    # big") do not say which argument is at fault
+    profile = AlphaProfile.optimal_constant(1)
+    for call in (lambda: psusyent.coherent_vector(1.0, n_max),
+                 lambda: psusyent.coherent_vector(np.array([1.0, 2.0]), n_max, 1e-12),
+                 lambda: psusyent.build_state(1, 1.0, profile, n_max),
+                 lambda: psusyent.build_state(1, 1.0, profile, n_max, False)):
+        with pytest.raises(ValueError, match=f"^n_max={n_max} needs"):
+            call()
 
 
 def _amplitude_rows():

@@ -574,12 +574,12 @@ def test_z_exact_block_defined_at_every_nonzero_z_resolves_no_coefficients(monke
         value = concurrence_closed_form(p, powers, AlphaProfile.z_dependent_exact(p, m)).value
         assert np.array_equal(np.isnan(value), zs == 0.0)
     assert calls == {}
-    # a row below z* keeps one coefficients call, at that row alone, which
-    # raises naming it; no power column is made (the array call made two)
+    # nor does a block with rows below z*: the grid's cut makes the one traced
+    # coefficients call there (test_cli), and no power column is made
     powers = PowerTable(np.linspace(0.0, 5.0, 251))
     value = concurrence_closed_form(2, powers, AlphaProfile.z_dependent_exact(2, 1)).value
     assert np.count_nonzero(np.isnan(value)) == 36
-    assert calls == {"coefficients": 1}
+    assert calls == {}
 
 
 def test_concurrence_phase_invariance(rng):
